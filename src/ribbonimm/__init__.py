@@ -29,7 +29,7 @@ from .klbase import (KLTable, bruhat_leq, conjecture12_harness, imm_kl,
                      kl_polynomials, kl_polynomials_hecke)
 from .corpus import enumerate_decompositions, sweep_corpus
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BELOW", "LEFT", "EmptySection", "IncompatibleShape", "NotSkew",

@@ -191,10 +191,7 @@ def _sweep_one(packed):
             item["certificate"] = report["certificates"]
     elif theorem == "cor3.5":
         rm = ribbonmat.build(dec, N)
-        total = SymPoly.zero(N)
-        for u in tlalgebra.enumerate_321_avoiding(dec.ell):
-            total = total + tlalgebra.imm_tl(
-                tlalgebra.perm_to_matching(u), rm.matrix)
+        total = sum(tlalgebra.imm_tl_all(rm.matrix).values(), SymPoly.zero(N))
         item["ok"] = total == ribbonmat.odd_even_product(dec, N)
     else:
         raise InputError(f"unknown theorem {theorem}")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration budget."""
+
+import os
 
 
 class RibbonError(Exception):
@@ -27,6 +29,11 @@ class StrandTraceError(RibbonError):
 
 class BudgetExceeded(RibbonError):
     """An enumeration exceeded the configured budget (see RIL_BUDGET)."""
+
+
+def budget() -> int:
+    """Most items an exponential enumeration may visit: RIL_BUDGET."""
+    return int(os.environ.get("RIL_BUDGET", "2000000"))
 
 
 class ValidityError(RibbonError):

@@ -14,8 +14,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .symfunc import SFMatrix, SymPoly, determinant
-from .tlalgebra import apply_s, identity_perm, perm_inverse, perm_length
+from .perms import apply_s, identity_perm, perm_inverse, perm_length
+from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
 
 # ------------------------------------------------------------ q-polynomials
 
@@ -287,6 +287,17 @@ def _kl_weights(n: int, w: tuple):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _kl_table(n: int) -> dict:
+    """Map v -> {w: KL weight of v in the immanant at w} over S_n."""
+    table = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        for v, c in _kl_weights(n, w).items():
+            if c:
+                table.setdefault(v, {})[w] = c
+    return table
+
+
 def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
     """Kazhdan-Lusztig immanant at w: a signed, KL-weighted sum of
     diagonal products; at w = e it is the determinant."""
@@ -295,18 +306,8 @@ def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
         raise ValueError("dimension mismatch")
     if n > 6:
         raise ValueError("KL immanant guard: n <= 6")
-    # w0 v and w0 w compose the reversal on the left
-    total = SymPoly.zero(A.nvars)
-    for v, c in _kl_weights(n, w).items():
-        if not c:
-            continue
-        term = SymPoly.one(A.nvars)
-        for i, j in enumerate(v, start=1):
-            term = term * A[i, j]
-            if term.is_zero():
-                break
-        total = total + term.scale(c)
-    return total
+    row = {v: {w: c} for v, c in _kl_weights(n, w).items() if c}
+    return diagonal_sums(A, row)[w]
 
 
 def conjecture12_harness(dec, N: int):
@@ -321,9 +322,10 @@ def conjecture12_harness(dec, N: int):
     if dec.ell > 5:
         raise ValueError("harness guard: ell <= 5")
     rm = build(dec, N)
+    by_perm = diagonal_sums(rm.matrix, _kl_table(dec.ell))
     per_perm, certificates = [], []
     for w in itertools.permutations(range(1, dec.ell + 1)):
-        exp = expand_schur(imm_kl(w, rm.matrix))
+        exp = expand_schur(by_perm[w])
         entry = {
             "perm": list(w),
             "expansion": str(exp),

@@ -13,18 +13,12 @@ source height, so a path records one entry per content it crosses.
 from __future__ import annotations
 
 import functools
-import itertools
-import os
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, StrandTraceError
+from .errors import BudgetExceeded, StrandTraceError, budget
 from .shapes import BELOW, LEFT, InfiniteRibbon, RibbonDecomposition
-from .symfunc import SymPoly
+from .symfunc import SymPoly, partition_key
 from .tlalgebra import NoncrossingMatching
-
-
-def _budget() -> int:
-    return int(os.environ.get("RIL_BUDGET", "2000000"))
 
 
 @dataclass(frozen=True)
@@ -150,11 +144,6 @@ def _all_paths(net: RibbonNetwork, i: int, j: int):
     start, end = net.starts[i - 1], net.ends[j - 1]
     if start[0] < end[0]:
         return ()
-    if start[0] == end[0]:
-        # empty section: the single path rides verticals only (weight 1)
-        paths = _paths_between(net, start, end)
-        assert len(paths) <= 1
-        return tuple(paths)
     return tuple(_paths_between(net, start, end))
 
 
@@ -162,17 +151,15 @@ def path_weight_sum(net: RibbonNetwork, i: int, j: int) -> SymPoly:
     """Sum of path weights P_i -> Q_j; equals the matrix entry (i, j)."""
     coeffs = {}
     for _, wt in _all_paths(net, i, j):
-        key = tuple(sorted(wt, reverse=True))
-        while key and key[-1] == 0:
-            key = key[:-1]
-        if list(wt) == sorted(wt, reverse=True)[:len(wt)]:
+        key = partition_key(wt)
+        if key is not None:
             coeffs[key] = coeffs.get(key, 0) + 1
     return SymPoly(net.N, coeffs)
 
 
 def _disjoint_families(net: RibbonNetwork, indices):
     """Vertex-disjoint path families (pi_k: P_k -> Q_k, k in indices)."""
-    budget = _budget()
+    limit = budget()
     count = 0
     options = {k: _all_paths(net, k, k) for k in indices}
 
@@ -180,8 +167,8 @@ def _disjoint_families(net: RibbonNetwork, indices):
         nonlocal count
         if pos == len(indices):
             count += 1
-            if count > budget:
-                raise BudgetExceeded(f"more than {budget} path families")
+            if count > limit:
+                raise BudgetExceeded(f"more than {limit} path families")
             yield tuple(chosen)
             return
         k = indices[pos]
@@ -312,10 +299,8 @@ def covers_by_type(dec: RibbonDecomposition, N: int):
     acc = {}
     for fam, wt in enumerate_covers(net):
         tau = uncross_type(fam)
-        key = tuple(sorted(wt, reverse=True))
-        while key and key[-1] == 0:
-            key = key[:-1]
-        if list(wt) == sorted(wt, reverse=True)[:len(wt)]:
+        key = partition_key(wt)
+        if key is not None:
             bucket = acc.setdefault(tau, {})
             bucket[key] = bucket.get(key, 0) + 1
     return {tau: SymPoly(N, coeffs) for tau, coeffs in acc.items()}

@@ -13,7 +13,6 @@ import importlib.resources
 import json
 from dataclasses import dataclass
 
-from .errors import NotSkew
 from .shapes import (RibbonDecomposition, SkewShape, decompose,
                      ribbon_section_shape, shape_from_tuples)
 from .symfunc import (SFMatrix, SymPoly, determinant, expand_schur,
@@ -99,14 +98,13 @@ def theorem1_harness(dec: RibbonDecomposition, N: int, method="def"):
     negative coefficient.
     """
     if method == "def":
-        rm = build(dec, N)
-        compute = lambda tau: tlalgebra.imm_tl(tau, rm.matrix)
+        by_type = tlalgebra.imm_tl_all(build(dec, N).matrix)
     elif method == "shuffle":
         from . import shuffle
-        compute = lambda tau: shuffle.imm_by_shuffle(dec, N, tau)
+        by_type = shuffle.tableaux_by_type(dec, N)
     elif method == "covers":
         from . import network
-        compute = lambda tau: network.imm_by_covers(dec, N, tau)
+        by_type = network.covers_by_type(dec, N)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -114,7 +112,7 @@ def theorem1_harness(dec: RibbonDecomposition, N: int, method="def"):
     ok = True
     for u in tlalgebra.enumerate_321_avoiding(dec.ell):
         tau = tlalgebra.perm_to_matching(u)
-        exp = expand_schur(compute(tau))
+        exp = expand_schur(by_type.get(tau, SymPoly.zero(N)))
         positive = exp.schur_positive
         ok = ok and positive
         per_type.append({

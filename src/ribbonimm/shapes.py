@@ -191,15 +191,6 @@ class SkewShape:
         return cls(tuple(obj["outer"]), tuple(obj.get("inner", ())))
 
 
-def cells(shape: SkewShape):
-    """Cells of a skew shape as (row, col, content), row-major."""
-    return shape.cells()
-
-
-def is_ribbon(shape: SkewShape) -> bool:
-    return shape.is_ribbon()
-
-
 @dataclass(frozen=True)
 class InfiniteRibbon:
     """Doubly infinite ribbon given by its step map.

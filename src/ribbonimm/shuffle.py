@@ -17,20 +17,15 @@ that type.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, StrandTraceError, ValidityError
+from .errors import BudgetExceeded, StrandTraceError, ValidityError, budget
 from .shapes import BELOW, RibbonDecomposition, SkewShape
-from .symfunc import SchurExpansion, SymPoly, enumerate_ssyt
+from .symfunc import SchurExpansion, SymPoly, enumerate_ssyt, partition_key
 from .tlalgebra import NoncrossingMatching
 
 NEG = float("-inf")
 POS = float("inf")
-
-
-def _budget() -> int:
-    return int(os.environ.get("RIL_BUDGET", "2000000"))
 
 
 def _shape_at(cells) -> SkewShape:
@@ -422,27 +417,29 @@ def is_yamanouchi(T: ShuffleTableau) -> bool:
 
 # -------------------------------------------------------- immanant pipeline
 
-def _record(acc, tau, wt):
-    # symmetric sums: only partition-sorted weight vectors are recorded
-    if any(wt[k] < wt[k + 1] for k in range(len(wt) - 1)):
-        return
-    key = wt
-    while key and key[-1] == 0:
-        key = key[:-1]
+def _record(acc, tau, key):
     bucket = acc.setdefault(tau, {})
     bucket[key] = bucket.get(key, 0) + 1
 
 
+def _fillings(d: ShuffleDiagram, N: int):
+    """enumerate_shuffle_tableaux, stopped by BudgetExceeded past the
+    enumeration budget."""
+    limit = budget()
+    for count, T in enumerate(enumerate_shuffle_tableaux(d, N), start=1):
+        if count > limit:
+            raise BudgetExceeded(f"more than {limit} fillings")
+        yield T
+
+
 def tableaux_by_type(dec: RibbonDecomposition, N: int):
     """Map from type to the summed weights of its fillings."""
-    d = build_diagram(dec)
-    budget = _budget()
-    acc, count = {}, 0
-    for T in enumerate_shuffle_tableaux(d, N):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(f"more than {budget} fillings")
-        _record(acc, tl_type(T), T.weight(N))
+    acc = {}
+    for T in _fillings(build_diagram(dec), N):
+        # symmetric sums: only partition-sorted weights are recorded
+        tau, key = tl_type(T), partition_key(T.weight(N))
+        if key is not None:
+            _record(acc, tau, key)
     return {tau: SymPoly(N, coeffs) for tau, coeffs in acc.items()}
 
 
@@ -458,21 +455,13 @@ def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):
     coefficient of its (necessarily partition) weight, under its type.
     Coefficients are nonnegative by construction.
     """
-    d = build_diagram(dec)
-    budget = _budget()
-    acc, count = {}, 0
-    for T in enumerate_shuffle_tableaux(d, N):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(f"more than {budget} fillings")
+    acc = {}
+    for T in _fillings(build_diagram(dec), N):
         if not is_yamanouchi(T):
             continue
-        wt = T.weight(N)
-        if any(wt[k] < wt[k + 1] for k in range(N - 1)):
-            raise ValidityError(f"source filling has non-partition weight {wt}")
-        key = wt
-        while key and key[-1] == 0:
-            key = key[:-1]
-        bucket = acc.setdefault(tl_type(T), {})
-        bucket[key] = bucket.get(key, 0) + 1
+        key = partition_key(T.weight(N))
+        if key is None:
+            raise ValidityError(
+                f"source filling has non-partition weight {T.weight(N)}")
+        _record(acc, tl_type(T), key)
     return {tau: SchurExpansion(N, coeffs) for tau, coeffs in acc.items()}

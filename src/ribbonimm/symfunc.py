@@ -11,16 +11,24 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
+from .perms import perm_sign
 from .shapes import SkewShape, normalize_partition
 
 
+def partition_key(wt):
+    """The nonnegative weight wt as a partition (trailing zeros dropped)
+    if it is weakly decreasing, else None."""
+    wt = tuple(wt)
+    if not all(map(operator.ge, wt, wt[1:])):
+        return None
+    return wt[:len(wt) - wt.count(0)]
+
+
 def _sorted_key(vec) -> tuple:
-    key = tuple(sorted(vec, reverse=True))
-    while key and key[-1] == 0:
-        key = key[:-1]
-    return key
+    return partition_key(sorted(vec, reverse=True))
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,8 +193,8 @@ def _skew_schur_cached(shape: SkewShape, N: int) -> SymPoly:
         for v in filling.values():
             wt[v - 1] += 1
         # symmetric, so only partition-sorted weights need recording
-        if all(wt[k] >= wt[k + 1] for k in range(N - 1)):
-            key = _sorted_key(wt)
+        key = partition_key(wt)
+        if key is not None:
             coeffs[key] = coeffs.get(key, 0) + 1
     return SymPoly(N, coeffs)
 
@@ -268,24 +276,46 @@ def determinant(M: SFMatrix) -> SymPoly:
     return minor(1, (1 << M.n) - 1)
 
 
+def diagonal_sums(M: SFMatrix, table) -> dict:
+    """Map key -> sum over w of table[w][key] * M[1, w(1)] ... M[n, w(n)].
+
+    table maps permutations of 1..n (one-line tuples) to {key: integer}.
+    The permutations are walked as a prefix tree, so each row-prefix
+    product is formed once, and a prefix whose product is zero prunes
+    every permutation that extends it.  Every key of the table gets an
+    entry, zero when all of its products vanish.
+    """
+    acc = {key: {} for coeffs in table.values() for key in coeffs}
+
+    def walk(row, prod, perms):
+        if row > M.n:
+            for w in perms:
+                for key, c in table[w].items():
+                    out = acc[key]
+                    for lam, v in prod.coeffs.items():
+                        out[lam] = out.get(lam, 0) + c * v
+            return
+        by_col = {}
+        for w in perms:
+            by_col.setdefault(w[row - 1], []).append(w)
+        for j, ws in by_col.items():
+            nxt = prod * M[row, j]
+            if not nxt.is_zero():
+                walk(row + 1, nxt, ws)
+
+    walk(1, SymPoly.one(M.nvars), list(table))
+    return {key: SymPoly(M.nvars, coeffs) for key, coeffs in acc.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_table(n: int) -> dict:
+    return {w: {"det": perm_sign(w)}
+            for w in itertools.permutations(range(1, n + 1))}
+
+
 def determinant_naive(M: SFMatrix) -> SymPoly:
     """Signed sum over permutations; small-n oracle for determinant."""
-    total = SymPoly.zero(M.nvars)
-    for perm in itertools.permutations(range(1, M.n + 1)):
-        sign = _perm_sign(perm)
-        term = SymPoly.one(M.nvars)
-        for i, j in enumerate(perm, start=1):
-            term = term * M[i, j]
-            if term.is_zero():
-                break
-        total = total + term.scale(sign)
-    return total
-
-
-def _perm_sign(perm) -> int:
-    inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-              if perm[a] > perm[b])
-    return -1 if inv % 2 else 1
+    return diagonal_sums(M, _sign_table(M.n))["det"]
 
 
 class SchurExpansion:

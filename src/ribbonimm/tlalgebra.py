@@ -11,85 +11,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .symfunc import SFMatrix, SymPoly, determinant
-
-
-# ---------------------------------------------------------------- permutations
-
-def identity_perm(n) -> tuple:
-    return tuple(range(1, n + 1))
-
-
-def perm_mul(u: tuple, v: tuple) -> tuple:
-    """Composition (u*v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(u)))
-
-
-def perm_inverse(u: tuple) -> tuple:
-    out = [0] * len(u)
-    for i, v in enumerate(u, start=1):
-        out[v - 1] = i
-    return tuple(out)
-
-
-def perm_length(u: tuple) -> int:
-    """Number of inversions."""
-    n = len(u)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if u[a] > u[b])
-
-
-def perm_sign(u: tuple) -> int:
-    return -1 if perm_length(u) % 2 else 1
-
-
-def apply_s(u: tuple, i: int) -> tuple:
-    """Right multiplication by s_i (swap positions i, i+1)."""
-    v = list(u)
-    v[i - 1], v[i] = v[i], v[i - 1]
-    return tuple(v)
-
-
-@functools.lru_cache(maxsize=None)
-def reduced_word(u: tuple) -> tuple:
-    """Lexicographically smallest reduced word of u."""
-    if perm_length(u) == 0:
-        return ()
-    # greedy smallest left descent gives the lex-smallest word
-    best = None
-    for i in range(1, len(u)):
-        su = tuple(i + 1 if x == i else i if x == i + 1 else x for x in u)
-        if perm_length(su) < perm_length(u):
-            best = (i,) + reduced_word(su)
-            break
-    return best
-
-
-def all_reduced_words(u: tuple):
-    if perm_length(u) == 0:
-        yield ()
-        return
-    for i in range(1, len(u)):
-        su = tuple(i + 1 if x == i else i if x == i + 1 else x for x in u)
-        if perm_length(su) < perm_length(u):
-            for rest in all_reduced_words(su):
-                yield (i,) + rest
-
-
-def is_321_avoiding(u: tuple) -> bool:
-    n = len(u)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if u[a] > u[b]:
-                for c in range(b + 1, n):
-                    if u[b] > u[c]:
-                        return False
-    return True
-
-
-def enumerate_321_avoiding(n: int):
-    for u in itertools.permutations(range(1, n + 1)):
-        if is_321_avoiding(u):
-            yield u
+from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
+                    identity_perm, is_321_avoiding, perm_inverse,
+                    perm_length, perm_mul, perm_sign, reduced_word)
+from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
 
 
 # ------------------------------------------------------------------- matchings
@@ -311,6 +236,15 @@ def mirror_matching(m: NoncrossingMatching) -> NoncrossingMatching:
         m.n, [tuple((flip[s], k) for s, k in pair) for pair in m.pairs])
 
 
+@functools.lru_cache(maxsize=None)
+def _tl_table(n: int) -> dict:
+    """Map w -> {matching: coefficient in theta_of_perm(w)} over S_n."""
+    if n > 6:
+        raise ValueError("definitional immanant guard: n <= 6")
+    return {w: theta_of_perm(w).terms
+            for w in itertools.permutations(range(1, n + 1))}
+
+
 def imm_tl(tau: NoncrossingMatching, A: SFMatrix) -> SymPoly:
     """Temperley-Lieb immanant of A at type tau, by the defining sum.
 
@@ -320,24 +254,18 @@ def imm_tl(tau: NoncrossingMatching, A: SFMatrix) -> SymPoly:
     immanant definition assumes; the choice is pinned by the general
     product-of-complementary-minors identity on asymmetric matrices.
     """
-    n = tau.n
-    if A.n != n:
+    if A.n != tau.n:
         raise ValueError("dimension mismatch")
-    if n > 6:
-        raise ValueError("definitional immanant guard: n <= 6")
     target = mirror_matching(tau)
-    total = SymPoly.zero(A.nvars)
-    for w in itertools.permutations(range(1, n + 1)):
-        c = theta_of_perm(w).coeff(target)
-        if not c:
-            continue
-        term = SymPoly.one(A.nvars)
-        for i, j in enumerate(w, start=1):
-            term = term * A[i, j]
-            if term.is_zero():
-                break
-        total = total + term.scale(c)
-    return total
+    column = {w: {target: terms[target]}
+              for w, terms in _tl_table(tau.n).items() if target in terms}
+    return diagonal_sums(A, column)[target]
+
+
+def imm_tl_all(A: SFMatrix) -> dict:
+    """Every Temperley-Lieb immanant of A, keyed by type, in one pass."""
+    sums = diagonal_sums(A, _tl_table(A.n))
+    return {mirror_matching(m): p for m, p in sums.items()}
 
 
 def compatible(tau: NoncrossingMatching, I, J) -> bool:

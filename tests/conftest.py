@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ribbonimm import corpus
 from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, decompose,
                               shape_from_tuples)
 from ribbonimm.symfunc import SFMatrix, SymPoly
@@ -18,6 +19,14 @@ def hook_ribbon():
 def hook_dec(hook_ribbon):
     shape = shape_from_tuples(hook_ribbon, (0, -4, -3, 3), (3, 5, 9, 6))
     return decompose(shape, hook_ribbon)
+
+
+@pytest.fixture(scope="session")
+def corpus_decs():
+    """Corpus instances with 3 and 4 sections, and one with 5."""
+    decs = corpus.sweep_corpus(8, 5, 5, per_bucket=1)
+    return [d for d in decs if d.ell in (3, 4) and d.shape.size >= 6] + [
+        next(d for d in decs if d.ell == 5 and d.shape.size == 8)]
 
 
 @pytest.fixture(scope="session")

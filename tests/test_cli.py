@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import ribbonimm
 from ribbonimm import cli
 from ribbonimm.shapes import InfiniteRibbon, SkewShape
 
@@ -48,6 +51,12 @@ def test_decompose_incompatible_exits_2(tmp_path, capsys):
     rp.write_text(json.dumps(InfiniteRibbon(
         0, ("B", "L", "B"), tail_lo="L", tail_hi="L").to_json()))
     assert cli.main(["decompose", str(sp), str(rp)]) == 2
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^version = "([^"]+)"', text, re.MULTILINE)
+    assert found and found.group(1) == ribbonimm.__version__
 
 
 def test_bad_input_exits_2(tmp_path, hook_files):

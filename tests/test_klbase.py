@@ -77,6 +77,19 @@ def test_dump_format():
     assert lines == ["12 12 : 1", "12 21 : 1", "21 21 : 1"]
 
 
+def test_conjecture_harness_matches_imm_kl(corpus_decs):
+    N = 3
+    for dec in corpus_decs:
+        rm = ribbonmat.build(dec, N)
+        report = klbase.conjecture12_harness(dec, N)
+        perms = list(itertools.permutations(range(1, dec.ell + 1)))
+        assert [tuple(item["perm"]) for item in report["immanants"]] == perms
+        for item in report["immanants"]:
+            w = tuple(item["perm"])
+            assert item["expansion"] == str(
+                expand_schur(klbase.imm_kl(w, rm.matrix))), (dec.abar, w)
+
+
 def test_guards():
     with pytest.raises(ValueError):
         klbase.kl_polynomials(8)

@@ -1,5 +1,8 @@
+import pytest
+
 from conftest import row_sections_dec
 from ribbonimm import network, ribbonmat, tlalgebra
+from ribbonimm.errors import BudgetExceeded
 from ribbonimm.shapes import SkewShape, decompose
 from ribbonimm.symfunc import SymPoly, skew_schur, ssyt_count
 
@@ -65,6 +68,12 @@ def test_covers_by_type_matches_direct_immanant():
         got = by_type.get(tau, SymPoly.zero(N))
         assert got == tlalgebra.imm_tl(tau, rm.matrix)
         assert got == network.imm_by_covers(dec, N, tau)
+
+
+def test_budget_guard(hook_dec, monkeypatch):
+    monkeypatch.setenv("RIL_BUDGET", "3")
+    with pytest.raises(BudgetExceeded):
+        network.covers_by_type(hook_dec, 3)
 
 
 def test_edges_json_shape(hook_dec):

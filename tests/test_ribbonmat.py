@@ -4,7 +4,9 @@ from ribbonimm.shapes import (SkewShape, decompose, ribbon_section_shape,
                               shape_from_tuples)
 from ribbonimm.symfunc import (SymPoly, determinant, expand_schur, h_poly,
                                skew_schur)
-from ribbonimm.tlalgebra import minor
+from ribbonimm.tlalgebra import imm_tl, minor, perm_to_matching
+
+CATALAN = {3: 5, 4: 14, 5: 42}
 
 
 def test_entries_are_section_schur_functions(hook_dec):
@@ -76,6 +78,18 @@ def test_theorem1_harness_structure():
     assert len(report["immanants"]) == 2
     for item in report["immanants"]:
         assert item["schur_positive"]
+
+
+def test_theorem1_harness_matches_imm_tl(corpus_decs):
+    N = 3
+    for dec in corpus_decs:
+        rm = ribbonmat.build(dec, N)
+        report = ribbonmat.theorem1_harness(dec, N)
+        assert len(report["immanants"]) == CATALAN[dec.ell]
+        for item in report["immanants"]:
+            tau = perm_to_matching(tuple(item["perm"]))
+            assert item["expansion"] == str(
+                expand_schur(imm_tl(tau, rm.matrix))), (dec.abar, tau)
 
 
 def test_remark_matrices_homogeneous():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_sf_matrix
+from ribbonimm.ribbonmat import build
 from ribbonimm.shapes import SkewShape
 from ribbonimm.symfunc import (SFMatrix, SchurExpansion, SymPoly, determinant,
                                determinant_naive, e_poly, enumerate_ssyt,
@@ -104,11 +105,15 @@ def test_expand_schur_of_schur_is_delta():
     assert exp.schur_positive
 
 
-def test_determinant_matches_naive():
+def test_determinant_matches_naive(hook_dec):
     rng = random.Random(11)
     for n in (1, 2, 3):
         M = random_sf_matrix(rng, n, 2)
         assert determinant(M) == determinant_naive(M)
+    # zero entries prune the permutations through them
+    M = build(hook_dec, 2).matrix
+    assert any(p.is_zero() for row in M.entries for p in row)
+    assert determinant(M) == determinant_naive(M)
 
 
 def test_sfmatrix_indexing():
