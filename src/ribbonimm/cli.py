@@ -54,13 +54,19 @@ def _decompose(shape, ribbon):
         raise InputError(str(exc)) from exc
 
 
+def _positive_int(text) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _nvars_arg(text):
+    """--nvars: a positive integer, or 'auto' for the cell count."""
+    return text if text == "auto" else _positive_int(text)
+
+
 def _resolve_nvars(arg, dec):
-    if arg == "auto":
-        return max(dec.shape.size, 1)
-    n = int(arg)
-    if n < 1:
-        raise InputError("--nvars must be positive or 'auto'")
-    return n
+    return max(dec.shape.size, 1) if arg == "auto" else arg
 
 
 def _parse_perm(text) -> tuple:
@@ -104,8 +110,11 @@ def cmd_matrix(args) -> int:
     N = _resolve_nvars(args.nvars, dec)
     rm = ribbonmat.build(dec, N)
     if args.minor:
-        I = sorted({int(x) for x in args.minor.split(",")})
-        rm = ribbonmat.principal_minor(rm, I)
+        try:
+            I = sorted({int(x) for x in args.minor.split(",")})
+            rm = ribbonmat.principal_minor(rm, I)
+        except ValueError as exc:
+            raise InputError(f"bad --minor {args.minor!r}: {exc}") from exc
         dec = rm.decomposition
     det = determinant(rm.matrix)
     target = skew_schur(dec.shape, N)
@@ -172,7 +181,7 @@ def _sweep_one(packed):
     ribbon = InfiniteRibbon.from_json(dec_json["ribbon"])
     shape = SkewShape.from_json(dec_json["shape"])
     dec = decompose(shape, ribbon)
-    N = max(dec.shape.size, 1) if nvars == "auto" else int(nvars)
+    N = _resolve_nvars(nvars, dec)
     item = {"a": list(dec.abar), "b": list(dec.bbar),
             "ribbon": dec.ribbon.to_json(), "nvars": N}
     if theorem == "det":
@@ -220,7 +229,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_remarks(args) -> int:
-    N1 = int(args.nvars) if args.nvars != "auto" else 5
+    N1 = 5 if args.nvars == "auto" else args.nvars
     A, Abad = ribbonmat.remark_matrices(N_first=N1, N_second=N1)
     tau = tlalgebra.perm_to_matching((2, 1, 4, 3))
     exp1 = expand_schur(tlalgebra.imm_tl(tau, A))
@@ -282,14 +291,14 @@ def main(argv=None) -> int:
     p = sub.add_parser("matrix")
     p.add_argument("shape")
     p.add_argument("ribbon")
-    p.add_argument("--nvars", default="auto")
+    p.add_argument("--nvars", default="auto", type=_nvars_arg)
     p.add_argument("--minor", help="comma-separated 1-based index set")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("imm")
     p.add_argument("shape")
     p.add_argument("ribbon")
-    p.add_argument("--nvars", default="auto")
+    p.add_argument("--nvars", default="auto", type=_nvars_arg)
     p.add_argument("--type", help="321-avoiding permutation, e.g. 2143")
     p.add_argument("--perm", help="permutation for --method kl")
     p.add_argument("--method", default="def",
@@ -303,18 +312,18 @@ def main(argv=None) -> int:
     p.add_argument("--per-bucket", type=int, default=16)
     p.add_argument("--limit", type=int)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--nvars", default="4")
+    p.add_argument("--nvars", default="4", type=_nvars_arg)
     p.add_argument("--full-report", action="store_true")
     p.add_argument("--theorem", default="det",
                    choices=["det", "1.1", "conj1.2", "cor3.5"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("remarks")
-    p.add_argument("--nvars", default="auto")
+    p.add_argument("--nvars", default="auto", type=_nvars_arg)
     p.set_defaults(func=cmd_remarks)
 
     p = sub.add_parser("kl-table")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive_int)
     p.set_defaults(func=cmd_kl_table)
 
     args = ap.parse_args(argv)

@@ -5,15 +5,26 @@ partitions (at most N parts) to exact integers.  Symmetry is therefore
 structural.  The coefficient of the single monomial x^gamma equals the
 stored coefficient at the sorted exponent vector, which is what the
 multiplication routine exploits.
+
+N is only a truncation: it drops the partitions with more than N parts
+and is never a loop bound of its own.  Skew Schur polynomials come from
+the horizontal-strip recursion for skew Kostka numbers (Macdonald,
+Symmetric Functions and Hall Polynomials, I.5), which visits only the
+partitions of the degree with at most N parts.  A product places the
+exponent vectors of one factor in as many slots as the other factor's
+key and the result key can occupy, not in all N.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
+from .errors import BudgetExceeded, budget
 from .perms import perm_sign
 from .shapes import SkewShape, normalize_partition
 
@@ -28,14 +39,35 @@ def partition_key(wt):
 
 
 def _sorted_key(vec) -> tuple:
-    return partition_key(sorted(vec, reverse=True))
+    """The nonnegative exponent vector vec as a partition."""
+    vec = sorted(vec, reverse=True)
+    return tuple(vec[:len(vec) - vec.count(0)])
 
 
 @functools.lru_cache(maxsize=None)
 def _orbit(key: tuple, nvars: int) -> tuple:
-    """All distinct length-nvars exponent vectors with sorted form key."""
-    vec = key + (0,) * (nvars - len(key))
-    return tuple(sorted(set(itertools.permutations(vec))))
+    """All distinct length-nvars exponent vectors with sorted form key,
+    in increasing lexicographic order."""
+    if not nvars:
+        return ((),)
+    out = []
+    if len(key) < nvars:
+        out += [(0,) + tail for tail in _orbit(key, nvars - 1)]
+    # the first entry takes each distinct part once, smallest first
+    for i in reversed(range(len(key))):
+        if not i or key[i] != key[i - 1]:
+            rest = key[:i] + key[i + 1:]
+            out += [(key[i],) + tail for tail in _orbit(rest, nvars - 1)]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_size(key: tuple, nvars: int) -> int:
+    """len(_orbit(key, nvars)), by the multinomial formula."""
+    out = math.factorial(nvars)
+    for m in Counter(key + (0,) * (nvars - len(key))).values():
+        out //= math.factorial(m)
+    return out
 
 
 class SymPoly:
@@ -110,25 +142,31 @@ class SymPoly:
             return self.scale(other)
         self._check(other)
         n = self.nvars
+        # A term nu of the product has at most len(lam) + len(mu) parts,
+        # and a beta <= nu has its support in the len(nu) slots of nu.
+        width = min(n, max(map(len, self.coeffs), default=0)
+                    + max(map(len, other.coeffs), default=0))
         # iterate over the factor whose orbits are smaller
         a, b = self, other
-        if sum(len(_orbit(k, n)) for k in a.coeffs) < \
-           sum(len(_orbit(k, n)) for k in b.coeffs):
+        if sum(_orbit_size(k, width) for k in a.coeffs) < \
+           sum(_orbit_size(k, width) for k in b.coeffs):
             a, b = b, a
         candidates = set()
         for lam in a.coeffs:
-            lvec = lam + (0,) * (n - len(lam))
             for mu in b.coeffs:
-                for beta in _orbit(mu, n):
-                    candidates.add(_sorted_key(x + y for x, y in zip(lvec, beta)))
+                m = min(n, len(lam) + len(mu))
+                lvec = lam + (0,) * (m - len(lam))
+                for beta in _orbit(mu, m):
+                    candidates.add(_sorted_key(map(operator.add, lvec, beta)))
         out = {}
         for nu in candidates:
-            nvec = nu + (0,) * (n - len(nu))
             total = 0
             for mu, qc in b.coeffs.items():
+                if len(mu) > len(nu):
+                    continue
                 s = 0
-                for beta in _orbit(mu, n):
-                    gamma = tuple(x - y for x, y in zip(nvec, beta))
+                for beta in _orbit(mu, len(nu)):
+                    gamma = tuple(map(operator.sub, nu, beta))
                     if min(gamma, default=0) >= 0:
                         s += a.coeffs.get(_sorted_key(gamma), 0)
                 total += qc * s
@@ -185,17 +223,67 @@ def ssyt_count(shape: SkewShape, N: int) -> int:
     return sum(1 for _ in enumerate_ssyt(shape, N))
 
 
+def _horizontal_strips(nu, lam, size) -> list:
+    """Every kappa with nu <= kappa <= lam such that kappa/nu is a
+    horizontal strip of the given size; nu and kappa have len(lam) parts."""
+    out = []
+
+    def grow(kappa, left):
+        i = len(kappa)
+        if i == len(lam):
+            if not left:
+                out.append(tuple(kappa))
+            return
+        top = lam[i] if i == 0 else min(lam[i], nu[i - 1])
+        for add in range(min(top - nu[i], left) + 1):
+            kappa.append(nu[i] + add)
+            grow(kappa, left - add)
+            kappa.pop()
+
+    grow([], size)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _skew_schur_cached(shape: SkewShape, N: int) -> SymPoly:
+    # The coefficient of m_alpha counts the chains inner = nu^0 <= nu^1
+    # <= ... <= outer whose steps are horizontal strips of sizes alpha_1,
+    # alpha_2, ...  The partitions alpha are walked as a prefix tree,
+    # carrying the chain ends of the prefix with their counts.
+    lam, mu = shape.outer, shape.inner
+    limit = budget()
+    strips = {}     # (nu, size) -> horizontal strips of that size on nu
     coeffs = {}
-    for filling in enumerate_ssyt(shape, N):
-        wt = [0] * N
-        for v in filling.values():
-            wt[v - 1] += 1
-        # symmetric, so only partition-sorted weights need recording
-        key = partition_key(wt)
-        if key is not None:
-            coeffs[key] = coeffs.get(key, 0) + 1
+
+    def extend(ends, size):
+        out = {}
+        for nu, count in ends.items():
+            key = (nu, size)
+            if key not in strips:
+                if len(strips) >= limit:
+                    raise BudgetExceeded(
+                        f"skew_schur of {shape} in {N} variables: more than "
+                        f"{limit} Kostka states")
+                strips[key] = _horizontal_strips(nu, lam, size)
+            for kappa in strips[key]:
+                out[kappa] = out.get(kappa, 0) + count
+        return out
+
+    def walk(alpha, left, ends):
+        if not left:
+            coeffs[alpha] = ends[lam]
+            return
+        if len(alpha) == N:
+            return
+        # the remaining parts, at most N - len(alpha) of them, are <= part
+        lowest = -(-left // (N - len(alpha)))
+        for part in range(min(left, alpha[-1] if alpha else left),
+                          lowest - 1, -1):
+            nxt = extend(ends, part)
+            if nxt:
+                walk(alpha + (part,), left - part, nxt)
+
+    walk((), shape.size, {mu: 1})
     return SymPoly(N, coeffs)
 
 
@@ -399,7 +487,8 @@ def is_schur_positive(p: SymPoly):
 
 
 def lr_coefficient(lam, mu, nu) -> int:
-    """Brute-force Littlewood-Richardson coefficient c^lam_{mu,nu}."""
+    """Littlewood-Richardson coefficient c^lam_{mu,nu}, read off the
+    Schur expansion of s_{lam/mu} in |lam| variables."""
     lam, mu, nu = map(normalize_partition, (lam, mu, nu))
     if sum(lam) != sum(mu) + sum(nu):
         return 0

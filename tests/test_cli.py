@@ -67,6 +67,28 @@ def test_bad_input_exits_2(tmp_path, hook_files):
     assert cli.main(["decompose", str(bad), hook_files[1]]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", "SHAPE", "RIBBON", "--nvars", "abc"],
+    ["matrix", "SHAPE", "RIBBON", "--minor", "0"],
+    ["matrix", "SHAPE", "RIBBON", "--minor", "1,x"],
+    ["imm", "SHAPE", "RIBBON", "--nvars", "0", "--type", "123"],
+    ["remarks", "--nvars", "abc"],
+    ["remarks", "--nvars", "0"],
+    ["sweep", "--nvars", "-1"],
+    ["kl-table", "-1"],
+    ["kl-table", "9"],
+])
+def test_bad_arguments_exit_2(argv, small_files, capsys):
+    argv = [{"SHAPE": small_files[0], "RIBBON": small_files[1]}.get(a, a)
+            for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:   # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_matrix_identity(small_files, capsys):
     code = cli.main(["--json", "matrix", *small_files, "--nvars", "3"])
     assert code == 0

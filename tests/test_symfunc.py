@@ -1,15 +1,20 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_sf_matrix
-from ribbonimm.ribbonmat import build
+from ribbonimm.errors import BudgetExceeded
+from ribbonimm.ribbonmat import build, odd_even_split
 from ribbonimm.shapes import SkewShape
-from ribbonimm.symfunc import (SFMatrix, SchurExpansion, SymPoly, determinant,
+from ribbonimm.symfunc import (SFMatrix, SchurExpansion, SymPoly, _orbit,
+                               _skew_schur_cached, determinant,
                                determinant_naive, e_poly, enumerate_ssyt,
                                expand_schur, h_poly, lr_coefficient,
-                               schur_poly, skew_schur, ssyt_count)
+                               partition_key, schur_poly, skew_schur,
+                               ssyt_count)
 
 partitions = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -51,6 +56,26 @@ def test_evaluate_matches_product(p):
     assert (p * p).evaluate(point) == p.evaluate(point) ** 2
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.data())
+def test_product_is_truncation_of_wider_product(N, data):
+    # setting x_{N+1} = x_{N+2} = 0 is a ring map that drops the
+    # partitions with more than N parts
+    p, q = data.draw(sympolys(N)), data.draw(sympolys(N))
+    wide = SymPoly(N + 2, p.coeffs) * SymPoly(N + 2, q.coeffs)
+    assert p * q == SymPoly(N, {k: c for k, c in wide.coeffs.items()
+                                if len(k) <= N})
+
+
+def test_orbit_is_the_distinct_permutations():
+    for n in range(8):
+        for k in range(n + 1):
+            for key in itertools.combinations_with_replacement((3, 2, 1), k):
+                vec = key + (0,) * (n - k)
+                assert _orbit(key, n) == tuple(
+                    sorted(set(itertools.permutations(vec)))), (key, n)
+
+
 def test_schur_pins():
     assert schur_poly((1,), 2) == SymPoly(2, {(1,): 1})
     # s_11 in two variables is x1*x2
@@ -71,6 +96,36 @@ def test_skew_schur_matches_enumeration():
     poly = skew_schur(sh, 2)
     assert poly.evaluate((1, 1)) == ssyt_count(sh, 2)
     assert ssyt_count(sh, 2) == sum(1 for _ in enumerate_ssyt(sh, 2))
+
+
+def test_skew_schur_matches_ssyt_weights(corpus_decs):
+    # every skew shape inside a 4x4 box, and the disconnected halves of
+    # corpus decompositions, against weight counts of the fillings
+    box = list(itertools.combinations_with_replacement(range(4, -1, -1), 4))
+    shapes = {SkewShape(lam, mu) for lam in box for mu in box
+              if all(m <= l for m, l in zip(mu, lam))}
+    halves = {h for dec in corpus_decs for h in odd_even_split(dec)}
+    assert any(h.size and not h.is_connected() for h in halves)
+    assert SkewShape(()) in shapes
+    for shape in shapes | halves:
+        weights = Counter()
+        for filling in enumerate_ssyt(shape, 5):
+            wt = [0] * 5
+            for v in filling.values():
+                wt[v - 1] += 1
+            weights[tuple(wt)] += 1
+        for N in range(1, 6):
+            kept = {partition_key(wt[:N]): c for wt, c in weights.items()
+                    if not any(wt[N:])}
+            kept.pop(None, None)
+            assert skew_schur(shape, N) == SymPoly(N, kept), (shape, N)
+
+
+def test_skew_schur_budget_guard(monkeypatch):
+    _skew_schur_cached.cache_clear()
+    monkeypatch.setenv("RIL_BUDGET", "3")
+    with pytest.raises(BudgetExceeded, match=r"skew_schur.*\(3, 2\)"):
+        skew_schur(SkewShape((3, 2), (1,)), 3)
 
 
 def test_skew_schur_lr_expansion():
