@@ -18,7 +18,13 @@ from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
 from .errors import RibbonError
 from .shapes import InfiniteRibbon, SkewShape, decompose
-from .symfunc import SymPoly, determinant, expand_schur, skew_schur
+from .symfunc import (DET_MAX_N, SymPoly, determinant, expand_schur,
+                      skew_schur)
+
+# most sections each sweep theorem supports (the guard it would hit)
+_SWEEP_MAX_ELL = {"det": DET_MAX_N, "1.1": tlalgebra.TL_MAX_N,
+                  "cor3.5": tlalgebra.TL_MAX_N,
+                  "conj1.2": klbase.HARNESS_MAX_ELL}
 
 
 class InputError(Exception):
@@ -208,6 +214,10 @@ def _sweep_one(packed):
 
 
 def cmd_sweep(args) -> int:
+    limit = _SWEEP_MAX_ELL[args.theorem]
+    if args.max_ell > limit:
+        raise InputError(f"--theorem {args.theorem} supports "
+                         f"--max-ell <= {limit}")
     decs = sweep_corpus(args.max_cells, args.max_window,
                         args.max_ell, args.per_bucket)
     if args.limit is not None:

@@ -31,6 +31,10 @@ class BudgetExceeded(RibbonError):
     """An enumeration exceeded the configured budget (see RIL_BUDGET)."""
 
 
+class SizeGuard(RibbonError, ValueError):
+    """An input is larger than a computation supports (a fixed size limit)."""
+
+
 def budget() -> int:
     """Most items an exponential enumeration may visit: RIL_BUDGET."""
     return int(os.environ.get("RIL_BUDGET", "2000000"))

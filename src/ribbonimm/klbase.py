@@ -1,9 +1,17 @@
 """Kazhdan-Lusztig polynomials on S_n and the immanants built from them.
 
+S_n is indexed once per n (`_weyl`): the permutations in (length, lex)
+order, their lengths, the right action of each s_i as index lists, and
+each lower Bruhat interval [e, w] as an int bitmask, built by the lifting
+property [e, w] = [e, ws] u [e, ws]s for ws < w (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.2.7).  Bruhat order is a bit
+test on that table.
+
 P_{x,w}(q) is computed by the classical length recursion with mu
-coefficients tracked.  A second, independent computation solves the
-bar-invariance condition in the Hecke algebra directly (triangular solve
-in the standard basis) and is used as an oracle in the tests.
+coefficients tracked, on indices, visiting only the x in [e, w].  A
+second, independent computation solves the bar-invariance condition in
+the Hecke algebra directly (triangular solve in the standard basis) and
+is used as an oracle in the tests.
 
 Polynomials in q are stored as coefficient tuples, lowest degree first.
 """
@@ -14,8 +22,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .errors import BudgetExceeded, SizeGuard, budget
 from .perms import apply_s, identity_perm, perm_inverse, perm_length
 from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
+
+HARNESS_MAX_ELL = 5  # conjecture12_harness: sections of a decomposition
 
 # ------------------------------------------------------------ q-polynomials
 
@@ -27,9 +38,9 @@ def _ptrim(p):
 
 
 def _padd(p, r):
-    out = [0] * max(len(p), len(r))
-    for i, c in enumerate(p):
-        out[i] += c
+    if len(p) < len(r):
+        p, r = r, p
+    out = list(p)
     for i, c in enumerate(r):
         out[i] += c
     return _ptrim(out)
@@ -40,8 +51,8 @@ def _pscale(p, c):
 
 
 def _pshift(p, k):
-    """Multiply by q^k."""
-    return _ptrim((0,) * k + tuple(p)) if p else ()
+    """Multiply the trimmed p by q^k."""
+    return (0,) * k + p if p else ()
 
 
 def poly_str(p) -> str:
@@ -66,24 +77,54 @@ def _first_right_descent(w):
     return None
 
 
-# -------------------------------------------------------------- Bruhat order
+# ------------------------------------------------------------- indexed S_n
+
+@dataclass(frozen=True)
+class _Weyl:
+    """S_n indexed once; every other field is indexed like `perms`."""
+
+    perms: tuple    # (length, lex) order
+    index: dict     # permutation -> position in perms
+    length: tuple
+    right: tuple    # right[i][k]: position of perms[k] s_i (right[0] unused)
+    descent: tuple  # first right descent, 0 at the identity
+    below: tuple    # the interval [e, perms[k]] as a bitmask of positions
+
+
+def _bits(mask: int) -> list:
+    """Positions of the set bits of mask, ascending."""
+    return [k for k, ch in enumerate(reversed(bin(mask)[2:])) if ch == "1"]
+
 
 @functools.lru_cache(maxsize=None)
+def _weyl(n: int) -> _Weyl:
+    if n > 7:
+        raise SizeGuard("indexed S_n (KL table, Bruhat order) guard: n <= 7")
+    ranked = sorted((perm_length(u), u)
+                    for u in itertools.permutations(range(1, n + 1)))
+    perms = tuple(u for _, u in ranked)
+    index = {u: k for k, u in enumerate(perms)}
+    right = ((),) + tuple(tuple(index[apply_s(u, i)] for u in perms)
+                          for i in range(1, n))
+    descent = tuple(_first_right_descent(u) or 0 for u in perms)
+    below = [1]
+    for k in range(1, len(perms)):
+        s = right[descent[k]]
+        lower = below[s[k]]  # [e, ws] with ws < w comes earlier
+        mask = lower
+        for x in _bits(lower):
+            mask |= 1 << s[x]
+        below.append(mask)
+    return _Weyl(perms, index, tuple(lw for lw, _ in ranked), right,
+                 descent, tuple(below))
+
+
 def bruhat_leq(x: tuple, w: tuple) -> bool:
-    """x <= w in Bruhat order, via the lifting property along a reduced
-    word of w (subword criterion)."""
+    """x <= w in Bruhat order (n <= 7): a bit test on [e, w]."""
     if len(x) != len(w):
         raise ValueError("size mismatch")
-    if x == w:
-        return True
-    if perm_length(x) >= perm_length(w):
-        return False
-    i = _first_right_descent(w)
-    v = apply_s(w, i)
-    xs = apply_s(x, i)
-    if perm_length(xs) < perm_length(x):
-        return bruhat_leq(xs, v)
-    return bruhat_leq(x, v)
+    W = _weyl(len(w))
+    return bool(W.below[W.index[w]] >> W.index[x] & 1)
 
 
 # ---------------------------------------------------------------- KL tables
@@ -109,63 +150,61 @@ class KLTable:
 
     def dump(self):
         """Lines `x w : polynomial`, in (length, lex) order."""
-        def key(pair):
-            x, w = pair
-            return (perm_length(w), w, perm_length(x), x)
+        index = _weyl(self.n).index
+        name = {u: "".join(map(str, u)) for u in index}
+        text = {}  # few distinct polynomials: format each once
         out = []
-        for x, w in sorted(self.polys, key=key):
-            xs = "".join(map(str, x))
-            ws = "".join(map(str, w))
-            out.append(f"{xs} {ws} : {poly_str(self.polys[(x, w)])}")
+        for x, w in sorted(self.polys, key=lambda xw: (index[xw[1]],
+                                                        index[xw[0]])):
+            p = self.polys[(x, w)]
+            if p not in text:
+                text[p] = poly_str(p)
+            out.append(f"{name[x]} {name[w]} : {text[p]}")
         return out
 
 
 @functools.lru_cache(maxsize=None)
 def kl_polynomials(n: int) -> KLTable:
-    """All P_{x,w} by the classical recursion on l(w)."""
-    if n > 7:
-        raise ValueError("KL table guard: n <= 7")
-    perms = sorted(itertools.permutations(range(1, n + 1)), key=perm_length)
-    P = {}
-    e = identity_perm(n)
-    P[(e, e)] = (1,)
-    for w in perms:
-        if w == e:
-            continue
-        i = _first_right_descent(w)
-        v = apply_s(w, i)
-        lw = perm_length(w)
+    """All P_{x,w} by the classical recursion on l(w) (n <= 7)."""
+    W = _weyl(n)
+    size, limit = sum(m.bit_count() for m in W.below), budget()
+    if size > limit:
+        raise BudgetExceeded(f"kl_polynomials(n={n}): {size} Bruhat pairs "
+                             f"exceed RIL_BUDGET={limit}")
+    L = W.length
+    rows = [{0: (1,)}]  # rows[w][x] = P_{x,w}, x ascending over [e, w]
+    for w in range(1, len(W.perms)):
+        s = W.right[W.descent[w]]
+        v = s[w]
+        lw = L[w]
+        Pv = rows[v]
         # z with zs < z and mu(z, v) != 0 contribute correction terms
         relevant = []
-        for z in perms:
-            if perm_length(z) >= lw - 1:
-                continue
-            d = lw - 1 - perm_length(z)
-            if d % 2 == 0:
-                continue
-            p = P.get((z, v))
-            if not p or len(p) <= (d - 1) // 2:
-                continue
-            if perm_length(apply_s(z, i)) < perm_length(z):
-                relevant.append((z, p[(d - 1) // 2]))
-        for x in perms:
-            if not bruhat_leq(x, w):
-                continue
-            xs = apply_s(x, i)
-            c = 1 if perm_length(xs) < perm_length(x) else 0
-            p = _padd(_pshift(P.get((xs, v), ()), 1 - c),
-                      _pshift(P.get((x, v), ()), c))
-            for z, m in relevant:
-                if bruhat_leq(x, z):
-                    corr = _pscale(_pshift(P[(x, z)], (lw - perm_length(z)) // 2), -m)
-                    p = _padd(p, corr)
+        for z, p in Pv.items():
+            d = lw - 1 - L[z]
+            k = (d - 1) // 2
+            if d % 2 and k < len(p) and p[k] and L[s[z]] < L[z]:
+                relevant.append((rows[z], p[k], (lw - L[z]) // 2))
+        row = {}
+        for x in _bits(W.below[w]):
+            xs = s[x]
+            c = 1 if L[xs] < L[x] else 0
+            p = _padd(_pshift(Pv.get(xs, ()), 1 - c),
+                      _pshift(Pv.get(x, ()), c))
+            for Pz, m, shift in relevant:
+                q = Pz.get(x)  # defined exactly when x <= z
+                if q is not None:
+                    p = _padd(p, _pscale(_pshift(q, shift), -m))
             if x == w:
                 assert p == (1,), (x, w, p)
-            assert p and p[0] == 1 and all(cf >= 0 for cf in p), (x, w, p)
+            assert p and p[0] == 1 and min(p) >= 0, (x, w, p)
             if x != w:
-                assert 2 * (len(p) - 1) <= lw - perm_length(x) - 1, (x, w, p)
-            P[(x, w)] = p
-    return KLTable(n, P)
+                assert 2 * (len(p) - 1) <= lw - L[x] - 1, (x, w, p)
+            row[x] = p
+        rows.append(row)
+    perms = W.perms
+    return KLTable(n, {(perms[x], perms[w]): p
+                       for w, row in enumerate(rows) for x, p in row.items()})
 
 
 # ------------------------------------------- bar-involution oracle (Hecke)
@@ -238,7 +277,7 @@ def kl_polynomials_hecke(n: int) -> KLTable:
     h_x(v) = v^{l(w)-l(x)} P_{x,w}(v^{-2}).
     """
     if n > 6:
-        raise ValueError("oracle guard: n <= 6")
+        raise SizeGuard("oracle guard: n <= 6")
     perms = sorted(itertools.permutations(range(1, n + 1)),
                    key=lambda p: (-perm_length(p), p))
     polys = {}
@@ -274,17 +313,18 @@ def kl_polynomials_hecke(n: int) -> KLTable:
 
 @functools.lru_cache(maxsize=None)
 def _kl_weights(n: int, w: tuple):
-    """Map v -> (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1) over v >= w."""
+    """Map v -> (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1) over v >= w, in lex
+    order of v."""
     table = kl_polynomials(n)
-    w0 = tuple(range(n, 0, -1))
+    W = _weyl(n)
+    top = W.index[tuple(n + 1 - k for k in w)]  # w0 w
     out = {}
-    for v in itertools.permutations(range(1, n + 1)):
-        if not bruhat_leq(w, v):
-            continue
-        p = table.P(tuple(w0[k - 1] for k in v), tuple(w0[k - 1] for k in w))
-        sign = -1 if (perm_length(v) - perm_length(w)) % 2 else 1
-        out[v] = sign * sum(p)
-    return out
+    # v >= w iff w0 v <= w0 w: run x = w0 v over [e, w0 w]
+    for x in _bits(W.below[top]):
+        v = tuple(n + 1 - k for k in W.perms[x])
+        sign = -1 if (W.length[top] - W.length[x]) % 2 else 1
+        out[v] = sign * sum(table.polys[(W.perms[x], W.perms[top])])
+    return dict(sorted(out.items()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,7 +345,7 @@ def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
     if A.n != n:
         raise ValueError("dimension mismatch")
     if n > 6:
-        raise ValueError("KL immanant guard: n <= 6")
+        raise SizeGuard("KL immanant guard: n <= 6")
     row = {v: {w: c} for v, c in _kl_weights(n, w).items() if c}
     return diagonal_sums(A, row)[w]
 
@@ -319,8 +359,8 @@ def conjecture12_harness(dec, N: int):
     from .ribbonmat import build
     from .symfunc import expand_schur
 
-    if dec.ell > 5:
-        raise ValueError("harness guard: ell <= 5")
+    if dec.ell > HARNESS_MAX_ELL:
+        raise SizeGuard(f"harness guard: ell <= {HARNESS_MAX_ELL}")
     rm = build(dec, N)
     by_perm = diagonal_sums(rm.matrix, _kl_table(dec.ell))
     per_perm, certificates = [], []

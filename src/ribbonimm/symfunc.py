@@ -24,9 +24,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, budget
+from .errors import BudgetExceeded, SizeGuard, budget
 from .perms import perm_sign
 from .shapes import SkewShape, normalize_partition
+
+DET_MAX_N = 8  # determinant: matrix size
 
 
 def partition_key(wt):
@@ -337,8 +339,8 @@ def determinant(M: SFMatrix) -> SymPoly:
     """Exact determinant; Laplace expansion memoized over column subsets."""
     if M.n == 0:
         return SymPoly.one(M.nvars)
-    if M.n > 8:
-        raise ValueError("determinant guard: n <= 8")
+    if M.n > DET_MAX_N:
+        raise SizeGuard(f"determinant guard: n <= {DET_MAX_N}")
     cache = {}
 
     def minor(row, colmask):

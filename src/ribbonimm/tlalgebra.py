@@ -11,10 +11,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .errors import SizeGuard
 from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
                     identity_perm, is_321_avoiding, perm_inverse,
                     perm_length, perm_mul, perm_sign, reduced_word)
 from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
+
+TL_MAX_N = 6  # _tl_table: size of the definitional sum over S_n
 
 
 # ------------------------------------------------------------------- matchings
@@ -239,8 +242,8 @@ def mirror_matching(m: NoncrossingMatching) -> NoncrossingMatching:
 @functools.lru_cache(maxsize=None)
 def _tl_table(n: int) -> dict:
     """Map w -> {matching: coefficient in theta_of_perm(w)} over S_n."""
-    if n > 6:
-        raise ValueError("definitional immanant guard: n <= 6")
+    if n > TL_MAX_N:
+        raise SizeGuard(f"definitional immanant guard: n <= {TL_MAX_N}")
     return {w: theta_of_perm(w).terms
             for w in itertools.permutations(range(1, n + 1))}
 

@@ -77,6 +77,10 @@ def test_bad_input_exits_2(tmp_path, hook_files):
     ["sweep", "--nvars", "-1"],
     ["kl-table", "-1"],
     ["kl-table", "9"],
+    ["sweep", "--max-cells", "8", "--max-window", "5", "--max-ell", "8",
+     "--per-bucket", "1", "--theorem", "cor3.5", "--nvars", "1"],
+    ["sweep", "--max-cells", "8", "--max-window", "5", "--max-ell", "8",
+     "--per-bucket", "1", "--theorem", "conj1.2", "--nvars", "1"],
 ])
 def test_bad_arguments_exit_2(argv, small_files, capsys):
     argv = [{"SHAPE": small_files[0], "RIBBON": small_files[1]}.get(a, a)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import random_sf_matrix, row_sections_dec
 from ribbonimm import klbase, ribbonmat, tlalgebra
+from ribbonimm.errors import BudgetExceeded
 from ribbonimm.symfunc import determinant, expand_schur
 from ribbonimm.tlalgebra import identity_perm, perm_length
 
@@ -21,10 +23,20 @@ def ehresmann_leq(x, w):
 
 
 def test_bruhat_matches_prefix_criterion():
-    for n in (2, 3, 4):
-        for x in itertools.permutations(range(1, n + 1)):
-            for w in itertools.permutations(range(1, n + 1)):
+    for n in (2, 3, 4, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        table = klbase.kl_polynomials(n)
+        for w in perms:
+            for x in perms:
                 assert klbase.bruhat_leq(x, w) == ehresmann_leq(x, w), (x, w)
+            # the immanant weights: every v >= w in lex order, with
+            # (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1)
+            w0w = tuple(n + 1 - k for k in w)
+            expected = [
+                (v, (-1) ** (perm_length(v) - perm_length(w))
+                 * sum(table.P(tuple(n + 1 - k for k in v), w0w)))
+                for v in perms if ehresmann_leq(w, v)]
+            assert list(klbase._kl_weights(n, w).items()) == expected, w
 
 
 def test_kl_base_cases():
@@ -46,9 +58,24 @@ def test_first_nontrivial_polynomial():
 
 
 def test_recursion_matches_bar_involution_solve():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         assert klbase.kl_polynomials(n).polys == \
             klbase.kl_polynomials_hecke(n).polys
+
+
+def test_kl_table_s6_pinned():
+    table = klbase.kl_polynomials(6)
+    assert len(table.polys) == 98407
+    dump = "\n".join(table.dump()).encode()
+    assert hashlib.sha256(dump).hexdigest() == (
+        "7162a3dc3142c109c162c7ba9ffc5ab6144f2461908e1643e3e06a194478c253")
+
+
+def test_kl_table_budget_guard(monkeypatch):
+    klbase.kl_polynomials.cache_clear()
+    monkeypatch.setenv("RIL_BUDGET", "100")
+    with pytest.raises(BudgetExceeded, match=r"kl_polynomials\(n=4\).*213"):
+        klbase.kl_polynomials(4)
 
 
 def test_table_only_on_bruhat_pairs():
