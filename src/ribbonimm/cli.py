@@ -183,10 +183,7 @@ def cmd_imm(args) -> int:
 
 
 def _sweep_one(packed):
-    dec_json, theorem, nvars = packed
-    ribbon = InfiniteRibbon.from_json(dec_json["ribbon"])
-    shape = SkewShape.from_json(dec_json["shape"])
-    dec = decompose(shape, ribbon)
+    dec, theorem, nvars = packed
     N = _resolve_nvars(nvars, dec)
     item = {"a": list(dec.abar), "b": list(dec.bbar),
             "ribbon": dec.ribbon.to_json(), "nvars": N}
@@ -194,7 +191,7 @@ def _sweep_one(packed):
         rm = ribbonmat.build(dec, N)
         item["ok"] = ribbonmat.check_determinant(rm)
     elif theorem == "1.1":
-        report = ribbonmat.theorem1_harness(dec, N, method="def")
+        report = ribbonmat.theorem1_harness(dec, N)
         item["ok"] = report["overall_positive"]
         if not item["ok"]:
             item["certificate"] = [t for t in report["immanants"]
@@ -222,7 +219,7 @@ def cmd_sweep(args) -> int:
                         args.max_ell, args.per_bucket)
     if args.limit is not None:
         decs = decs[: args.limit]
-    jobs = [(d.to_json(), args.theorem, args.nvars) for d in decs]
+    jobs = [(d, args.theorem, args.nvars) for d in decs]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
             items = pool.map(_sweep_one, jobs)

@@ -12,7 +12,6 @@ source height, so a path records one entry per content it crosses.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, StrandTraceError, budget
@@ -138,7 +137,6 @@ def _paths_between(net: RibbonNetwork, start, end):
     return results
 
 
-@functools.lru_cache(maxsize=None)
 def _all_paths(net: RibbonNetwork, i: int, j: int):
     """Paths from P_i to Q_j (1-based)."""
     start, end = net.starts[i - 1], net.ends[j - 1]

@@ -91,23 +91,13 @@ def odd_even_product(dec: RibbonDecomposition, N: int) -> SymPoly:
     return skew_schur(red, N) * skew_schur(blue, N)
 
 
-def theorem1_harness(dec: RibbonDecomposition, N: int, method="def"):
+def theorem1_harness(dec: RibbonDecomposition, N: int):
     """Schur-expand every Temperley-Lieb immanant of the matrix.
 
     Returns a report dict; overall_positive is True iff no expansion has a
     negative coefficient.
     """
-    if method == "def":
-        by_type = tlalgebra.imm_tl_all(build(dec, N).matrix)
-    elif method == "shuffle":
-        from . import shuffle
-        by_type = shuffle.tableaux_by_type(dec, N)
-    elif method == "covers":
-        from . import network
-        by_type = network.covers_by_type(dec, N)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    by_type = tlalgebra.imm_tl_all(build(dec, N).matrix)
     per_type = []
     ok = True
     for u in tlalgebra.enumerate_321_avoiding(dec.ell):
@@ -126,7 +116,6 @@ def theorem1_harness(dec: RibbonDecomposition, N: int, method="def"):
         "a": list(dec.abar),
         "b": list(dec.bbar),
         "nvars": N,
-        "method": method,
         "immanants": per_type,
         "overall_positive": ok,
     }

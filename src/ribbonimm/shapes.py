@@ -305,15 +305,6 @@ class RibbonDecomposition:
     def copies(self) -> tuple:
         return tuple(m for m, _, _ in self.sections)
 
-    def section_cells(self, k):
-        """Cells (row, col) of section k (1-based), keyed by content."""
-        m, a, b = self.sections[k - 1]
-        out = {}
-        for c in range(a, b):
-            r, q = self.ribbon.box(c)
-            out[c] = (r + m, q + m)
-        return out
-
     def to_json(self):
         return {
             "shape": self.shape.to_json(),

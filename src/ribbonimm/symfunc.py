@@ -10,9 +10,10 @@ N is only a truncation: it drops the partitions with more than N parts
 and is never a loop bound of its own.  Skew Schur polynomials come from
 the horizontal-strip recursion for skew Kostka numbers (Macdonald,
 Symmetric Functions and Hall Polynomials, I.5), which visits only the
-partitions of the degree with at most N parts.  A product places the
-exponent vectors of one factor in as many slots as the other factor's
-key and the result key can occupy, not in all N.
+partitions of the degree with at most N parts.  A product is one pass
+over pairs of terms, each weighted by the structure constants of
+m_lambda * m_mu (Macdonald, I.2), which are computed once per pair of
+keys in len(lambda) + len(mu) slots, not in all N.
 """
 
 from __future__ import annotations
@@ -70,6 +71,28 @@ def _orbit_size(key: tuple, nvars: int) -> int:
     for m in Counter(key + (0,) * (nvars - len(key))).values():
         out //= math.factorial(m)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_product(lam: tuple, mu: tuple, nvars: int) -> dict:
+    """m_lam * m_mu in nvars variables, as {nu: coefficient}; the caller
+    must not modify the returned map.
+
+    With lam's exponent vector fixed, count the beta in the orbit of mu
+    whose sum with it sorts to nu.  Each vector of lam's orbit meets nu's
+    orbit equally often, so counting the pairs (alpha, beta) with
+    alpha + beta in the orbit of nu both ways gives
+    hits * |O(lam)| = coefficient * |O(nu)|, an exact division.
+    """
+    # every nu has at most len(lam) + len(mu) parts
+    width = min(nvars, len(lam) + len(mu))
+    if _orbit_size(mu, width) > _orbit_size(lam, width):
+        lam, mu = mu, lam
+    lvec = lam + (0,) * (width - len(lam))
+    hits = Counter(_sorted_key(map(operator.add, lvec, beta))
+                   for beta in _orbit(mu, width))
+    size = _orbit_size(lam, width)
+    return {nu: h * size // _orbit_size(nu, width) for nu, h in hits.items()}
 
 
 class SymPoly:
@@ -143,38 +166,13 @@ class SymPoly:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        n = self.nvars
-        # A term nu of the product has at most len(lam) + len(mu) parts,
-        # and a beta <= nu has its support in the len(nu) slots of nu.
-        width = min(n, max(map(len, self.coeffs), default=0)
-                    + max(map(len, other.coeffs), default=0))
-        # iterate over the factor whose orbits are smaller
-        a, b = self, other
-        if sum(_orbit_size(k, width) for k in a.coeffs) < \
-           sum(_orbit_size(k, width) for k in b.coeffs):
-            a, b = b, a
-        candidates = set()
-        for lam in a.coeffs:
-            for mu in b.coeffs:
-                m = min(n, len(lam) + len(mu))
-                lvec = lam + (0,) * (m - len(lam))
-                for beta in _orbit(mu, m):
-                    candidates.add(_sorted_key(map(operator.add, lvec, beta)))
         out = {}
-        for nu in candidates:
-            total = 0
-            for mu, qc in b.coeffs.items():
-                if len(mu) > len(nu):
-                    continue
-                s = 0
-                for beta in _orbit(mu, len(nu)):
-                    gamma = tuple(map(operator.sub, nu, beta))
-                    if min(gamma, default=0) >= 0:
-                        s += a.coeffs.get(_sorted_key(gamma), 0)
-                total += qc * s
-            if total:
-                out[nu] = total
-        return SymPoly(n, out)
+        for lam, a in self.coeffs.items():
+            for mu, b in other.coeffs.items():
+                ab = a * b
+                for nu, c in _monomial_product(lam, mu, self.nvars).items():
+                    out[nu] = out.get(nu, 0) + ab * c
+        return SymPoly(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -481,11 +479,6 @@ def expand_schur(p: SymPoly) -> SchurExpansion:
         out[lam] = c
         rem = rem - schur_poly(lam, p.nvars).scale(c)
     return SchurExpansion(p.nvars, out)
-
-
-def is_schur_positive(p: SymPoly):
-    exp = expand_schur(p)
-    return exp.schur_positive, exp
 
 
 def lr_coefficient(lam, mu, nu) -> int:

@@ -151,15 +151,19 @@ def test_criterion_05_schur_positivity_and_crystal_expansion():
 
 def test_criterion_06_negative_controls():
     failures = []
-    A, Abad = ribbonmat.remark_matrices(N_first=5, N_second=5)
-    exp1 = expand_schur(
-        tlalgebra.imm_tl(tlalgebra.perm_to_matching((2, 1, 4, 3)), A))
-    if exp1.schur_positive or not exp1.negative_part():
-        failures.append(("first immanant not negative",))
     rows, cols = ribbonmat.remark_bad_minor_indices()
-    exp2 = expand_schur(tlalgebra.minor(Abad, rows, cols))
-    if exp2.schur_positive or not exp2.negative_part():
-        failures.append(("minor not negative",))
+    tau = tlalgebra.perm_to_matching((2, 1, 4, 3))
+    # truncated at N = 5, and faithful at the defaults: N = 13 for the
+    # degree-13 immanant and N = 14 for the degree-14 minor
+    truncated = ribbonmat.remark_matrices(N_first=5, N_second=5)
+    for A, Abad in (truncated, ribbonmat.remark_matrices()):
+        exp1 = expand_schur(tlalgebra.imm_tl(tau, A))
+        if exp1.schur_positive or not exp1.negative_part():
+            failures.append(("first immanant not negative", A.nvars))
+        exp2 = expand_schur(tlalgebra.minor(Abad, rows, cols))
+        if exp2.schur_positive or not exp2.negative_part():
+            failures.append(("minor not negative", Abad.nvars))
+    _, Abad = truncated
     comp_rows = tuple(sorted(set(range(1, 5)) - set(rows)))
     comp_cols = tuple(sorted(set(range(1, 5)) - set(cols)))
     prod = tlalgebra.minor(Abad, rows, cols) * \
@@ -280,10 +284,13 @@ def test_criterion_09_kl_gates():
     if expand_schur(kl_value).schur_positive:
         failures.append(("2143 anchor unexpectedly positive",))
     for dec in corpus_mod.sweep_corpus(8, 5, 4, per_bucket=4):
-        report = klbase.conjecture12_harness(dec, _nontrivial_nvars(dec, 4))
-        if not report["all_positive"]:
-            # surfaced, not silently dropped: a certificate here is news
-            failures.append(("negative certificate", report["certificates"]))
+        # truncated, and faithful at nvars = cell count
+        for N in sorted({_nontrivial_nvars(dec, 4), dec.shape.size}):
+            report = klbase.conjecture12_harness(dec, N)
+            if not report["all_positive"]:
+                # surfaced, not silently dropped: a certificate here is news
+                failures.append(("negative certificate", N,
+                                 report["certificates"]))
     _report(9, "signed immanant gates and positivity sweep", failures)
 
 

@@ -49,11 +49,54 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(sympolys(3))
-def test_evaluate_matches_product(p):
+@given(st.integers(1, 5), st.data())
+def test_evaluate_matches_product(N, data):
     # evaluation is a ring morphism: check against an explicit point
-    point = (1, 2, 3)
-    assert (p * p).evaluate(point) == p.evaluate(point) ** 2
+    p, q = data.draw(sympolys(N)), data.draw(sympolys(N))
+    point = (1, 2, 3, 5, 7)[:N]
+    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+
+
+def _explicit(p):
+    """p as {exponent vector: coefficient} over every monomial."""
+    out = Counter()
+    for key, c in p.coeffs.items():
+        vec = key + (0,) * (p.nvars - len(key))
+        for alpha in set(itertools.permutations(vec)):
+            out[alpha] += c
+    return out
+
+
+def _brute_product(p, q):
+    prod = Counter()
+    for alpha, a in _explicit(p).items():
+        for beta, b in _explicit(q).items():
+            prod[tuple(map(sum, zip(alpha, beta)))] += a * b
+    # the coefficient of m_nu is that of the sorted monomial x^nu
+    return SymPoly(p.nvars, {partition_key(v): c for v, c in prod.items()
+                             if partition_key(v) is not None})
+
+
+def _partitions_of(d, most=None):
+    if not d:
+        yield ()
+    for part in range(min(d, most or d), 0, -1):
+        for rest in _partitions_of(d - part, part):
+            yield (part,) + rest
+
+
+def test_product_matches_explicit_monomials():
+    small = [lam for d in range(5) for lam in _partitions_of(d)]
+    rng = random.Random(5)
+    for N in range(1, 5):
+        keys = [lam for lam in small if len(lam) <= N]
+        for lam in keys:
+            for mu in keys:
+                p, q = SymPoly(N, {lam: 2}), SymPoly(N, {mu: -3})
+                assert p * q == _brute_product(p, q), (lam, mu, N)
+        p = SymPoly(N, {k: rng.randint(-3, 3) for k in keys})
+        q = SymPoly(N, {k: rng.randint(-3, 3) for k in keys})
+        assert p * q == _brute_product(p, q), N
 
 
 @settings(max_examples=60)
