@@ -27,7 +27,7 @@ from .shuffle import (ShuffleDiagram, ShuffleTableau, build_diagram,
                       tableaux_by_type, tl_type)
 from .klbase import (KLTable, bruhat_leq, conjecture12_harness, imm_kl,
                      kl_polynomials, kl_polynomials_hecke)
-from .corpus import enumerate_decompositions, sweep_corpus
+from .corpus import sweep_corpus
 
 __version__ = "0.1.0"
 
@@ -49,6 +49,6 @@ __all__ = [
     "tableau_from_cover", "tableaux_by_type", "tl_type",
     "KLTable", "bruhat_leq", "conjecture12_harness", "imm_kl",
     "kl_polynomials", "kl_polynomials_hecke",
-    "enumerate_decompositions", "sweep_corpus",
+    "sweep_corpus",
     "__version__",
 ]

@@ -60,6 +60,13 @@ def _decompose(shape, ribbon):
         raise InputError(str(exc)) from exc
 
 
+def _nonnegative_int(text) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _positive_int(text) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
@@ -313,12 +320,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_imm)
 
     p = sub.add_parser("sweep")
-    p.add_argument("--max-cells", type=int, default=8)
-    p.add_argument("--max-window", type=int, default=5)
-    p.add_argument("--max-ell", type=int, default=4)
-    p.add_argument("--per-bucket", type=int, default=16)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-cells", type=_positive_int, default=8)
+    p.add_argument("--max-window", type=_nonnegative_int, default=5)
+    p.add_argument("--max-ell", type=_positive_int, default=4)
+    p.add_argument("--per-bucket", type=_positive_int, default=16)
+    p.add_argument("--limit", type=_positive_int)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--nvars", default="4", type=_nvars_arg)
     p.add_argument("--full-report", action="store_true")
     p.add_argument("--theorem", default="det",

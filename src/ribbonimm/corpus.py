@@ -1,10 +1,16 @@
 """Deterministic sweep corpus: small connected decompositions.
 
-Enumerates canonical infinite ribbons with short step windows, then all
-placements of 1..max_ell consecutive sections with at most max_cells
-total cells whose assembled shape is a connected skew diagram.  The
-enumeration order is deterministic and shifts of the same decomposition
-are deduplicated, so the corpus is reproducible run to run.
+Canonical infinite ribbons with short step windows are taken in a fixed
+order; for each, placements of 1..max_ell consecutive sections with at
+most max_cells total cells are searched depth first, and those whose
+assembled shape is a connected skew diagram are kept.  A placement's
+bucket (section count, cell count) is known from its section tuples
+alone, so a bucket that already holds per_bucket instances is skipped
+before any shape is built, and the search stops descending once no
+bucket it could still reach is open.  Every ribbon is canonical with
+window_lo = 0 and each section sequence is visited once, so no
+decomposition is produced twice and the corpus is reproducible run to
+run.
 """
 
 from __future__ import annotations
@@ -47,79 +53,64 @@ def _touches(R: InfiniteRibbon, outer_sec, inner_sec) -> bool:
     return False
 
 
-def enumerate_decompositions(max_cells: int = 8, max_window: int = 5,
-                             max_ell: int = 4):
-    """All corpus decompositions, deduplicated up to content shift."""
-    seen = set()
+@functools.lru_cache(maxsize=None)
+def sweep_corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
+                 per_bucket: int = 16) -> tuple:
+    """The first per_bucket decompositions of every (section count, cell
+    count) bucket in enumeration order, grouped by bucket.
+
+    Buckets fill bucket-first: a candidate whose bucket is full is
+    skipped before its shape is built, and a prefix of ell sections and
+    `used` cells is extended only while some open bucket has more
+    sections and at least one more cell per extra section.  A bucket
+    only ever takes its first per_bucket candidates and never reopens,
+    so neither skip can change which instances are selected or their
+    order.
+    """
+    if per_bucket < 1:
+        raise ValueError("per_bucket must be positive")
+    buckets = {(ell, size): [] for ell in range(1, max_ell + 1)
+               for size in range(ell, max_cells + 1)}
+    open_ = set(buckets)
+
+    def reachable(ell, used):
+        return any(e > ell and s - used >= e - ell for e, s in open_)
+
+    def keep(R, sections, key):
+        abar = tuple(a for a, _ in sections)
+        bbar = tuple(b for _, b in sections)
+        try:
+            shape = shape_from_tuples(R, abar, bbar)
+        except NotSkew:
+            return
+        if not shape.is_connected():
+            return
+        dec = decompose(shape, R)
+        assert dec.abar == abar and dec.bbar == bbar
+        buckets[key].append(dec)
+        if len(buckets[key]) == per_bucket:
+            open_.discard(key)
+
     for R in enumerate_ribbons(max_window):
+        if not reachable(0, 0):
+            break
         lo, hi = -2, R.window_hi + 2  # beyond this the tails repeat
         pairs = [(a, b) for a in range(lo, hi + 1)
                  for b in range(a + 1, hi + 2) if b - a <= max_cells]
 
         def rec(sections, used):
-            if sections:
-                yield tuple(sections)
-            if len(sections) == max_ell:
-                return
             for a, b in pairs:
                 if used + (b - a) > max_cells:
                     continue
                 if sections and not _touches(R, sections[-1], (a, b)):
                     continue
                 sections.append((a, b))
-                yield from rec(sections, used + (b - a))
+                key = (len(sections), used + (b - a))
+                if key in open_:
+                    keep(R, sections, key)
+                if reachable(*key):
+                    rec(sections, key[1])
                 sections.pop()
 
-        for secs in rec([], 0):
-            abar = tuple(a for a, _ in secs)
-            bbar = tuple(b for _, b in secs)
-            shift = abar[0]
-            key = (R.steps, R.tail_lo, R.tail_hi, R.window_lo - shift,
-                   tuple(a - shift for a in abar),
-                   tuple(b - shift for b in bbar))
-            if key in seen:
-                continue
-            try:
-                shape = shape_from_tuples(R, abar, bbar)
-            except NotSkew:
-                continue
-            if not shape.is_connected():
-                continue
-            seen.add(key)
-            dec = decompose(shape, R)
-            assert dec.abar == abar and dec.bbar == bbar
-            yield dec
-
-
-def corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
-           limit=None):
-    out = []
-    for dec in enumerate_decompositions(max_cells, max_window, max_ell):
-        out.append(dec)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def sweep_corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
-                 per_bucket: int = 16) -> tuple:
-    """Deterministic diverse subsample: the first per_bucket instances of
-    every (section count, cell count) bucket, in enumeration order."""
-    wanted = {(l, s) for l in range(1, max_ell + 1)
-              for s in range(l, max_cells + 1)}
-    buckets = {}
-    full = 0
-    for dec in enumerate_decompositions(max_cells, max_window, max_ell):
-        key = (dec.ell, dec.shape.size)
-        got = buckets.setdefault(key, [])
-        if len(got) < per_bucket:
-            got.append(dec)
-            if len(got) == per_bucket:
-                full += 1
-                if full == len(wanted):
-                    break
-    out = []
-    for key in sorted(buckets):
-        out.extend(buckets[key])
-    return tuple(out)
+        rec([], 0)
+    return tuple(dec for key in sorted(buckets) for dec in buckets[key])

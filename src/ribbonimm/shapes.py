@@ -127,36 +127,23 @@ class SkewShape:
         return True
 
     @classmethod
-    def from_cells(cls, cells, diagonal_only=False):
-        """Build a SkewShape from a set of (row, col) cells.
-
-        With diagonal_only the translation applied is of the form (t, t),
-        preserving contents; otherwise rows and columns are translated
-        independently so both minima become 1.
-        """
+    def from_cells(cls, cells):
+        """SkewShape with exactly the given (row, col) cells, kept at their
+        absolute coordinates.  Rows and columns start at 1, so a cell in
+        row or column 0 or below raises NotSkew, as a gap in a row does."""
         cells = set(cells)
         if not cells:
             return cls((), ())
-        min_row = min(i for i, _ in cells)
-        min_col = min(j for _, j in cells)
-        if diagonal_only:
-            t = max(1 - min_row, 1 - min_col)
-            cells = {(i + t, j + t) for i, j in cells}
-        else:
-            cells = {(i - min_row + 1, j - min_col + 1) for i, j in cells}
-        max_row = max(i for i, _ in cells)
-        intervals = {}
-        for i in range(1, max_row + 1):
-            cols = sorted(j for r, j in cells if r == i)
-            if cols:
-                if cols != list(range(cols[0], cols[-1] + 1)):
-                    raise NotSkew(f"row {i} is not contiguous: {cols}")
-                intervals[i] = (cols[0], cols[-1])
+        span = {}
+        for i, j in cells:
+            lo, hi = span.get(i, (j, j))
+            span[i] = (min(lo, j), max(hi, j))
+        max_row = max(span)
         outer, inner = [0] * max_row, [0] * max_row
         nxt = 0  # outer value forced on empty rows, scanning bottom-up
         for i in range(max_row, 0, -1):
-            if i in intervals:
-                lo, hi = intervals[i]
+            if i in span:
+                lo, hi = span[i]
                 outer[i - 1], inner[i - 1] = hi, lo - 1
                 nxt = hi
             else:
@@ -168,20 +155,6 @@ class SkewShape:
         if shape.cell_set() != cells:
             raise NotSkew("cell set is not a skew diagram")
         return shape
-
-    def translated(self, t):
-        """Diagonal translate by (t, t); contents are unchanged."""
-        if t < 0 and any(m + t < 0 for m in self.inner):
-            raise NotSkew("translation would leave the positive quadrant")
-        outer = (self.outer[0],) * t + self.outer if t >= 0 else self.outer[-t:]
-        if t >= 0:
-            return SkewShape(
-                tuple(l + t for l in outer),
-                (self.outer[0] + t,) * t + tuple(m + t for m in self.inner),
-            )
-        return SkewShape.from_cells(
-            {(i + t, j + t) for i, j, _ in self.cells()}, diagonal_only=False
-        )
 
     def to_json(self):
         return {"outer": list(self.outer), "inner": list(self.inner)}
@@ -269,10 +242,14 @@ def _ribbon_box(ribbon: InfiniteRibbon, i: int):
 
 
 def ribbon_section_shape(ribbon: InfiniteRibbon, a: int, b: int) -> SkewShape:
-    """Standalone shape of the ribbon section [a, b), fully normalized."""
+    """Standalone shape of the ribbon section [a, b), its rows and columns
+    translated independently to start at 1."""
     if a >= b:
         raise EmptySection(f"section [{a}, {b}) is empty")
-    shape = SkewShape.from_cells({ribbon.box(c) for c in range(a, b)})
+    boxes = [ribbon.box(c) for c in range(a, b)]
+    dr = 1 - min(r for r, _ in boxes)
+    dc = 1 - min(q for _, q in boxes)
+    shape = SkewShape.from_cells({(r + dr, q + dc) for r, q in boxes})
     assert shape.size == b - a and shape.is_ribbon()
     return shape
 
@@ -345,8 +322,9 @@ def decompose(shape: SkewShape, ribbon: InfiniteRibbon) -> RibbonDecomposition:
 def shape_from_tuples(ribbon: InfiniteRibbon, abar, bbar) -> SkewShape:
     """Place section [a_k, b_k) on copy k and assemble the skew shape.
 
-    The result is translated diagonally only, so decompose round-trips the
-    tuples exactly.
+    The cells are translated diagonally only, by the least t that brings
+    every row and column to 1 or more, so decompose round-trips the tuples
+    exactly.
     """
     abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) != len(bbar) or not abar:
@@ -361,4 +339,5 @@ def shape_from_tuples(ribbon: InfiniteRibbon, abar, bbar) -> SkewShape:
             if cell in cells_:
                 raise NotSkew(f"sections overlap at cell {cell}")
             cells_.add(cell)
-    return SkewShape.from_cells(cells_, diagonal_only=True)
+    t = max(1 - min(i for i, _ in cells_), 1 - min(j for _, j in cells_))
+    return SkewShape.from_cells({(i + t, j + t) for i, j in cells_})

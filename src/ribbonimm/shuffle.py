@@ -28,28 +28,6 @@ NEG = float("-inf")
 POS = float("inf")
 
 
-def _shape_at(cells) -> SkewShape:
-    """SkewShape with exactly the given absolute (row, col) cells."""
-    cells = set(cells)
-    if not cells:
-        return SkewShape((), ())
-    assert min(i for i, _ in cells) >= 1 and min(j for _, j in cells) >= 1
-    max_row = max(i for i, _ in cells)
-    outer, inner = [0] * max_row, [0] * max_row
-    nxt = 0
-    for i in range(max_row, 0, -1):
-        cols = sorted(j for r, j in cells if r == i)
-        if cols:
-            outer[i - 1], inner[i - 1] = cols[-1], cols[0] - 1
-            nxt = cols[-1]
-        else:
-            outer[i - 1] = inner[i - 1] = nxt
-    shape = SkewShape(tuple(outer), tuple(inner))
-    if shape.cell_set() != cells:
-        raise StrandTraceError("interleaved half is not a skew diagram")
-    return shape
-
-
 class ShuffleDiagram:
     """Interleaving of the odd (red) and even (blue) section shapes.
 
@@ -112,10 +90,10 @@ class ShuffleDiagram:
         if len(pts) != 2 * dec.ell or pts & set(self.cells):
             raise StrandTraceError("node positions collide")
 
-        self.red_shape = _shape_at(
+        self.red_shape = SkewShape.from_cells(
             {((r + 1) // 2, (c + 1) // 2) for (r, c), (k, _) in
              self.cells.items() if k % 2 == 1})
-        self.blue_shape = _shape_at(
+        self.blue_shape = SkewShape.from_cells(
             {(r // 2, c // 2) for (r, c), (k, _) in self.cells.items()
              if k % 2 == 0})
 

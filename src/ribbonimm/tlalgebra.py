@@ -49,14 +49,6 @@ class NoncrossingMatching:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
 
-    def partner(self, point):
-        for a, b in self.pairs:
-            if a == point:
-                return b
-            if b == point:
-                return a
-        raise KeyError(point)
-
     def __str__(self):
         def fmt(p):
             return f"{p[0]}{p[1]}"

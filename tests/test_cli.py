@@ -81,6 +81,15 @@ def test_bad_input_exits_2(tmp_path, hook_files):
      "--per-bucket", "1", "--theorem", "cor3.5", "--nvars", "1"],
     ["sweep", "--max-cells", "8", "--max-window", "5", "--max-ell", "8",
      "--per-bucket", "1", "--theorem", "conj1.2", "--nvars", "1"],
+    ["sweep", "--max-ell", "-3"],
+    ["sweep", "--max-ell", "0"],
+    ["sweep", "--max-cells", "0"],
+    ["sweep", "--max-window", "-1"],
+    ["sweep", "--per-bucket", "0"],
+    ["sweep", "--limit", "0"],
+    ["sweep", "--limit", "-1"],
+    ["sweep", "--jobs", "0"],
+    ["sweep", "--max-cells", "x"],
 ])
 def test_bad_arguments_exit_2(argv, small_files, capsys):
     argv = [{"SHAPE": small_files[0], "RIBBON": small_files[1]}.get(a, a)

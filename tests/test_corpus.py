@@ -1,3 +1,8 @@
+import hashlib
+import json
+
+import pytest
+
 from ribbonimm import corpus
 from ribbonimm.shapes import decompose
 
@@ -15,8 +20,7 @@ def test_ribbons_are_canonical_and_distinct():
 
 
 def test_decompositions_roundtrip_and_dedupe():
-    decs = list(corpus.enumerate_decompositions(max_cells=5, max_window=2,
-                                                max_ell=3))
+    decs = corpus.sweep_corpus(5, 2, 3, 10**6)
     assert len(decs) > 20
     seen = set()
     for dec in decs:
@@ -29,10 +33,6 @@ def test_decompositions_roundtrip_and_dedupe():
             dec.shape.size <= 5
 
 
-def test_corpus_limit():
-    assert len(corpus.corpus(max_cells=4, max_window=1, limit=7)) == 7
-
-
 def test_sweep_corpus_buckets_and_determinism():
     first = corpus.sweep_corpus(6, 3, 3, per_bucket=3)
     again = corpus.sweep_corpus(6, 3, 3, per_bucket=3)
@@ -43,3 +43,31 @@ def test_sweep_corpus_buckets_and_determinism():
             (dec.ell, dec.shape.size), 0) + 1
     assert all(v <= 3 for v in counts.values())
     assert counts[(1, 1)] == 3 and counts[(3, 6)] == 3
+    with pytest.raises(ValueError):
+        corpus.sweep_corpus(6, 3, 3, per_bucket=0)
+
+
+@pytest.mark.parametrize("args, count, digest", [
+    ((8, 5, 4, 16), 416,
+     "37e704a1c56e9e820a51793fda7017d6544639bfb3b83c3a7507b985c0e17af3"),
+    ((8, 5, 4, 2), 52,
+     "426543ce88a442b76af2965f3ab3ac6c51586abcde611ef87f491a84a28b3600"),
+    ((8, 5, 5, 1), 30,
+     "f9b399370b898cfb5458e53ba01319e493243564a3c8c1e49d9d60285db52ff0"),
+])
+def test_sweep_corpus_pinned(args, count, digest):
+    decs = corpus.sweep_corpus(*args)
+    blob = json.dumps([d.to_json() for d in decs], sort_keys=True,
+                      separators=(",", ":"))
+    assert len(decs) == count
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_pruning_keeps_the_first_of_every_bucket():
+    everything = {}
+    for dec in corpus.sweep_corpus(6, 3, 3, 10**6):
+        everything.setdefault((dec.ell, dec.shape.size), []).append(dec)
+    for k in range(1, 5):
+        expected = tuple(dec for key in sorted(everything)
+                         for dec in everything[key][:k])
+        assert corpus.sweep_corpus(6, 3, 3, k) == expected

@@ -39,9 +39,9 @@ def test_from_cells_roundtrip():
 def test_from_cells_rejects_non_skew():
     # two opposite corners of a square do not form a skew diagram
     with pytest.raises(NotSkew):
-        SkewShape.from_cells({(1, 1), (2, 2)}, diagonal_only=False)
+        SkewShape.from_cells({(1, 1), (2, 2)})
     with pytest.raises(NotSkew):
-        SkewShape.from_cells({(1, 1), (1, 3)}, diagonal_only=False)
+        SkewShape.from_cells({(1, 1), (1, 3)})
 
 
 def test_ribbon_and_connected():
@@ -51,12 +51,15 @@ def test_ribbon_and_connected():
     assert not SkewShape((3, 1), (2, 0)).is_connected()
 
 
-def test_translated_preserves_contents():
-    sh = SkewShape((3, 2), (1, 0))
-    up = sh.translated(2)
-    assert sorted(c for _, _, c in up.cells()) == sorted(
-        c for _, _, c in sh.cells())
-    assert up.translated(-2) == sh
+def test_from_cells_keeps_absolute_coordinates():
+    # rows 1-2 and column 1 are empty: nothing is translated
+    cells = {(3, 3), (3, 4), (4, 2), (4, 3), (5, 2)}
+    sh = SkewShape.from_cells(cells)
+    assert sh.cell_set() == cells
+    assert sh == SkewShape((4, 4, 4, 3, 2), (4, 4, 2, 1, 1))
+    for bad in ({(0, 1), (1, 1)}, {(1, 0), (1, 1)}):
+        with pytest.raises(NotSkew):
+            SkewShape.from_cells(bad)
 
 
 def test_ribbon_canonical_form():
