@@ -182,9 +182,9 @@ def cmd_imm(args) -> int:
     exp = expand_schur(value)
     obj = {"method": args.method, "nvars": N, "expansion": exp.to_json()}
     if args.method == "kl":
-        obj["perm"] = list(_parse_perm(args.perm or args.type or ""))
+        obj["perm"] = list(w)
     else:
-        obj["type"] = str(tlalgebra.perm_to_matching(_parse_perm(args.type)))
+        obj["type"] = str(tau)
     _emit(obj, args, [f"Imm[{label}] = {exp}"])
     return 0
 
@@ -343,10 +343,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RibbonError as exc:
+    except (InputError, RibbonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

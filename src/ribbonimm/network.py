@@ -2,6 +2,12 @@
 height levels, with path enumeration, colored covers, and the uncrossing
 map to a noncrossing matching.
 
+A colored cover pairs a vertex-disjoint family of red paths P_k -> Q_k
+(odd k) with one of blue paths (even k).  Its type is read by walking
+strands: a strand follows its path to the first vertex it shares with a
+path of the other colour, switches to that path and reverses direction,
+and ends where it runs off a path at some P_j or Q_j.
+
 Vertices are (content, height).  Crossing edges run from content i+1 to
 content i and are diagonal exactly when the box of content i-1 sits below
 the box of content i, horizontal when it sits to the left; vertical edges
@@ -12,6 +18,7 @@ source height, so a path records one entry per content it crosses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, StrandTraceError, budget
@@ -206,89 +213,53 @@ def count_covers(net: RibbonNetwork) -> int:
 
 
 def uncross_type(family) -> NoncrossingMatching:
-    """Temperley-Lieb type of a colored cover.
+    """Temperley-Lieb type of a colored cover, by walking its strands.
 
     family: list of (index k, vertex tuple of the path P_k -> Q_k, weight).
-    Doubly covered subpaths are contracted; where two strands meet, the
-    two incoming ends join each other, as do the two outgoing ends.
+    A strand enters at P_k (or at Q_k) and moves along path k.  At the
+    first vertex it shares with the other colour's path it switches to
+    that path and reverses direction, so two strands that meet bounce off
+    each other instead of crossing.  It ends when it runs forward off the
+    end of a path j (at Q_j) or backward off its start (at P_j).
     """
-    ell = len(family)
-    edge_count = {}
-    for _, verts, _ in family:
-        for e in zip(verts, verts[1:]):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    if any(c > 2 for c in edge_count.values()):
-        raise StrandTraceError("an edge is covered more than twice")
+    paths = {k: verts for k, verts, _ in family}
+    on = {}  # vertex -> the (path, position) pairs through it
+    for k, verts in paths.items():
+        for i, v in enumerate(verts):
+            on.setdefault(v, []).append((k, i))
+    crowded = [v for v, here in on.items() if len(here) > 2]
+    if crowded:
+        # an edge covered three times puts both its ends on three paths
+        edges = Counter(e for verts in paths.values()
+                        for e in zip(verts, verts[1:]))
+        if max(edges.values()) > 2:
+            raise StrandTraceError("an edge is covered more than twice")
+        raise StrandTraceError(f"vertex {crowded[0]} lies on "
+                               f"{len(on[crowded[0]])} paths")
+    limit = sum(map(len, paths.values()))
 
-    parent = {}
+    def walk(k, i, step):
+        for _ in range(limit):
+            here = on[paths[k][i]]
+            if len(here) == 2:
+                k, i = here[1] if here[0] == (k, i) else here[0]
+                step = -step
+            i += step
+            if i < 0:
+                return ("L", k)
+            if i == len(paths[k]):
+                return ("R", k)
+        raise StrandTraceError(f"a strand walk is longer than the {limit} "
+                               "path vertices")
 
-    def find(v):
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(u, v):
-        parent[find(u)] = find(v)
-
-    for (u, v), c in edge_count.items():
-        if c == 2:
-            union(u, v)
-
-    # slots per cluster: ("in"/"out", label); labels are edges or terminals
-    ins, outs = {}, {}
-    for k, verts, _ in family:
-        ins.setdefault(find(verts[0]), []).append(("P", k))
-        outs.setdefault(find(verts[-1]), []).append(("Q", k))
-        for e in zip(verts, verts[1:]):
-            if edge_count[e] == 1:
-                u, v = e
-                cu, cv = find(u), find(v)
-                if cu != cv:
-                    outs.setdefault(cu, []).append(("E", e))
-                    ins.setdefault(cv, []).append(("E", e))
-
-    # deduplicate edge slots recorded by both covering paths (count 1 only,
-    # so each singly covered edge appears once; terminals may coincide)
-    link = {}
-    for cluster in set(ins) | set(outs):
-        i_slots = ins.get(cluster, [])
-        o_slots = outs.get(cluster, [])
-        if len(i_slots) != len(o_slots) or not 1 <= len(i_slots) <= 2:
-            raise StrandTraceError(
-                f"cluster has {len(i_slots)} ins and {len(o_slots)} outs")
-        if len(i_slots) == 1:
-            link[("in",) + i_slots[0]] = ("out",) + o_slots[0]
-            link[("out",) + o_slots[0]] = ("in",) + i_slots[0]
-        else:
-            link[("in",) + i_slots[0]] = ("in",) + i_slots[1]
-            link[("in",) + i_slots[1]] = ("in",) + i_slots[0]
-            link[("out",) + o_slots[0]] = ("out",) + o_slots[1]
-            link[("out",) + o_slots[1]] = ("out",) + o_slots[0]
-
-    def is_terminal(slot):
-        return slot[1] in ("P", "Q")
-
-    def terminal_point(slot):
-        _, kind, k = slot
-        return ("L", k) if kind == "P" else ("R", k)
-
-    pairs = []
-    seen = set()
-    for k, verts, _ in family:
-        for slot in (("in", "P", k), ("out", "Q", k)):
-            if slot in seen:
-                continue
-            seen.add(slot)
-            cur = link[slot]
-            while not is_terminal(cur):
-                # hop across the edge to the matching slot at the far end
-                side, _, e = cur
-                cur = link[("in" if side == "out" else "out", "E", e)]
-            seen.add(cur)
-            pairs.append((terminal_point(slot), terminal_point(cur)))
-    return NoncrossingMatching(ell, pairs)
+    pairs, done = [], set()
+    for k, verts in paths.items():
+        for end, i, step in ((("L", k), 0, 1), (("R", k), len(verts) - 1, -1)):
+            if end not in done:
+                other = walk(k, i, step)
+                done.update((end, other))
+                pairs.append((end, other))
+    return NoncrossingMatching(len(family), pairs)
 
 
 def covers_by_type(dec: RibbonDecomposition, N: int):

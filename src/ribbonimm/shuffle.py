@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, StrandTraceError, ValidityError, budget
 from .shapes import BELOW, RibbonDecomposition, SkewShape
 from .symfunc import SchurExpansion, SymPoly, enumerate_ssyt, partition_key
-from .tlalgebra import NoncrossingMatching
+from .tlalgebra import NoncrossingMatching, trace_strands
 
 NEG = float("-inf")
 POS = float("inf")
@@ -279,21 +279,7 @@ def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
         if pos not in adj:
             raise StrandTraceError(f"cell {pos} received no segment")
 
-    pairs, seen = [], set()
-    for start, label in node_label.items():
-        if start in seen:
-            continue
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                raise StrandTraceError(f"dead end at {cur}")
-            prev, cur = cur, nxt[0]
-            if cur in node_label:
-                seen.add(cur)
-                break
-        pairs.append((label, node_label[cur]))
+    pairs, _ = trace_strands(adj, node_label)
     return NoncrossingMatching(d.ell, pairs)
 
 

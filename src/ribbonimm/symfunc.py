@@ -25,7 +25,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, SizeGuard, budget
+from .errors import BudgetExceeded, NotSkew, SizeGuard, budget
 from .perms import perm_sign
 from .shapes import SkewShape, normalize_partition
 
@@ -489,7 +489,7 @@ def lr_coefficient(lam, mu, nu) -> int:
         return 0
     try:
         shape = SkewShape(lam, mu)
-    except Exception:
+    except NotSkew:
         return 0
     N = max(sum(lam), 1)
     return expand_schur(skew_schur(shape, N)).coeffs.get(nu, 0)

@@ -11,7 +11,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import SizeGuard
+from .errors import SizeGuard, StrandTraceError
 from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
                     identity_perm, is_321_avoiding, perm_inverse,
                     perm_length, perm_mul, perm_sign, reduced_word)
@@ -83,6 +83,45 @@ def generator(n, i) -> NoncrossingMatching:
     return NoncrossingMatching(n, pairs)
 
 
+def trace_strands(adj, ends):
+    """Follow the strands of a picture in which no position has degree > 2.
+
+    adj maps each position to the list of its neighbours; ends maps the
+    strand ends (degree 1) to their labels.  Each strand is followed from
+    one end to the next end it reaches.  Returns the (label, label) pairs
+    of the strands and the number of closed loops: the components that
+    contain no end.
+    """
+    pairs, seen = [], set()
+    for start, label in ends.items():
+        if start in seen:
+            continue
+        seen.add(start)
+        prev, cur = None, start
+        while True:
+            for nxt in adj[cur]:
+                if nxt != prev:
+                    break
+            else:
+                raise StrandTraceError(f"dead end at {cur}")
+            prev, cur = cur, nxt
+            seen.add(cur)
+            if cur in ends:
+                break
+        pairs.append((label, ends[cur]))
+    loops = 0
+    for start in adj:
+        if start not in seen:
+            loops += 1
+            todo = [start]
+            while todo:
+                cur = todo.pop()
+                if cur not in seen:
+                    seen.add(cur)
+                    todo.extend(adj[cur])
+    return pairs, loops
+
+
 def diagram_mul(m1: NoncrossingMatching, m2: NoncrossingMatching):
     """Concatenate m1 (left) with m2 (right): returns (matching, loops)."""
     if m1.n != m2.n:
@@ -105,38 +144,7 @@ def diagram_mul(m1: NoncrossingMatching, m2: NoncrossingMatching):
 
     boundary = {("A", "L", k): _pt_L(k) for k in range(1, n + 1)}
     boundary.update({("B", "R", k): _pt_R(k) for k in range(1, n + 1)})
-
-    seen = set()
-    pairs = []
-    for start in boundary:
-        if start in seen:
-            continue
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            assert len(nxt) >= 1
-            prev, cur = cur, nxt[0]
-            seen.add(cur)
-            if cur in boundary and cur != start:
-                break
-        pairs.append((boundary[start], boundary[cur]))
-
-    loops = 0
-    middle = {("A", "R", k) for k in range(1, n + 1)} | {
-        ("B", "L", k) for k in range(1, n + 1)}
-    for start in middle:
-        if start in seen:
-            continue
-        loops += 1
-        prev, cur = None, start
-        while True:
-            seen.add(cur)
-            nxt = [x for x in adj[cur] if x != prev]
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                break
-
+    pairs, loops = trace_strands(adj, boundary)
     return NoncrossingMatching(n, pairs), loops
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import row_sections_dec
 from ribbonimm import network, ribbonmat, tlalgebra
-from ribbonimm.errors import BudgetExceeded
+from ribbonimm.errors import BudgetExceeded, StrandTraceError
 from ribbonimm.shapes import SkewShape, decompose
 from ribbonimm.symfunc import SymPoly, skew_schur, ssyt_count
 
@@ -56,6 +56,22 @@ def test_uncross_type_is_noncrossing(hook_dec):
     for fam, _ in network.enumerate_covers(net):
         tau = network.uncross_type(fam)
         assert tau.n == 4  # construction validates noncrossing
+
+
+def test_uncross_type_rejects_an_edge_covered_three_times():
+    family = [(1, ((3, 1), (2, 1), (1, 1)), ()),
+              (2, ((3, 2), (2, 1), (1, 1), (0, 1)), ()),
+              (3, ((2, 3), (2, 2), (2, 1), (1, 1), (1, 0)), ())]
+    with pytest.raises(StrandTraceError, match="covered more than twice"):
+        network.uncross_type(family)
+
+
+def test_uncross_type_rejects_a_vertex_on_three_paths():
+    family = [(1, ((3, 1), (2, 2), (1, 1)), ()),
+              (2, ((3, 2), (2, 2), (1, 2)), ()),
+              (3, ((3, 3), (2, 2), (1, 3)), ())]
+    with pytest.raises(StrandTraceError, match=r"vertex \(2, 2\) lies on 3"):
+        network.uncross_type(family)
 
 
 def test_covers_by_type_matches_direct_immanant():

@@ -158,9 +158,10 @@ def test_type_sum_is_minor_product(hook_dec):
     assert total == ribbonmat.odd_even_product(hook_dec, 2)
 
 
-def test_cover_bijection(hook_dec):
+def test_cover_bijection(hook_dec, corpus_decs):
     dec = row_sections_dec((0, -2, -4), (3, 2, 1))
-    for tdec, N in ((dec, 2), (dec, 3), (hook_dec, 2)):
+    cases = [(dec, 2), (dec, 3), (hook_dec, 2)] + [(d, 3) for d in corpus_decs]
+    for tdec, N in cases:
         net = network.build_network(tdec, N)
         d = shuffle.build_diagram(tdec)
         fillings = set()

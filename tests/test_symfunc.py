@@ -182,6 +182,9 @@ def test_lr_coefficients():
     assert lr_coefficient((2, 1), (1,), (2,)) == 1
     assert lr_coefficient((2, 2), (1,), (2, 1)) == 1
     assert lr_coefficient((3,), (1,), (1, 1)) == 0
+    # mu not inside lam: no skew shape, so the coefficient is 0
+    assert lr_coefficient((2, 1), (3,), ()) == 0
+    assert lr_coefficient((2,), (1, 1), ()) == 0
 
 
 def test_expand_schur_roundtrip():
