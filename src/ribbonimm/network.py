@@ -14,6 +14,11 @@ the box of content i, horizontal when it sits to the left; vertical edges
 at content i run upward in the diagonal case and downward in the
 horizontal case.  Weighted (crossing) edges carry the variable of their
 source height, so a path records one entry per content it crosses.
+
+covers_by_type is weight first: the red and the blue families are grouped
+by weight vector, and only the groups whose summed weight is a partition
+are paired (symfunc.pair_by_weight), so only the covers the symmetric sum
+records are built and uncrossed.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, StrandTraceError, budget
 from .shapes import BELOW, LEFT, InfiniteRibbon, RibbonDecomposition
-from .symfunc import SymPoly, partition_key
+from .symfunc import SymPoly, pair_by_weight, partition_key
 from .tlalgebra import NoncrossingMatching
 
 
@@ -188,28 +193,35 @@ def _disjoint_families(net: RibbonNetwork, indices):
     yield from rec(0, set(), [])
 
 
+def _family_weight(fam, N: int) -> tuple:
+    """Summed weight exponents of the paths of a family."""
+    wt = [0] * N
+    for _, _, w in fam:
+        for idx, e in enumerate(w):
+            wt[idx] += e
+    return tuple(wt)
+
+
+def _colour_families(net: RibbonNetwork):
+    """The red (odd k) and the blue (even k) vertex-disjoint families."""
+    return (_disjoint_families(net, tuple(range(1, net.ell + 1, 2))),
+            _disjoint_families(net, tuple(range(2, net.ell + 1, 2))))
+
+
 def enumerate_covers(net: RibbonNetwork):
     """Colored covers: (red vertex-disjoint family, blue one), as a list
     of (index, vertices, weight) sorted by index, plus the total weight."""
-    odd = tuple(range(1, net.ell + 1, 2))
-    even = tuple(range(2, net.ell + 1, 2))
-    blues = list(_disjoint_families(net, even)) if even else [()]
-    for red in _disjoint_families(net, odd):
+    reds, blues = _colour_families(net)
+    blues = list(blues)
+    for red in reds:
         for blue in blues:
             fam = sorted(red + blue)
-            wt = [0] * net.N
-            for _, _, w in fam:
-                for idx, e in enumerate(w):
-                    wt[idx] += e
-            yield fam, tuple(wt)
+            yield fam, _family_weight(fam, net.N)
 
 
 def count_covers(net: RibbonNetwork) -> int:
-    odd = tuple(range(1, net.ell + 1, 2))
-    even = tuple(range(2, net.ell + 1, 2))
-    n_red = sum(1 for _ in _disjoint_families(net, odd)) if odd else 1
-    n_blue = sum(1 for _ in _disjoint_families(net, even)) if even else 1
-    return n_red * n_blue
+    reds, blues = _colour_families(net)
+    return sum(1 for _ in reds) * sum(1 for _ in blues)
 
 
 def uncross_type(family) -> NoncrossingMatching:
@@ -263,15 +275,20 @@ def uncross_type(family) -> NoncrossingMatching:
 
 
 def covers_by_type(dec: RibbonDecomposition, N: int):
-    """Map from Temperley-Lieb type to the summed cover weights."""
-    net = build_network(dec, N)
+    """Map from Temperley-Lieb type to the summed cover weights.
+
+    Weight first: the red and the blue families are grouped by weight
+    vector and only the groups whose summed weight is a partition are
+    paired, so only the covers the symmetric sum records are built and
+    uncrossed.  Each colour's families count against the enumeration
+    budget as they are built.
+    """
+    reds, blues = _colour_families(build_network(dec, N))
     acc = {}
-    for fam, wt in enumerate_covers(net):
-        tau = uncross_type(fam)
-        key = partition_key(wt)
-        if key is not None:
-            bucket = acc.setdefault(tau, {})
-            bucket[key] = bucket.get(key, 0) + 1
+    for red, blue, key in pair_by_weight(
+            reds, blues, lambda fam: _family_weight(fam, N)):
+        bucket = acc.setdefault(uncross_type(sorted(red + blue)), {})
+        bucket[key] = bucket.get(key, 0) + 1
     return {tau: SymPoly(N, coeffs) for tau, coeffs in acc.items()}
 
 

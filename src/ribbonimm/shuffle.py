@@ -13,6 +13,14 @@ down strand segments whose endpoint-terminated paths form a noncrossing
 matching on the nodes: the tableau's type.  Reading words and the
 bracket-matching crystal operators act on the fillings without changing
 that type.
+
+The immanant pipeline is weight first: the polynomials are symmetric, so
+only fillings with a partition weight are recorded, and only those are
+built.  The red and blue SSYT are grouped by weight vector and a red group
+meets a blue group only when their summed weight is a partition
+(symfunc.pair_by_weight).  The part of the strand picture that no filling
+changes (blocks, sentinels, segments, node labels) is compiled once per
+diagram; a filling supplies only its i <= j comparisons.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, StrandTraceError, ValidityError, budget
 from .shapes import BELOW, RibbonDecomposition, SkewShape
-from .symfunc import SchurExpansion, SymPoly, enumerate_ssyt, partition_key
+from .symfunc import (SchurExpansion, SymPoly, enumerate_ssyt, pair_by_weight,
+                      ssyt_count)
 from .tlalgebra import NoncrossingMatching, trace_strands
 
 NEG = float("-inf")
@@ -39,7 +48,7 @@ class ShuffleDiagram:
     """
 
     __slots__ = ("decomposition", "red_shape", "blue_shape", "cells",
-                 "coord_of", "P", "Q", "row_off", "col_off")
+                 "coord_of", "P", "Q", "row_off", "col_off", "_picture")
 
     def __init__(self, dec: RibbonDecomposition):
         self.decomposition = dec
@@ -96,6 +105,7 @@ class ShuffleDiagram:
         self.blue_shape = SkewShape.from_cells(
             {(r // 2, c // 2) for (r, c), (k, _) in self.cells.items()
              if k % 2 == 0})
+        self._picture = None
 
     @property
     def ell(self) -> int:
@@ -103,6 +113,13 @@ class ShuffleDiagram:
 
     def color(self, coord) -> str:
         return "red" if coord[0] % 2 else "blue"
+
+    def strand_picture(self):
+        """The filling-independent part of the strand picture, compiled on
+        first use (see _compile_picture)."""
+        if self._picture is None:
+            self._picture = _compile_picture(self)
+        return self._picture
 
 
 def build_diagram(dec: RibbonDecomposition) -> ShuffleDiagram:
@@ -145,10 +162,7 @@ class ShuffleTableau:
         return True
 
     def weight(self, N: int) -> tuple:
-        alpha = [0] * N
-        for v in self.entries.values():
-            alpha[v - 1] += 1
-        return tuple(alpha)
+        return _weight(self.entries.values(), N)
 
     def component_fillings(self):
         """The red and blue SSYT, keyed by red_shape/blue_shape cells."""
@@ -170,17 +184,31 @@ class ShuffleTableau:
         }
 
 
+def _weight(entries, N: int) -> tuple:
+    """How many of the entries equal 1, 2, ..., N."""
+    alpha = [0] * N
+    for v in entries:
+        alpha[v - 1] += 1
+    return tuple(alpha)
+
+
+def _halves(d: ShuffleDiagram, N: int):
+    """The red and the blue SSYT streams, re-keyed to diagram coordinates."""
+    reds = ({(2 * i - 1, 2 * j - 1): v for (i, j), v in t.items()}
+            for t in enumerate_ssyt(d.red_shape, N))
+    blues = ({(2 * i, 2 * j): v for (i, j), v in t.items()}
+             for t in enumerate_ssyt(d.blue_shape, N))
+    return reds, blues
+
+
 def enumerate_shuffle_tableaux(d: ShuffleDiagram, N: int):
     """All fillings with entries in [1, N]: the product of the two SSYT
-    streams, re-keyed to diagram coordinates."""
-    blues = list(enumerate_ssyt(d.blue_shape, N))
-    for red in enumerate_ssyt(d.red_shape, N):
-        base = {(2 * i - 1, 2 * j - 1): v for (i, j), v in red.items()}
+    streams."""
+    reds, blues = _halves(d, N)
+    blues = list(blues)
+    for red in reds:
         for blue in blues:
-            entries = dict(base)
-            for (i, j), v in blue.items():
-                entries[(2 * i, 2 * j)] = v
-            yield ShuffleTableau(d, entries)
+            yield ShuffleTableau(d, {**red, **blue})
 
 
 # -------------------------------------------------------------- type reading
@@ -215,36 +243,52 @@ def _virtual_entry(d: ShuffleDiagram, pos) -> float:
     raise StrandTraceError(f"virtual position {pos} maps inside the shape")
 
 
-def strand_segments(T: ShuffleTableau):
-    """Unit segments of the strand picture, as frozensets of endpoints.
+def _compile_picture(d: ShuffleDiagram):
+    """The parts of the strand picture that no filling changes.
 
     Every lattice corner has the diagram entry (or sentinel) i to its
     south-west and j to its north-east; i <= j lays the two vertical
     segments of that block, i > j the two horizontal ones.  Only segments
-    ending at a real cell are kept.
+    ending at a real cell are kept.  A block with a sentinel compares the
+    same way for every filling (a sentinel is infinite, an entry finite),
+    so its segments are fixed.
+
+    Returns (fixed, compared, node_label): the fixed segments as (cell,
+    corner) pairs; one (sw, ne, vertical, horizontal) per block between
+    two cells, whose segments the filling's i <= j chooses; and the label
+    of each node position.
     """
-    entries = T.entries
+    cells = d.cells
     blocks = set()
-    for (r, c) in entries:
+    for (r, c) in cells:
         blocks.add(((r + 1, c - 1), (r, c)))
         blocks.add(((r, c), (r - 1, c + 1)))
-    segs = set()
+    fixed, compared = [], []
     for sw, ne in blocks:
-        i = entries.get(sw)
-        if i is None:
-            i = _virtual_entry(T.diagram, sw)
-        j = entries.get(ne)
-        if j is None:
-            j = _virtual_entry(T.diagram, ne)
         nw = (sw[0] - 1, sw[1])
         se = (sw[0], sw[1] + 1)
-        if i <= j:
-            drawn = ((sw, nw), (ne, se))
-        else:
-            drawn = ((sw, se), (ne, nw))
-        for cell_end, corner_end in drawn:
-            if cell_end in entries:
-                segs.add(frozenset((cell_end, corner_end)))
+        vertical = tuple(s for s in ((sw, nw), (ne, se)) if s[0] in cells)
+        horizontal = tuple(s for s in ((sw, se), (ne, nw)) if s[0] in cells)
+        if sw in cells and ne in cells:
+            compared.append((sw, ne, vertical, horizontal))
+            continue
+        i = 0 if sw in cells else _virtual_entry(d, sw)
+        j = 0 if ne in cells else _virtual_entry(d, ne)
+        fixed += vertical if i <= j else horizontal
+    node_label = {pos: ("L", k) for k, pos in enumerate(d.P, start=1)}
+    node_label.update({pos: ("R", k) for k, pos in enumerate(d.Q, start=1)})
+    return tuple(fixed), tuple(compared), node_label
+
+
+def strand_segments(T: ShuffleTableau) -> list:
+    """Unit segments of the strand picture, as (cell, corner) pairs: the
+    diagram's fixed segments plus the ones its i <= j comparisons choose
+    on T."""
+    fixed, compared, _ = T.diagram.strand_picture()
+    entries = T.entries
+    segs = list(fixed)
+    for sw, ne, vertical, horizontal in compared:
+        segs += vertical if entries[sw] <= entries[ne] else horizontal
     return segs
 
 
@@ -252,19 +296,15 @@ def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
     """Noncrossing matching traced by the strand segments; P_k is the
     left point L_k, Q_k the right point R_k.  Closed loops are ignored."""
     d = T.diagram
+    node_label = d.strand_picture()[2]
     adj = {}
-    for s in strand_segments(T):
-        a, b = tuple(s)
+    for a, b in strand_segments(T):
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
 
-    node_label = {}
-    for k, pos in enumerate(d.P, start=1):
-        node_label[pos] = ("L", k)
-    for k, pos in enumerate(d.Q, start=1):
-        node_label[pos] = ("R", k)
-
     for pos, nbs in adj.items():
+        if len(nbs) == 2 and pos not in node_label:
+            continue
         want = 1 if pos in node_label else 2
         if pos in d.cells and len(nbs) != 2:
             raise StrandTraceError(f"cell {pos} has degree {len(nbs)}")
@@ -275,9 +315,9 @@ def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
     for pos in node_label:
         if pos not in adj:
             raise StrandTraceError(f"node {pos} received no segment")
-    for pos in d.cells:
-        if pos not in adj:
-            raise StrandTraceError(f"cell {pos} received no segment")
+    if not adj.keys() >= d.cells.keys():
+        pos = next(pos for pos in d.cells if pos not in adj)
+        raise StrandTraceError(f"cell {pos} received no segment")
 
     pairs, _ = trace_strands(adj, node_label)
     return NoncrossingMatching(d.ell, pairs)
@@ -374,9 +414,11 @@ def crystal_F(T: ShuffleTableau, i: int):
 
 
 def is_yamanouchi(T: ShuffleTableau) -> bool:
-    """True iff no raising operator applies."""
+    """True iff no raising operator applies: every i+1 of every reading
+    word is bracketed by an i."""
     top = max(T.entries.values(), default=1)
-    return all(crystal_E(T, i) is None for i in range(1, top))
+    return not any(unmatched_positions(reading_word(T, i).word, i)[1]
+                   for i in range(1, top))
 
 
 # -------------------------------------------------------- immanant pipeline
@@ -387,23 +429,38 @@ def _record(acc, tau, key):
 
 
 def _fillings(d: ShuffleDiagram, N: int):
-    """enumerate_shuffle_tableaux, stopped by BudgetExceeded past the
-    enumeration budget."""
+    """The fillings with a partition weight, each with that partition.
+
+    Weight first: the red and the blue SSYT are grouped by weight vector
+    and only the groups whose summed weight is a partition are paired, so
+    no other filling is built.  Before anything is enumerated, the red and
+    blue SSYT are counted (ssyt_count, a determinant), and BudgetExceeded
+    is raised if there are more than the enumeration budget of fillings
+    in all.
+    """
     limit = budget()
-    for count, T in enumerate(enumerate_shuffle_tableaux(d, N), start=1):
-        if count > limit:
-            raise BudgetExceeded(f"more than {limit} fillings")
-        yield T
+    n_red = ssyt_count(d.red_shape, N)
+    n_blue = ssyt_count(d.blue_shape, N)
+    if n_red * n_blue > limit:
+        raise BudgetExceeded(
+            f"more than {limit} fillings: {n_red} red times {n_blue} blue "
+            f"SSYT in {N} variables")
+    if not n_red or not n_blue:
+        return  # the other half may be far larger than the budget
+    reds, blues = _halves(d, N)
+    for red, blue, key in pair_by_weight(
+            reds, blues, lambda half: _weight(half.values(), N)):
+        yield ShuffleTableau(d, {**red, **blue}), key
 
 
 def tableaux_by_type(dec: RibbonDecomposition, N: int):
-    """Map from type to the summed weights of its fillings."""
+    """Map from type to the summed weights of its fillings.
+
+    Only partition (sorted) weights are recorded, the polynomials being
+    symmetric, and only those fillings are enumerated and typed."""
     acc = {}
-    for T in _fillings(build_diagram(dec), N):
-        # symmetric sums: only partition-sorted weights are recorded
-        tau, key = tl_type(T), partition_key(T.weight(N))
-        if key is not None:
-            _record(acc, tau, key)
+    for T, key in _fillings(build_diagram(dec), N):
+        _record(acc, tl_type(T), key)
     return {tau: SymPoly(N, coeffs) for tau, coeffs in acc.items()}
 
 
@@ -416,16 +473,13 @@ def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):
     """Expansion of every immanant read off the source fillings alone.
 
     Each filling on which no raising operator acts contributes 1 to the
-    coefficient of its (necessarily partition) weight, under its type.
-    Coefficients are nonnegative by construction.
+    coefficient of its weight, under its type.  A source's weight is a
+    partition (each i+1 of a reading word is bracketed by an i, so there
+    are at least as many i as i+1), so only the partition-weight fillings
+    are visited.  Coefficients are nonnegative by construction.
     """
     acc = {}
-    for T in _fillings(build_diagram(dec), N):
-        if not is_yamanouchi(T):
-            continue
-        key = partition_key(T.weight(N))
-        if key is None:
-            raise ValidityError(
-                f"source filling has non-partition weight {T.weight(N)}")
-        _record(acc, tl_type(T), key)
+    for T, key in _fillings(build_diagram(dec), N):
+        if is_yamanouchi(T):
+            _record(acc, tl_type(T), key)
     return {tau: SchurExpansion(N, coeffs) for tau, coeffs in acc.items()}

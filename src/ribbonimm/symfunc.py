@@ -41,6 +41,30 @@ def partition_key(wt):
     return wt[:len(wt) - wt.count(0)]
 
 
+def pair_by_weight(reds, blues, weight):
+    """Every (red, blue, key) with red from reds and blue from blues whose
+    weight vectors sum to a partition, key being that partition.
+
+    Both streams are grouped by weight vector first, and only the pairs of
+    groups whose summed weight is weakly decreasing are expanded, so no
+    pair with a non-partition weight is ever formed.
+    """
+    def groups(items):
+        out = {}
+        for item in items:
+            out.setdefault(weight(item), []).append(item)
+        return out
+
+    blue_groups = groups(blues)
+    for red_wt, red_group in groups(reds).items():
+        for blue_wt, blue_group in blue_groups.items():
+            key = partition_key(map(operator.add, red_wt, blue_wt))
+            if key is not None:
+                for red in red_group:
+                    for blue in blue_group:
+                        yield red, blue, key
+
+
 def _sorted_key(vec) -> tuple:
     """The nonnegative exponent vector vec as a partition."""
     vec = sorted(vec, reverse=True)
@@ -220,7 +244,30 @@ def enumerate_ssyt(shape: SkewShape, N: int):
 
 
 def ssyt_count(shape: SkewShape, N: int) -> int:
-    return sum(1 for _ in enumerate_ssyt(shape, N))
+    """Number of SSYT of shape with entries in [1, N], without listing
+    them: the Jacobi-Trudi determinant det h_{outer_i - inner_j - i + j}
+    at x_1 = ... = x_N = 1, where h_k takes the value C(N + k - 1, k)."""
+    lam, mu = shape.outer, shape.inner
+
+    def h(k):
+        return math.comb(N + k - 1, k) if k > 0 else int(k == 0)
+
+    a = [[h(lam[i] - mu[j] - i + j) for j in range(len(lam))]
+         for i in range(len(lam))]
+    # fraction-free (Bareiss) elimination: every division is exact
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
 
 
 def _horizontal_strips(nu, lam, size) -> list:

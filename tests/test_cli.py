@@ -184,3 +184,16 @@ def test_out_file_byte_determinism(tmp_path, small_files):
         assert cli.main(["--json", "matrix", *small_files, "--nvars", "2",
                          "--out", str(p)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["shuffle", "crystal"])
+def test_imm_over_budget_exits_2(hook_files, method, monkeypatch, capsys):
+    # --nvars auto gives the hook 27 variables: about 4.7e29 fillings,
+    # refused from their count before any is built
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+    code = cli.main(["imm", *hook_files, "--method", method,
+                     "--type", "2143"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: more than 2000000 fillings")
+    assert "Traceback" not in err

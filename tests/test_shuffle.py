@@ -1,10 +1,14 @@
+from collections import Counter
+
 import pytest
 
 from conftest import row_sections_dec
-from ribbonimm import network, ribbonmat, shuffle, tlalgebra
+from test_acceptance import _nontrivial_nvars
+from ribbonimm import corpus, network, ribbonmat, shuffle, tlalgebra
 from ribbonimm.errors import BudgetExceeded, ValidityError
 from ribbonimm.shapes import SkewShape, decompose
-from ribbonimm.symfunc import SymPoly, expand_schur
+from ribbonimm.symfunc import (SchurExpansion, SymPoly, expand_schur,
+                               partition_key, skew_schur)
 
 # fillings of the two half diagrams of the four-section fixture, row by row
 RED_ROWS = [[3, 4, 6, 6], [1, 3, 6], [2, 4, 5], [2, 3, 6, 6], [7]]
@@ -221,3 +225,64 @@ def test_budget_guard(hook_dec, monkeypatch):
 def test_tableau_json(pinned_tableau):
     blob = pinned_tableau.to_json()
     assert set(blob) >= {"red", "blue"}
+
+
+def test_sources_have_partition_weight():
+    # If no raising operator applies, every i+1 of a reading word is
+    # bracketed by an i, so wt_i >= wt_{i+1}: a source always has a
+    # partition weight, and schur_expand_by_crystal visits only those.
+    N = 4
+    unsorted = 0
+    for dec in corpus.sweep_corpus(8, 5, 4, per_bucket=4):
+        d = shuffle.build_diagram(dec)
+        for T in shuffle.enumerate_shuffle_tableaux(d, N):
+            if partition_key(T.weight(N)) is None:
+                unsorted += 1
+                assert not shuffle.is_yamanouchi(T), T.entries
+    assert unsorted == 79266
+
+
+def _unfiltered_models(dec, N):
+    """Type maps of every filling and every cover, weight or not, reduced
+    to the partition weights afterwards."""
+    by_shuffle, by_covers, by_crystal = {}, {}, {}
+    for T in shuffle.enumerate_shuffle_tableaux(shuffle.build_diagram(dec), N):
+        tau, key = shuffle.tl_type(T), partition_key(T.weight(N))
+        if key is not None:
+            by_shuffle.setdefault(tau, Counter())[key] += 1
+        if shuffle.is_yamanouchi(T):
+            by_crystal.setdefault(tau, Counter())[key] += 1
+    for fam, wt in network.enumerate_covers(network.build_network(dec, N)):
+        key = partition_key(wt)
+        if key is not None:
+            by_covers.setdefault(network.uncross_type(fam), Counter())[key] += 1
+    return ({t: SymPoly(N, c) for t, c in by_shuffle.items()},
+            {t: SymPoly(N, c) for t, c in by_covers.items()},
+            {t: SchurExpansion(N, c) for t, c in by_crystal.items()})
+
+
+def test_weight_first_models_match_unfiltered_models():
+    for dec in corpus.sweep_corpus(8, 5, 4, per_bucket=2):
+        N = _nontrivial_nvars(dec, 4)
+        by_shuffle, by_covers, by_crystal = _unfiltered_models(dec, N)
+        assert shuffle.tableaux_by_type(dec, N) == by_shuffle
+        assert network.covers_by_type(dec, N) == by_covers
+        assert shuffle.schur_expand_by_crystal(dec, N) == by_crystal
+
+
+def test_budget_is_checked_before_enumerating(hook_dec, monkeypatch):
+    # the hook has 40,622,400 fillings in 4 variables, over the default
+    # budget; counting them is enough to refuse
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+    d = shuffle.build_diagram(hook_dec)
+    counts = [skew_schur(half, 4).evaluate((1,) * 4)
+              for half in (d.red_shape, d.blue_shape)]
+    assert counts[0] * counts[1] == 40622400
+
+    def refuse(shape, N):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(shuffle, "enumerate_ssyt", refuse)
+    for model in (shuffle.tableaux_by_type, shuffle.schur_expand_by_crystal):
+        with pytest.raises(BudgetExceeded, match="more than 2000000 fillings"):
+            model(hook_dec, 4)
