@@ -18,7 +18,11 @@ source height, so a path records one entry per content it crosses.
 covers_by_type is weight first: the red and the blue families are grouped
 by weight vector, and only the groups whose summed weight is a partition
 are paired (symfunc.pair_by_weight), so only the covers the symmetric sum
-records are built and uncrossed.
+records are built and uncrossed.  Nothing is listed before it is counted:
+the red and the blue families are the SSYT of the odd and the even section
+shapes, and the paths P_i -> Q_j those of the ribbon section [a_j, b_i)
+(Gessel-Viennot), so symfunc.charge_budget refuses an over-budget
+instance from these counts alone.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, StrandTraceError, budget
-from .shapes import BELOW, LEFT, InfiniteRibbon, RibbonDecomposition
-from .symfunc import SymPoly, pair_by_weight, partition_key
+from .errors import StrandTraceError
+from .shapes import (BELOW, LEFT, InfiniteRibbon, RibbonDecomposition,
+                     odd_even_shapes, ribbon_section_shape)
+from .symfunc import (SymPoly, charge_budget, pair_by_weight, partition_key,
+                      tally)
 from .tlalgebra import NoncrossingMatching
 
 
@@ -58,35 +64,6 @@ class RibbonNetwork:
 
     def vertical_up(self, content) -> bool:
         return self.ribbon.step(content) == BELOW
-
-    def crossing_edges_into(self, content):
-        """Directed edges from content+1 to content, as (src, dst) pairs
-        with the weight variable index of the source height."""
-        out = []
-        if self.ribbon.step(content) == BELOW:
-            for j in range(1, self.N + 1):
-                out.append(((content + 1, j), (content, j + 1), j))
-        else:
-            for j in range(1, self.N + 1):
-                out.append(((content + 1, j), (content, j), j))
-        return out
-
-    def edges_json(self):
-        edges = []
-        for c in range(self.c_lo, self.c_hi + 1):
-            if self.vertical_up(c):
-                for j in range(1, self.top):
-                    edges.append({"src": [c, j], "dst": [c, j + 1], "weight": 1})
-            else:
-                for j in range(1, self.top):
-                    edges.append({"src": [c, j + 1], "dst": [c, j], "weight": 1})
-            if c > self.c_lo:
-                for src, dst, var in self.crossing_edges_into(c - 1):
-                    edges.append({"src": list(src), "dst": list(dst),
-                                  "weight": f"x{var}"})
-        return {"c_lo": self.c_lo, "c_hi": self.c_hi, "N": self.N,
-                "P": [list(v) for v in self.starts],
-                "Q": [list(v) for v in self.ends], "edges": edges}
 
 
 def build_network(dec: RibbonDecomposition, N: int) -> RibbonNetwork:
@@ -150,10 +127,14 @@ def _paths_between(net: RibbonNetwork, start, end):
 
 
 def _all_paths(net: RibbonNetwork, i: int, j: int):
-    """Paths from P_i to Q_j (1-based)."""
+    """Paths from P_i to Q_j (1-based), charged to the budget before any
+    is listed: there are as many as SSYT of the ribbon section [a_j, b_i)."""
     start, end = net.starts[i - 1], net.ends[j - 1]
     if start[0] < end[0]:
         return ()
+    if start[0] > end[0]:
+        charge_budget("paths", net.N, {f"P_{i} -> Q_{j}": ribbon_section_shape(
+            net.ribbon, end[0], start[0])})
     return tuple(_paths_between(net, start, end))
 
 
@@ -169,16 +150,10 @@ def path_weight_sum(net: RibbonNetwork, i: int, j: int) -> SymPoly:
 
 def _disjoint_families(net: RibbonNetwork, indices):
     """Vertex-disjoint path families (pi_k: P_k -> Q_k, k in indices)."""
-    limit = budget()
-    count = 0
     options = {k: _all_paths(net, k, k) for k in indices}
 
     def rec(pos, used, chosen):
-        nonlocal count
         if pos == len(indices):
-            count += 1
-            if count > limit:
-                raise BudgetExceeded(f"more than {limit} path families")
             yield tuple(chosen)
             return
         k = indices[pos]
@@ -203,7 +178,14 @@ def _family_weight(fam, N: int) -> tuple:
 
 
 def _colour_families(net: RibbonNetwork):
-    """The red (odd k) and the blue (even k) vertex-disjoint families."""
+    """The red (odd k) and the blue (even k) vertex-disjoint families,
+    counted as the SSYT of the odd and the even section shapes and charged
+    to the budget before any family is listed."""
+    a = tuple(end[0] for end in net.ends)
+    b = tuple(start[0] for start in net.starts)
+    red, blue = odd_even_shapes(net.ribbon, a, b)
+    if not charge_budget("covers", net.N, {"red": red, "blue": blue}):
+        return iter(()), iter(())
     return (_disjoint_families(net, tuple(range(1, net.ell + 1, 2))),
             _disjoint_families(net, tuple(range(2, net.ell + 1, 2))))
 
@@ -280,16 +262,13 @@ def covers_by_type(dec: RibbonDecomposition, N: int):
     Weight first: the red and the blue families are grouped by weight
     vector and only the groups whose summed weight is a partition are
     paired, so only the covers the symmetric sum records are built and
-    uncrossed.  Each colour's families count against the enumeration
-    budget as they are built.
+    uncrossed.  The red and blue families, and each section's paths, are
+    counted and charged to the enumeration budget before any is built.
     """
     reds, blues = _colour_families(build_network(dec, N))
-    acc = {}
-    for red, blue, key in pair_by_weight(
-            reds, blues, lambda fam: _family_weight(fam, N)):
-        bucket = acc.setdefault(uncross_type(sorted(red + blue)), {})
-        bucket[key] = bucket.get(key, 0) + 1
-    return {tau: SymPoly(N, coeffs) for tau, coeffs in acc.items()}
+    pairs = pair_by_weight(reds, blues, lambda fam: _family_weight(fam, N))
+    return tally(((uncross_type(sorted(red + blue)), key)
+                  for red, blue, key in pairs), N)
 
 
 def imm_by_covers(dec: RibbonDecomposition, N: int, tau: NoncrossingMatching) -> SymPoly:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .shapes import (RibbonDecomposition, SkewShape, decompose,
-                     ribbon_section_shape, shape_from_tuples)
+                     odd_even_shapes, ribbon_section_shape, shape_from_tuples)
 from .symfunc import (SFMatrix, SymPoly, determinant, expand_schur,
                       skew_schur)
 from . import tlalgebra
@@ -73,17 +73,7 @@ def principal_minor(rm: RibbonMatrix, I) -> RibbonMatrix:
 
 def odd_even_split(dec: RibbonDecomposition):
     """Shapes built from the odd-indexed and even-indexed tuples."""
-    odd = [k for k in range(1, dec.ell + 1) if k % 2 == 1]
-    even = [k for k in range(1, dec.ell + 1) if k % 2 == 0]
-
-    def subshape(ks):
-        if not ks:
-            return SkewShape((), ())
-        return shape_from_tuples(dec.ribbon,
-                                 [dec.abar[k - 1] for k in ks],
-                                 [dec.bbar[k - 1] for k in ks])
-
-    return subshape(odd), subshape(even)
+    return odd_even_shapes(dec.ribbon, dec.abar, dec.bbar)
 
 
 def odd_even_product(dec: RibbonDecomposition, N: int) -> SymPoly:

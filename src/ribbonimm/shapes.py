@@ -254,6 +254,13 @@ def ribbon_section_shape(ribbon: InfiniteRibbon, a: int, b: int) -> SkewShape:
     return shape
 
 
+def odd_even_shapes(ribbon: InfiniteRibbon, abar, bbar):
+    """Shapes assembled from the odd-indexed and from the even-indexed
+    sections [a_k, b_k) (an empty shape when there are none)."""
+    return tuple(shape_from_tuples(ribbon, abar[p::2], bbar[p::2])
+                 if abar[p:] else SkewShape((), ()) for p in (0, 1))
+
+
 @dataclass(frozen=True)
 class RibbonDecomposition:
     """A skew shape cut along the copies R + (m, m) of an infinite ribbon.

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, StrandTraceError, ValidityError, budget
+from .errors import StrandTraceError, ValidityError
 from .shapes import BELOW, RibbonDecomposition, SkewShape
-from .symfunc import (SchurExpansion, SymPoly, enumerate_ssyt, pair_by_weight,
-                      ssyt_count)
+from .symfunc import (SchurExpansion, SymPoly, charge_budget, enumerate_ssyt,
+                      pair_by_weight, tally)
 from .tlalgebra import NoncrossingMatching, trace_strands
 
 NEG = float("-inf")
@@ -193,7 +193,12 @@ def _weight(entries, N: int) -> tuple:
 
 
 def _halves(d: ShuffleDiagram, N: int):
-    """The red and the blue SSYT streams, re-keyed to diagram coordinates."""
+    """The red and the blue SSYT streams, re-keyed to diagram coordinates.
+
+    Both are counted and charged to the budget before either is listed."""
+    if not charge_budget("fillings", N, {"red": d.red_shape,
+                                         "blue": d.blue_shape}):
+        return iter(()), iter(())
     reds = ({(2 * i - 1, 2 * j - 1): v for (i, j), v in t.items()}
             for t in enumerate_ssyt(d.red_shape, N))
     blues = ({(2 * i, 2 * j): v for (i, j), v in t.items()}
@@ -423,30 +428,14 @@ def is_yamanouchi(T: ShuffleTableau) -> bool:
 
 # -------------------------------------------------------- immanant pipeline
 
-def _record(acc, tau, key):
-    bucket = acc.setdefault(tau, {})
-    bucket[key] = bucket.get(key, 0) + 1
-
-
 def _fillings(d: ShuffleDiagram, N: int):
     """The fillings with a partition weight, each with that partition.
 
     Weight first: the red and the blue SSYT are grouped by weight vector
     and only the groups whose summed weight is a partition are paired, so
-    no other filling is built.  Before anything is enumerated, the red and
-    blue SSYT are counted (ssyt_count, a determinant), and BudgetExceeded
-    is raised if there are more than the enumeration budget of fillings
-    in all.
+    no other filling is built.  _halves refuses an over-budget filling
+    count before anything is enumerated.
     """
-    limit = budget()
-    n_red = ssyt_count(d.red_shape, N)
-    n_blue = ssyt_count(d.blue_shape, N)
-    if n_red * n_blue > limit:
-        raise BudgetExceeded(
-            f"more than {limit} fillings: {n_red} red times {n_blue} blue "
-            f"SSYT in {N} variables")
-    if not n_red or not n_blue:
-        return  # the other half may be far larger than the budget
     reds, blues = _halves(d, N)
     for red, blue, key in pair_by_weight(
             reds, blues, lambda half: _weight(half.values(), N)):
@@ -458,10 +447,8 @@ def tableaux_by_type(dec: RibbonDecomposition, N: int):
 
     Only partition (sorted) weights are recorded, the polynomials being
     symmetric, and only those fillings are enumerated and typed."""
-    acc = {}
-    for T, key in _fillings(build_diagram(dec), N):
-        _record(acc, tl_type(T), key)
-    return {tau: SymPoly(N, coeffs) for tau, coeffs in acc.items()}
+    return tally(((tl_type(T), key)
+                  for T, key in _fillings(build_diagram(dec), N)), N)
 
 
 def imm_by_shuffle(dec: RibbonDecomposition, N: int,
@@ -478,8 +465,6 @@ def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):
     are at least as many i as i+1), so only the partition-weight fillings
     are visited.  Coefficients are nonnegative by construction.
     """
-    acc = {}
-    for T, key in _fillings(build_diagram(dec), N):
-        if is_yamanouchi(T):
-            _record(acc, tl_type(T), key)
-    return {tau: SchurExpansion(N, coeffs) for tau, coeffs in acc.items()}
+    return tally(((tl_type(T), key)
+                  for T, key in _fillings(build_diagram(dec), N)
+                  if is_yamanouchi(T)), N, SchurExpansion)

@@ -270,6 +270,35 @@ def ssyt_count(shape: SkewShape, N: int) -> int:
     return sign * a[-1][-1] if a else 1
 
 
+def charge_budget(what: str, N: int, shapes: dict) -> bool:
+    """Count the objects an enumeration would build before it lists any.
+
+    shapes maps a label to a skew shape whose SSYT in N variables are in
+    bijection with that label's objects (for a colored model, the red and
+    the blue half).  BudgetExceeded is raised if the product of the counts
+    passes the enumeration budget.  Returns False when a count is 0: then
+    there is nothing to build, and the caller must not list the other
+    halves, which may be far larger than the budget.
+    """
+    counts = {label: ssyt_count(shape, N) for label, shape in shapes.items()}
+    limit = budget()
+    if math.prod(counts.values()) > limit:
+        raise BudgetExceeded(
+            f"more than {limit} {what} in {N} variables: "
+            + " times ".join(f"{n} {label}" for label, n in counts.items()))
+    return all(counts.values())
+
+
+def tally(items, N: int, cls=SymPoly) -> dict:
+    """Map from label to cls(N, coeffs), where coeffs counts the partition
+    keys that items pairs with that label."""
+    acc = {}
+    for label, key in items:
+        bucket = acc.setdefault(label, {})
+        bucket[key] = bucket.get(key, 0) + 1
+    return {label: cls(N, coeffs) for label, coeffs in acc.items()}
+
+
 def _horizontal_strips(nu, lam, size) -> list:
     """Every kappa with nu <= kappa <= lam such that kappa/nu is a
     horizontal strip of the given size; nu and kappa have len(lam) parts."""

@@ -186,14 +186,16 @@ def test_out_file_byte_determinism(tmp_path, small_files):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("method", ["shuffle", "crystal"])
+@pytest.mark.parametrize("method", ["shuffle", "crystal", "covers"])
 def test_imm_over_budget_exits_2(hook_files, method, monkeypatch, capsys):
-    # --nvars auto gives the hook 27 variables: about 4.7e29 fillings,
-    # refused from their count before any is built
+    # --nvars auto gives the hook 27 variables: about 4.7e29 fillings (and
+    # as many covers), refused from their count before any is built
+    noun = {"shuffle": "fillings", "crystal": "fillings",
+            "covers": "covers"}[method]
     monkeypatch.delenv("RIL_BUDGET", raising=False)
     code = cli.main(["imm", *hook_files, "--method", method,
                      "--type", "2143"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: more than 2000000 fillings")
+    assert err.startswith(f"error: more than 2000000 {noun}")
     assert "Traceback" not in err

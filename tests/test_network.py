@@ -3,7 +3,7 @@ import pytest
 from conftest import row_sections_dec
 from ribbonimm import network, ribbonmat, tlalgebra
 from ribbonimm.errors import BudgetExceeded, StrandTraceError
-from ribbonimm.shapes import SkewShape, decompose
+from ribbonimm.shapes import SkewShape, decompose, ribbon_section_shape
 from ribbonimm.symfunc import SymPoly, skew_schur, ssyt_count
 
 
@@ -23,6 +23,12 @@ def test_path_weight_sum_is_matrix_entry(hook_dec):
     for i in range(1, 5):
         for j in range(1, 5):
             assert network.path_weight_sum(net, i, j) == rm.matrix[i, j], (i, j)
+    # the count the budget charges before listing a section's paths
+    for N in (2, 3):
+        net = network.build_network(hook_dec, N)
+        for k, (a, b) in enumerate(zip(hook_dec.abar, hook_dec.bbar), 1):
+            section = ribbon_section_shape(hook_dec.ribbon, a, b)
+            assert len(network._all_paths(net, k, k)) == ssyt_count(section, N)
 
 
 def test_single_section_paths(row_ribbon, column_ribbon):
@@ -92,9 +98,16 @@ def test_budget_guard(hook_dec, monkeypatch):
         network.covers_by_type(hook_dec, 3)
 
 
-def test_edges_json_shape(hook_dec):
-    net = network.build_network(hook_dec, 2)
-    blob = net.edges_json()
-    assert blob["N"] == 2
-    assert len(blob["P"]) == len(blob["Q"]) == 4
-    assert all({"src", "dst", "weight"} <= set(e) for e in blob["edges"])
+def test_section_paths_are_counted_before_listing(hook_dec, monkeypatch):
+    # in 3 variables, section 1 of the hook has 8 paths and section 3 has 360
+    monkeypatch.setenv("RIL_BUDGET", "100")
+    net = network.build_network(hook_dec, 3)
+    assert len(network._all_paths(net, 1, 1)) == 8
+
+    def refuse(*args):
+        raise AssertionError("listed before the budget check")
+
+    monkeypatch.setattr(network, "_paths_between", refuse)
+    with pytest.raises(BudgetExceeded,
+                       match=r"more than 100 paths in 3 variables: 360 P_3"):
+        network.path_weight_sum(net, 3, 3)

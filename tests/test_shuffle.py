@@ -271,18 +271,27 @@ def test_weight_first_models_match_unfiltered_models():
 
 
 def test_budget_is_checked_before_enumerating(hook_dec, monkeypatch):
-    # the hook has 40,622,400 fillings in 4 variables, over the default
-    # budget; counting them is enough to refuse
+    # the hook has 40,622,400 fillings, and as many covers, in 4 variables,
+    # over the default budget; counting them is enough to refuse
     monkeypatch.delenv("RIL_BUDGET", raising=False)
     d = shuffle.build_diagram(hook_dec)
     counts = [skew_schur(half, 4).evaluate((1,) * 4)
               for half in (d.red_shape, d.blue_shape)]
     assert counts[0] * counts[1] == 40622400
 
-    def refuse(shape, N):
+    def refuse(*args):
         raise AssertionError("enumerated before the budget check")
 
     monkeypatch.setattr(shuffle, "enumerate_ssyt", refuse)
+    monkeypatch.setattr(network, "_paths_between", refuse)
     for model in (shuffle.tableaux_by_type, shuffle.schur_expand_by_crystal):
         with pytest.raises(BudgetExceeded, match="more than 2000000 fillings"):
             model(hook_dec, 4)
+    with pytest.raises(BudgetExceeded, match="more than 2000000 fillings"):
+        next(shuffle.enumerate_shuffle_tableaux(d, 4))
+    net = network.build_network(hook_dec, 4)
+    for run in (lambda: network.covers_by_type(hook_dec, 4),
+                lambda: next(network.enumerate_covers(net)),
+                lambda: network.count_covers(net)):
+        with pytest.raises(BudgetExceeded, match="more than 2000000 covers"):
+            run()
