@@ -31,10 +31,16 @@ class InputError(Exception):
     pass
 
 
+def _not_an_integer(text):
+    raise ValueError(f"{text} is not an integer")
+
+
 def _load_json(path):
+    """Parse a JSON file in which every number is an integer."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_not_an_integer,
+                             parse_float=_not_an_integer)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 

@@ -23,7 +23,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, SizeGuard, budget
-from .perms import apply_s, identity_perm, perm_inverse, perm_length
+from .perms import (apply_s, first_right_descent, identity_perm, perm_inverse,
+                    perm_length)
 from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
 
 HARNESS_MAX_ELL = 5  # conjecture12_harness: sections of a decomposition
@@ -70,13 +71,6 @@ def poly_str(p) -> str:
     return " + ".join(parts)
 
 
-def _first_right_descent(w):
-    for i in range(1, len(w)):
-        if w[i - 1] > w[i]:
-            return i
-    return None
-
-
 # ------------------------------------------------------------- indexed S_n
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ def _weyl(n: int) -> _Weyl:
     index = {u: k for k, u in enumerate(perms)}
     right = ((),) + tuple(tuple(index[apply_s(u, i)] for u in perms)
                           for i in range(1, n))
-    descent = tuple(_first_right_descent(u) or 0 for u in perms)
+    descent = tuple(first_right_descent(u) or 0 for u in perms)
     below = [1]
     for k in range(1, len(perms)):
         s = right[descent[k]]
@@ -261,7 +255,7 @@ def _bar_H(w: tuple):
     e = identity_perm(n)
     if w == e:
         return {e: {0: 1}}
-    i = _first_right_descent(w)
+    i = first_right_descent(w)
     v = apply_s(w, i)
     prev = _bar_H(v)
     out = _hecke_mul_s(prev, i, n)  # ... H_s

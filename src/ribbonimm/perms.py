@@ -1,5 +1,5 @@
 """Permutations of 1..n in one-line notation (tuples with values 1..n):
-products, inversions, signs, reduced words and 321-avoidance."""
+products, inversions, signs, descents, reduced words and 321-avoidance."""
 
 from __future__ import annotations
 
@@ -38,6 +38,15 @@ def apply_s(u: tuple, i: int) -> tuple:
     v = list(u)
     v[i - 1], v[i] = v[i], v[i - 1]
     return tuple(v)
+
+
+def first_right_descent(u: tuple):
+    """Smallest i with u(i) > u(i+1), so that u s_i < u; None at the
+    identity."""
+    for i in range(1, len(u)):
+        if u[i - 1] > u[i]:
+            return i
+    return None
 
 
 @functools.lru_cache(maxsize=None)

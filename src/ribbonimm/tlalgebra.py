@@ -3,6 +3,11 @@
 Basis diagrams are noncrossing perfect matchings on boundary points
 L_1..L_n, R_1..R_n, read in circular order L_1..L_n, R_n..R_1.
 Permutations are tuples in one-line notation with values 1..n.
+
+The definitional immanants read one coefficient table over S_n: the
+algebra map theta sending s_i to t_i - 1, taken at w^-1 and expanded in
+the basis diagrams.  It is built once per n by a one-generator recursion
+along right descents, in length order.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from dataclasses import dataclass
 
 from .errors import SizeGuard, StrandTraceError
 from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
-                    identity_perm, is_321_avoiding, perm_inverse,
-                    perm_length, perm_mul, perm_sign, reduced_word)
+                    first_right_descent, identity_perm, is_321_avoiding,
+                    perm_inverse, perm_length, perm_mul, perm_sign,
+                    reduced_word)
 from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
 
 TL_MAX_N = 6  # _tl_table: size of the definitional sum over S_n
@@ -148,67 +154,6 @@ def diagram_mul(m1: NoncrossingMatching, m2: NoncrossingMatching):
     return NoncrossingMatching(n, pairs), loops
 
 
-class TLElement:
-    """Integer linear combination of basis matchings, loop value 2."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def unit(cls, n):
-        return cls(n, {identity_matching(n): 1})
-
-    def __eq__(self, other):
-        return (isinstance(other, TLElement) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return TLElement(self.n, out)
-
-    def scale(self, c):
-        return TLElement(self.n, {m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m, loops = diagram_mul(m1, m2)
-                c = c1 * c2 * (2 ** loops)
-                v = out.get(m, 0) + c
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return TLElement(self.n, out)
-
-    def coeff(self, m: NoncrossingMatching) -> int:
-        return self.terms.get(m, 0)
-
-
-@functools.lru_cache(maxsize=None)
-def theta_of_perm(w: tuple) -> TLElement:
-    """Image of w under the algebra map sending s_i to t_i - 1."""
-    n = len(w)
-    out = TLElement.unit(n)
-    for i in reduced_word(w):
-        ti = TLElement(n, {generator(n, i): 1})
-        out = out * (ti + TLElement.unit(n).scale(-1))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def perm_to_matching(u: tuple) -> NoncrossingMatching:
     """Basis matching of the product of generators over a reduced word."""
@@ -222,9 +167,39 @@ def perm_to_matching(u: tuple) -> NoncrossingMatching:
     return m
 
 
+@functools.lru_cache(maxsize=None)
+def _tl_table(n: int) -> dict:
+    """Map w -> {matching: coefficient} of theta(w^-1) over S_n.
+
+    Built in length order by one generator at a time: for a right descent
+    i of w, theta(w^-1) = (t_i - 1) theta((w s_i)^-1).
+    """
+    if n > TL_MAX_N:
+        raise SizeGuard(f"definitional immanant guard: n <= {TL_MAX_N}")
+    table = {}
+    for w in sorted(itertools.permutations(range(1, n + 1)), key=perm_length):
+        i = first_right_descent(w)
+        if i is None:
+            table[w] = {identity_matching(n): 1}
+            continue
+        g, out = generator(n, i), {}
+        for m, c in table[apply_s(w, i)].items():
+            prod, loops = diagram_mul(g, m)
+            out[prod] = out.get(prod, 0) + c * 2 ** loops
+            out[m] = out.get(m, 0) - c
+        table[w] = {m: c for m, c in out.items() if c}
+    return table
+
+
+def theta_of_perm(w: tuple) -> dict:
+    """Image of w under the algebra map sending s_i to t_i - 1, as
+    {matching: coefficient}."""
+    return _tl_table(len(w))[perm_inverse(w)]
+
+
 def f_coeff(u: tuple, w: tuple) -> int:
     """Coefficient of the basis element of u in theta_of_perm(w)."""
-    return theta_of_perm(w).coeff(perm_to_matching(u))
+    return theta_of_perm(w).get(perm_to_matching(u), 0)
 
 
 def all_matchings(n):
@@ -232,43 +207,27 @@ def all_matchings(n):
     return [perm_to_matching(u) for u in enumerate_321_avoiding(n)]
 
 
-def mirror_matching(m: NoncrossingMatching) -> NoncrossingMatching:
-    """Left-right reflection: L_k and R_k trade places."""
-    flip = {"L": "R", "R": "L"}
-    return NoncrossingMatching(
-        m.n, [tuple((flip[s], k) for s, k in pair) for pair in m.pairs])
-
-
-@functools.lru_cache(maxsize=None)
-def _tl_table(n: int) -> dict:
-    """Map w -> {matching: coefficient in theta_of_perm(w)} over S_n."""
-    if n > TL_MAX_N:
-        raise SizeGuard(f"definitional immanant guard: n <= {TL_MAX_N}")
-    return {w: theta_of_perm(w).terms
-            for w in itertools.permutations(range(1, n + 1))}
-
-
 def imm_tl(tau: NoncrossingMatching, A: SFMatrix) -> SymPoly:
     """Temperley-Lieb immanant of A at type tau, by the defining sum.
 
-    Types are drawn with the row points on the left.  The coefficient of
-    the diagram tau in the expanded product for w is read at the mirror
-    image because our concatenation order is the reflection of the one the
-    immanant definition assumes; the choice is pinned by the general
-    product-of-complementary-minors identity on asymmetric matrices.
+    Types are drawn with the row points on the left.  The immanant weighs
+    the diagonal product of w by the coefficient of tau in theta(w^-1):
+    our concatenation order is the left-right reflection of the one the
+    immanant definition assumes, and the reflection is an anti-automorphism
+    of TL_n fixing every t_i, so it sends theta(w) to theta(w^-1).  The
+    choice is pinned by the general product-of-complementary-minors
+    identity on asymmetric matrices.
     """
     if A.n != tau.n:
         raise ValueError("dimension mismatch")
-    target = mirror_matching(tau)
-    column = {w: {target: terms[target]}
-              for w, terms in _tl_table(tau.n).items() if target in terms}
-    return diagonal_sums(A, column)[target]
+    column = {w: {tau: terms[tau]}
+              for w, terms in _tl_table(tau.n).items() if tau in terms}
+    return diagonal_sums(A, column)[tau]
 
 
 def imm_tl_all(A: SFMatrix) -> dict:
     """Every Temperley-Lieb immanant of A, keyed by type, in one pass."""
-    sums = diagonal_sums(A, _tl_table(A.n))
-    return {mirror_matching(m): p for m, p in sums.items()}
+    return diagonal_sums(A, _tl_table(A.n))
 
 
 def compatible(tau: NoncrossingMatching, I, J) -> bool:

@@ -228,22 +228,29 @@ def test_criterion_08_crystal_properties():
                 x = parent[x]
             return x
 
+        # each crystal step once: up[i][t] and down[i][t] are the indices
+        # of E_i and F_i of tableaux[t], None where the operator vanishes
+        def step(op, i):
+            return [None if S is None else index[S]
+                    for S in (op(T, i) for T in tableaux)]
+
+        up = {i: step(shuffle.crystal_E, i) for i in range(1, N)}
+        down = {i: step(shuffle.crystal_F, i) for i in range(1, N)}
         for t, T in enumerate(tableaux):
             for i in range(1, N):
-                F = shuffle.crystal_F(T, i)
-                E = shuffle.crystal_E(T, i)
-                if E is not None:
-                    if shuffle.crystal_F(E, i) != T:
+                e, f = up[i][t], down[i][t]
+                if e is not None:
+                    if down[i][e] != t:
                         failures.append(("partial inverse", dec.abar))
-                    if types[index[E]] != types[t]:
+                    if types[e] != types[t]:
                         failures.append(("type changed", dec.abar))
-                    wE, wT = E.weight(N), T.weight(N)
+                    wE, wT = tableaux[e].weight(N), T.weight(N)
                     if wE[i - 1] != wT[i - 1] + 1 or wE[i] != wT[i] - 1:
                         failures.append(("weight shift", dec.abar))
-                if F is not None:
-                    if shuffle.crystal_E(F, i) != T:
+                if f is not None:
+                    if up[i][f] != t:
                         failures.append(("partial inverse", dec.abar))
-                    ra, rb = find(index[T]), find(index[F])
+                    ra, rb = find(t), find(f)
                     if ra != rb:
                         parent[ra] = rb
         components = {}

@@ -59,12 +59,27 @@ def test_version_matches_pyproject():
     assert found and found.group(1) == ribbonimm.__version__
 
 
-def test_bad_input_exits_2(tmp_path, hook_files):
+def test_bad_input_exits_2(tmp_path, hook_files, capsys):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["decompose", missing, hook_files[1]]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["decompose", str(bad), hook_files[1]]) == 2
+    # numbers that are not integers: NaN, infinities, fractions, exponents
+    shape, ribbon = hook_files
+    ribbon_json = json.loads(Path(ribbon).read_text())
+    for name, text in [
+            ("shape", '{"outer": [Infinity]}'),
+            ("shape", '{"outer": [-Infinity, 1]}'),
+            ("shape", '{"outer": [NaN]}'),
+            ("shape", '{"outer": [2.9, 1]}'),
+            ("shape", '{"outer": [2, 1], "inner": [1e0]}'),
+            ("ribbon", json.dumps({**ribbon_json, "window_lo": 0.5})),
+            ("ribbon", json.dumps({**ribbon_json, "window_lo": float("inf")}))]:
+        bad.write_text(text)
+        argv = [str(bad), ribbon] if name == "shape" else [shape, str(bad)]
+        assert cli.main(["decompose", *argv]) == 2, text
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
