@@ -154,19 +154,23 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_imm(args) -> int:
+    if args.method == "kl" and not (args.perm or args.type):
+        raise InputError("--perm or --type is required for --method kl")
+    if args.method != "kl" and not args.type:
+        raise InputError(f"--type is required for --method {args.method}")
     shape = _shape_from_file(args.shape)
     ribbon = _ribbon_from_file(args.ribbon)
     dec = _decompose(shape, ribbon)
     N = _resolve_nvars(args.nvars, dec)
     if args.method == "kl":
-        w = _parse_perm(args.perm or args.type or "")
+        w = _parse_perm(args.perm or args.type)
         if len(w) != dec.ell:
             raise InputError("permutation size != number of sections")
         rm = ribbonmat.build(dec, N)
         value = klbase.imm_kl(w, rm.matrix)
         label = f"kl {''.join(map(str, w))}"
     else:
-        u = _parse_perm(args.type or "")
+        u = _parse_perm(args.type)
         if len(u) != dec.ell:
             raise InputError("type size != number of sections")
         if not tlalgebra.is_321_avoiding(u):

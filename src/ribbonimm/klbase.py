@@ -8,24 +8,30 @@ Combinatorics of Coxeter Groups, Prop. 2.2.7).  Bruhat order is a bit
 test on that table.
 
 P_{x,w}(q) is computed by the classical length recursion with mu
-coefficients tracked, on indices, visiting only the x in [e, w].  A
-second, independent computation solves the bar-invariance condition in
-the Hecke algebra directly (triangular solve in the standard basis) and
-is used as an oracle in the tests.
-
-Polynomials in q are stored as coefficient tuples, lowest degree first.
+coefficients tracked, on indices, visiting only the x in [e, w].  The
+table is one row per w: a dict from x to an id in a pool of interned
+coefficient tuples (lowest degree first), as in du Cloux, "Computing
+Kazhdan-Lusztig polynomials for arbitrary Coxeter groups" (2002).  For
+s the first right descent of w, only the x with xs < x go through the
+recursion; every other x copies P_{x,w} = P_{xs,w} (Bjorner-Brenti,
+Sec. 5.1).  The sums of the recursion are memoized on pool ids, so the
+q-arithmetic runs once per distinct combination: 155 polynomial
+additions for the 98,407 entries at n = 6.  A second, independent
+computation solves the bar-invariance condition in the Hecke algebra
+directly (triangular solve in the standard basis) and is used as an
+oracle in the tests.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, SizeGuard, budget
-from .perms import (apply_s, first_right_descent, identity_perm, perm_inverse,
-                    perm_length)
-from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
+from .perms import apply_s, first_right_descent, identity_perm, perm_length
+from .symfunc import SFMatrix, SymPoly, diagonal_sums
 
 HARNESS_MAX_ELL = 5  # conjecture12_harness: sections of a decomposition
 
@@ -83,11 +89,18 @@ class _Weyl:
     right: tuple    # right[i][k]: position of perms[k] s_i (right[0] unused)
     descent: tuple  # first right descent, 0 at the identity
     below: tuple    # the interval [e, perms[k]] as a bitmask of positions
+    # range(n!) as one int object per position, shared by every row of
+    # the KL table (about a third of its memory at n = 7)
+    positions: tuple
 
 
-def _bits(mask: int) -> list:
-    """Positions of the set bits of mask, ascending."""
-    return [k for k, ch in enumerate(reversed(bin(mask)[2:])) if ch == "1"]
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int, positions: tuple) -> list:
+    """positions[k] for each set bit k of mask, k ascending."""
+    flags = bin(mask)[:1:-1].encode().translate(_BIT)  # bit k at byte k
+    return list(itertools.compress(positions, flags))
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,7 +110,8 @@ def _weyl(n: int) -> _Weyl:
     ranked = sorted((perm_length(u), u)
                     for u in itertools.permutations(range(1, n + 1)))
     perms = tuple(u for _, u in ranked)
-    index = {u: k for k, u in enumerate(perms)}
+    positions = tuple(range(len(perms)))
+    index = dict(zip(perms, positions))
     right = ((),) + tuple(tuple(index[apply_s(u, i)] for u in perms)
                           for i in range(1, n))
     descent = tuple(first_right_descent(u) or 0 for u in perms)
@@ -106,11 +120,11 @@ def _weyl(n: int) -> _Weyl:
         s = right[descent[k]]
         lower = below[s[k]]  # [e, ws] with ws < w comes earlier
         mask = lower
-        for x in _bits(lower):
+        for x in _bits(lower, positions):
             mask |= 1 << s[x]
         below.append(mask)
     return _Weyl(perms, index, tuple(lw for lw, _ in ranked), right,
-                 descent, tuple(below))
+                 descent, tuple(below), positions)
 
 
 def bruhat_leq(x: tuple, w: tuple) -> bool:
@@ -123,12 +137,51 @@ def bruhat_leq(x: tuple, w: tuple) -> bool:
 
 # ---------------------------------------------------------------- KL tables
 
+class _Polys(Mapping):
+    """Read-only (x, w) -> P_{x,w} over the rows of a KLTable, iterated
+    in (w, x) ascending (length, lex) order."""
+
+    def __init__(self, table):
+        self._rows, self._pool = table.rows, table.pool
+        W = _weyl(table.n)
+        self._perms, self._index = W.perms, W.index
+        self._len = sum(map(len, self._rows))
+
+    def __getitem__(self, key):
+        x, w = key
+        return self._pool[self._rows[self._index[w]][self._index[x]]]
+
+    def __iter__(self):
+        perms = self._perms
+        for w, row in enumerate(self._rows):
+            for x in row:
+                yield perms[x], perms[w]
+
+    def __len__(self):
+        return self._len
+
+
 @dataclass(frozen=True)
 class KLTable:
-    """Full table of P_{x,w} for x <= w in S_n."""
+    """Full table of P_{x,w} for x <= w in S_n, as one row per w.
+
+    rows[w] maps x -> an id in pool, x ascending over [e, w]; positions
+    are those of `_weyl(n).perms`.  pool[id] is a coefficient tuple.
+    """
 
     n: int
-    polys: dict  # (x, w) -> coefficient tuple
+    rows: tuple
+    pool: tuple
+
+    @functools.cached_property
+    def at_one(self) -> tuple:
+        """P(1) of each pooled polynomial, by id."""
+        return tuple(map(sum, self.pool))
+
+    @functools.cached_property
+    def polys(self) -> Mapping:
+        """(x, w) -> coefficient tuple, read from the rows."""
+        return _Polys(self)
 
     def P(self, x, w):
         return self.polys.get((x, w), ())
@@ -144,17 +197,24 @@ class KLTable:
 
     def dump(self):
         """Lines `x w : polynomial`, in (length, lex) order."""
-        index = _weyl(self.n).index
-        name = {u: "".join(map(str, u)) for u in index}
-        text = {}  # few distinct polynomials: format each once
-        out = []
-        for x, w in sorted(self.polys, key=lambda xw: (index[xw[1]],
-                                                        index[xw[0]])):
-            p = self.polys[(x, w)]
-            if p not in text:
-                text[p] = poly_str(p)
-            out.append(f"{name[x]} {name[w]} : {text[p]}")
-        return out
+        names = ["".join(map(str, u)) for u in _weyl(self.n).perms]
+        text = [poly_str(p) for p in self.pool]
+        return [f"{names[x]} {names[w]} : {text[pid]}"
+                for w, row in enumerate(self.rows) for x, pid in row.items()]
+
+
+class _Pool:
+    """Interned coefficient tuples; id 0 is the zero polynomial."""
+
+    def __init__(self):
+        self.tuples, self.ids = [()], {(): 0}
+
+    def id(self, p) -> int:
+        pid = self.ids.get(p)
+        if pid is None:
+            pid = self.ids[p] = len(self.tuples)
+            self.tuples.append(p)
+        return pid
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,39 +226,70 @@ def kl_polynomials(n: int) -> KLTable:
         raise BudgetExceeded(f"kl_polynomials(n={n}): {size} Bruhat pairs "
                              f"exceed RIL_BUDGET={limit}")
     L = W.length
-    rows = [{0: (1,)}]  # rows[w][x] = P_{x,w}, x ascending over [e, w]
+    pool = _Pool()
+    pooled, one = pool.tuples, pool.id((1,))
+    # descends[i]: the x with x s_i < x, as a bitmask of positions
+    descends = [0] + [sum(1 << x for x, xs in enumerate(r) if L[xs] < L[x])
+                      for r in W.right[1:]]
+    base, corrected = {}, {}  # memoized sums, keyed on pool ids
+    sound = set()  # ids checked to start with 1 and have no negative term
+    rows = [{0: one}]
+    # mus[w]: the (z, mu(z, w)) with mu(z, w) != 0, z ascending.  The
+    # degree bound makes mu(z, w) the leading coefficient of P_{z,w} when
+    # l(w) - l(z) = 2 deg + 1, and 0 otherwise.
+    mus = [[]]
     for w in range(1, len(W.perms)):
-        s = W.right[W.descent[w]]
+        i = W.descent[w]
+        s = W.right[i]
         v = s[w]
         lw = L[w]
         Pv = rows[v]
-        # z with zs < z and mu(z, v) != 0 contribute correction terms
-        relevant = []
-        for z, p in Pv.items():
-            d = lw - 1 - L[z]
-            k = (d - 1) // 2
-            if d % 2 and k < len(p) and p[k] and L[s[z]] < L[z]:
-                relevant.append((rows[z], p[k], (lw - L[z]) // 2))
-        row = {}
-        for x in _bits(W.below[w]):
-            xs = s[x]
-            c = 1 if L[xs] < L[x] else 0
-            p = _padd(_pshift(Pv.get(xs, ()), 1 - c),
-                      _pshift(Pv.get(x, ()), c))
-            for Pz, m, shift in relevant:
-                q = Pz.get(x)  # defined exactly when x <= z
-                if q is not None:
-                    p = _padd(p, _pscale(_pshift(q, shift), -m))
+        # x with xs < x: P_{xs,v} + q P_{x,v} (xs <= v by the lifting
+        # property) ...
+        acc = {}
+        for x in _bits(W.below[w] & descends[i], W.positions):
+            key = (Pv[s[x]], Pv.get(x, 0))
+            pid = base.get(key)
+            if pid is None:
+                pid = base[key] = pool.id(_padd(pooled[key[0]],
+                                                _pshift(pooled[key[1]], 1)))
+            acc[x] = pid
+        # ... less mu(z, v) q^{(l(w)-l(z))/2} P_{x,z} over the z with
+        # zs < z and mu(z, v) != 0
+        for z, m in mus[v]:
+            if L[s[z]] > L[z]:
+                continue
+            shift = (lw - L[z]) // 2
+            for x, qid in rows[z].items():  # exactly the x <= z
+                a = acc.get(x)
+                if a is not None:
+                    key = (a, qid, shift, m)
+                    pid = corrected.get(key)
+                    if pid is None:
+                        term = _pscale(_pshift(pooled[qid], shift), -m)
+                        pid = corrected[key] = pool.id(_padd(pooled[a], term))
+                    acc[x] = pid
+        # every other x copies P_{x,w} = P_{xs,w}
+        row, mu_w = {}, []
+        for x in _bits(W.below[w], W.positions):
+            pid = acc.get(x)
+            if pid is None:
+                pid = acc[s[x]]
+            p = pooled[pid]
+            if pid not in sound:
+                assert p and p[0] == 1 and min(p) >= 0, (x, w, p)
+                sound.add(pid)
+            gap = lw - L[x] - 2 * len(p) + 1  # l(w) - l(x) - 1 - 2 deg
             if x == w:
-                assert p == (1,), (x, w, p)
-            assert p and p[0] == 1 and min(p) >= 0, (x, w, p)
-            if x != w:
-                assert 2 * (len(p) - 1) <= lw - L[x] - 1, (x, w, p)
-            row[x] = p
+                assert pid == one, (x, w, p)
+            else:
+                assert gap >= 0, (x, w, p)
+            if gap == 0:
+                mu_w.append((x, p[-1]))
+            row[x] = pid
         rows.append(row)
-    perms = W.perms
-    return KLTable(n, {(perms[x], perms[w]): p
-                       for w, row in enumerate(rows) for x, p in row.items()})
+        mus.append(mu_w)
+    return KLTable(n, tuple(rows), tuple(pooled))
 
 
 # ------------------------------------------- bar-involution oracle (Hecke)
@@ -272,10 +363,11 @@ def kl_polynomials_hecke(n: int) -> KLTable:
     """
     if n > 6:
         raise SizeGuard("oracle guard: n <= 6")
-    perms = sorted(itertools.permutations(range(1, n + 1)),
-                   key=lambda p: (-perm_length(p), p))
-    polys = {}
-    for w in itertools.permutations(range(1, n + 1)):
+    W = _weyl(n)
+    perms = sorted(W.perms, key=lambda p: (-perm_length(p), p))
+    pool = _Pool()
+    rows = []
+    for w in W.perms:
         coeffs = {w: {0: 1}}
         for x in perms:
             if x == w or not bruhat_leq(x, w):
@@ -292,6 +384,7 @@ def kl_polynomials_hecke(n: int) -> KLTable:
             coeffs[x] = _ladd(coeffs.get(x, {}), h)
         # convert h_x to P_{x,w}
         lw = perm_length(w)
+        row = {}
         for x, c in coeffs.items():
             lx = perm_length(x)
             p = [0] * ((lw - lx) // 2 + 1)
@@ -299,8 +392,9 @@ def kl_polynomials_hecke(n: int) -> KLTable:
                 diff = (lw - lx) - k
                 assert diff >= 0 and diff % 2 == 0, (x, w, c)
                 p[diff // 2] = cf
-            polys[(x, w)] = _ptrim(p)
-    return KLTable(n, polys)
+            row[W.index[x]] = pool.id(_ptrim(p))
+        rows.append(dict(sorted(row.items())))
+    return KLTable(n, tuple(rows), tuple(pool.tuples))
 
 
 # ----------------------------------------------------------------- immanants
@@ -312,12 +406,13 @@ def _kl_weights(n: int, w: tuple):
     table = kl_polynomials(n)
     W = _weyl(n)
     top = W.index[tuple(n + 1 - k for k in w)]  # w0 w
+    at_one = table.at_one
     out = {}
     # v >= w iff w0 v <= w0 w: run x = w0 v over [e, w0 w]
-    for x in _bits(W.below[top]):
+    for x, pid in table.rows[top].items():
         v = tuple(n + 1 - k for k in W.perms[x])
         sign = -1 if (W.length[top] - W.length[x]) % 2 else 1
-        out[v] = sign * sum(table.polys[(W.perms[x], W.perms[top])])
+        out[v] = sign * at_one[pid]
     return dict(sorted(out.items()))
 
 
@@ -334,7 +429,12 @@ def _kl_table(n: int) -> dict:
 
 def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
     """Kazhdan-Lusztig immanant at w: a signed, KL-weighted sum of
-    diagonal products; at w = e it is the determinant."""
+    diagonal products; at w = e it is the determinant.
+
+    At a 321-avoiding w it is the Temperley-Lieb immanant of the
+    matching of the inverse: imm_kl(w, A) ==
+    imm_tl(perm_to_matching(perm_inverse(w)), A).
+    """
     n = len(w)
     if A.n != n:
         raise ValueError("dimension mismatch")
@@ -383,16 +483,3 @@ def conjecture12_harness(dec, N: int):
         "certificates": certificates,
         "all_positive": not certificates,
     }
-
-
-def imm_det_check(A: SFMatrix) -> bool:
-    """Imm at the identity equals the determinant."""
-    return imm_kl(identity_perm(A.n), A) == determinant(A)
-
-
-def kl_inverse_symmetry(table: KLTable) -> bool:
-    """P_{x,w} == P_{x^-1,w^-1} over the whole table."""
-    for (x, w), p in table.polys.items():
-        if table.polys.get((perm_inverse(x), perm_inverse(w))) != p:
-            return False
-    return True

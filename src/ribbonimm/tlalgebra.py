@@ -156,7 +156,12 @@ def diagram_mul(m1: NoncrossingMatching, m2: NoncrossingMatching):
 
 @functools.lru_cache(maxsize=None)
 def perm_to_matching(u: tuple) -> NoncrossingMatching:
-    """Basis matching of the product of generators over a reduced word."""
+    """Basis matching of the product of generators over a reduced word.
+
+    The KL immanant at a 321-avoiding w is the TL immanant of
+    perm_to_matching(perm_inverse(w)), the matching of the inverse (for
+    an involution such as 2143, the matching of w itself).
+    """
     if not is_321_avoiding(u):
         raise ValueError(f"{u} contains the pattern 321")
     n = len(u)

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from ribbonimm import corpus
+from ribbonimm.klbase import imm_kl
+from ribbonimm.perms import identity_perm
 from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, decompose,
                               shape_from_tuples)
-from ribbonimm.symfunc import SFMatrix, SymPoly
+from ribbonimm.symfunc import SFMatrix, SymPoly, determinant
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +63,8 @@ def random_sf_matrix(rng: random.Random, n: int, nvars: int,
 
     grid = [[rand_poly() for _ in range(n)] for _ in range(n)]
     return SFMatrix(n, nvars, grid)
+
+
+def imm_det_check(A: SFMatrix) -> bool:
+    """Imm at the identity equals the determinant."""
+    return imm_kl(identity_perm(A.n), A) == determinant(A)

@@ -11,7 +11,7 @@ coverage against runtime.
 import itertools
 import random
 
-from conftest import random_sf_matrix, row_sections_dec
+from conftest import imm_det_check, random_sf_matrix, row_sections_dec
 from ribbonimm import corpus as corpus_mod
 from ribbonimm import klbase, network, ribbonmat, shuffle, tlalgebra
 from ribbonimm.shapes import (InfiniteRibbon, decompose, shape_from_tuples)
@@ -281,7 +281,7 @@ def test_criterion_09_kl_gates():
     rng = random.Random(99)
     for trial in range(20):
         n = rng.randint(1, 4)
-        if not klbase.imm_det_check(random_sf_matrix(rng, n, 2)):
+        if not imm_det_check(random_sf_matrix(rng, n, 2)):
             failures.append(("det anchor", trial))
     A, _ = ribbonmat.remark_matrices(N_first=5, N_second=2)
     w = (2, 1, 4, 3)

@@ -117,6 +117,17 @@ def test_bad_arguments_exit_2(argv, small_files, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, needed", [
+    ("def", "--type"), ("shuffle", "--type"), ("covers", "--type"),
+    ("crystal", "--type"), ("kl", "--perm or --type")])
+def test_imm_names_the_missing_option(method, needed, small_files, capsys):
+    code = cli.main(["imm", *small_files, "--method", method])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {needed} is required for --method {method}" in err
+    assert "Traceback" not in err
+
+
 def test_matrix_identity(small_files, capsys):
     code = cli.main(["--json", "matrix", *small_files, "--nvars", "3"])
     assert code == 0

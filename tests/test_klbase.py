@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import random_sf_matrix, row_sections_dec
+from conftest import imm_det_check, random_sf_matrix, row_sections_dec
 from ribbonimm import klbase, ribbonmat, tlalgebra
 from ribbonimm.errors import BudgetExceeded
+from ribbonimm.perms import apply_s, perm_inverse
 from ribbonimm.symfunc import determinant, expand_schur
 from ribbonimm.tlalgebra import identity_perm, perm_length
 
@@ -76,6 +77,11 @@ def test_kl_table_budget_guard(monkeypatch):
     monkeypatch.setenv("RIL_BUDGET", "100")
     with pytest.raises(BudgetExceeded, match=r"kl_polynomials\(n=4\).*213"):
         klbase.kl_polynomials(4)
+    # the default budget refuses S_7 from the pair count alone
+    monkeypatch.delenv("RIL_BUDGET")
+    with pytest.raises(BudgetExceeded, match=r"\(n=7\): 3550919 Bruhat pairs "
+                       r"exceed RIL_BUDGET=2000000"):
+        klbase.kl_polynomials(7)
 
 
 def test_table_only_on_bruhat_pairs():
@@ -87,8 +93,66 @@ def test_table_only_on_bruhat_pairs():
             assert 2 * (len(p) - 1) <= perm_length(w) - perm_length(x) - 1
 
 
+def kl_inverse_symmetry(table) -> bool:
+    """P_{x,w} == P_{x^-1,w^-1} over the whole table."""
+    for (x, w), p in table.polys.items():
+        if table.polys.get((perm_inverse(x), perm_inverse(w))) != p:
+            return False
+    return True
+
+
 def test_inverse_symmetry():
-    assert klbase.kl_inverse_symmetry(klbase.kl_polynomials(4))
+    for n in range(1, 7):
+        assert kl_inverse_symmetry(klbase.kl_polynomials(n)), n
+
+
+def left_s(u, i):
+    """s_i u: swap the values i and i+1."""
+    return tuple(i + 1 if a == i else i if a == i + 1 else a for a in u)
+
+
+def test_descent_identities():
+    # P_{x,w} = P_{xs,w} for every right descent s of w and P_{x,w} =
+    # P_{sx,w} for every left descent (Bjorner-Brenti, Combinatorics of
+    # Coxeter Groups, Sec. 5.1); the table is built from the first right
+    # descent only, so the other descents and the left side check it
+    for n in range(1, 6):
+        table = klbase.kl_polynomials(n)
+        for (x, w), p in table.polys.items():
+            lw = perm_length(w)
+            for i in range(1, n):
+                if perm_length(apply_s(w, i)) < lw:
+                    assert table.P(apply_s(x, i), w) == p, (x, w, i)
+                if perm_length(left_s(w, i)) < lw:
+                    assert table.P(left_s(x, i), w) == p, (x, w, i)
+
+
+def test_polys_is_a_read_only_view():
+    table = klbase.kl_polynomials(4)
+    W = klbase._weyl(4)
+    keys = list(table.polys)
+    assert keys == sorted(keys, key=lambda xw: (W.index[xw[1]],
+                                                W.index[xw[0]]))
+    assert len(keys) == len(table.polys) == 213
+    assert dict(table.polys) == table.polys
+    assert table.polys[((1, 3, 2, 4), (3, 4, 1, 2))] == (1, 1)
+    assert ((2, 1, 3, 4), (1, 3, 2, 4)) not in table.polys
+    with pytest.raises(KeyError):
+        table.polys[((2, 1, 3, 4), (1, 3, 2, 4))]
+    with pytest.raises(TypeError):
+        table.polys[((1, 2, 3, 4), (1, 2, 3, 4))] = (1,)
+
+
+def test_tl_is_kl_at_321_avoiding():
+    # Theorem 1.1 is the 321-avoiding case of Conjecture 1.2: the KL
+    # weight of v at a 321-avoiding w is the TL coefficient of v at the
+    # matching of w^-1 (Rhoades-Skandera, "Temperley-Lieb immanants")
+    for n in range(1, 7):
+        kl, tl = klbase._kl_table(n), tlalgebra._tl_table(n)
+        for w in tlalgebra.enumerate_321_avoiding(n):
+            tau = tlalgebra.perm_to_matching(perm_inverse(w))
+            for v in itertools.permutations(range(1, n + 1)):
+                assert kl[v].get(w, 0) == tl[v].get(tau, 0), (v, w)
 
 
 def test_mu_values():
@@ -129,7 +193,7 @@ def test_identity_immanant_is_determinant():
     for _ in range(5):
         n = rng.randint(1, 4)
         A = random_sf_matrix(rng, n, 2)
-        assert klbase.imm_det_check(A)
+        assert imm_det_check(A)
         assert klbase.imm_kl(identity_perm(n), A) == determinant(A)
 
 
