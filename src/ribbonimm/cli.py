@@ -16,15 +16,10 @@ from multiprocessing import Pool
 
 from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
-from .errors import RibbonError
+from .errors import RibbonError, budget
 from .shapes import InfiniteRibbon, SkewShape, decompose
 from .symfunc import (DET_MAX_N, SymPoly, determinant, expand_schur,
                       skew_schur)
-
-# most sections each sweep theorem supports (the guard it would hit)
-_SWEEP_MAX_ELL = {"det": DET_MAX_N, "1.1": tlalgebra.TL_MAX_N,
-                  "cor3.5": tlalgebra.TL_MAX_N,
-                  "conj1.2": klbase.HARNESS_MAX_ELL}
 
 
 class InputError(Exception):
@@ -228,10 +223,14 @@ def _sweep_one(packed):
 
 
 def cmd_sweep(args) -> int:
-    limit = _SWEEP_MAX_ELL[args.theorem]
-    if args.max_ell > limit:
-        raise InputError(f"--theorem {args.theorem} supports "
-                         f"--max-ell <= {limit}")
+    # refuse the largest table the theorem needs before building the corpus
+    if args.theorem == "det":
+        if args.max_ell > DET_MAX_N:
+            raise InputError(f"--theorem det supports --max-ell <= {DET_MAX_N}")
+    elif args.theorem == "conj1.2":
+        klbase.charge_kl_table(args.max_ell)
+    else:
+        tlalgebra.charge_tl_table(args.max_ell)
     decs = sweep_corpus(args.max_cells, args.max_window,
                         args.max_ell, args.per_bucket)
     if args.limit is not None:
@@ -285,8 +284,6 @@ def cmd_remarks(args) -> int:
 
 def cmd_kl_table(args) -> int:
     n = args.n
-    if n > 6:
-        raise InputError("kl-table supports n <= 6")
     table = klbase.kl_polynomials(n)
     lines = table.dump()
     obj = {"n": n, "table": lines}
@@ -352,6 +349,7 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        budget()  # a malformed RIL_BUDGET is bad input to every command
         return args.func(args)
     except (InputError, RibbonError) as exc:
         print(f"error: {exc}", file=sys.stderr)

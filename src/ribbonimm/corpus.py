@@ -24,16 +24,13 @@ from .shapes import (BELOW, LEFT, InfiniteRibbon, decompose,
 
 
 def enumerate_ribbons(max_window: int):
-    """Canonical ribbons (window_lo = 0) with at most max_window steps."""
-    seen = set()
+    """Canonical ribbons (window_lo = 0) with at most max_window steps:
+    the step words that neither start with tail_lo nor end with tail_hi."""
     for tail_lo, tail_hi in itertools.product((LEFT, BELOW), repeat=2):
         for k in range(max_window + 1):
             for steps in itertools.product((LEFT, BELOW), repeat=k):
-                R = InfiniteRibbon(0, steps, tail_lo, tail_hi)
-                key = (R.steps, R.tail_lo, R.tail_hi)
-                if key not in seen:
-                    seen.add(key)
-                    yield InfiniteRibbon(0, R.steps, R.tail_lo, R.tail_hi)
+                if not steps or (steps[0] != tail_lo and steps[-1] != tail_hi):
+                    yield InfiniteRibbon(0, steps, tail_lo, tail_hi)
 
 
 def _touches(R: InfiniteRibbon, outer_sec, inner_sec) -> bool:

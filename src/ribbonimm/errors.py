@@ -36,8 +36,20 @@ class SizeGuard(RibbonError, ValueError):
 
 
 def budget() -> int:
-    """Most items an exponential enumeration may visit: RIL_BUDGET."""
-    return int(os.environ.get("RIL_BUDGET", "2000000"))
+    """Most items an exponential enumeration or an S_n table may hold:
+    RIL_BUDGET, a positive integer."""
+    text = os.environ.get("RIL_BUDGET", "2000000")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise RibbonError(f"RIL_BUDGET={text!r} is not a positive integer")
+    return int(text)
+
+
+def charge(layer: str, size: int, unit: str) -> None:
+    """Refuse a table of size items before it is built."""
+    limit = budget()
+    if size > limit:
+        raise BudgetExceeded(f"{layer}: {size} {unit} exceed "
+                             f"RIL_BUDGET={limit}")
 
 
 class ValidityError(RibbonError):

@@ -29,11 +29,9 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, SizeGuard, budget
+from .errors import SizeGuard, charge
 from .perms import apply_s, first_right_descent, identity_perm, perm_length
 from .symfunc import SFMatrix, SymPoly, diagonal_sums
-
-HARNESS_MAX_ELL = 5  # conjecture12_harness: sections of a decomposition
 
 # ------------------------------------------------------------ q-polynomials
 
@@ -217,14 +215,18 @@ class _Pool:
         return pid
 
 
+def charge_kl_table(n: int) -> None:
+    """Charge the entries of kl_polynomials(n), one per Bruhat pair of
+    S_n, to the budget."""
+    charge(f"kl_polynomials(n={n})",
+           sum(m.bit_count() for m in _weyl(n).below), "Bruhat pairs")
+
+
 @functools.lru_cache(maxsize=None)
 def kl_polynomials(n: int) -> KLTable:
     """All P_{x,w} by the classical recursion on l(w) (n <= 7)."""
+    charge_kl_table(n)
     W = _weyl(n)
-    size, limit = sum(m.bit_count() for m in W.below), budget()
-    if size > limit:
-        raise BudgetExceeded(f"kl_polynomials(n={n}): {size} Bruhat pairs "
-                             f"exceed RIL_BUDGET={limit}")
     L = W.length
     pool = _Pool()
     pooled, one = pool.tuples, pool.id((1,))
@@ -438,8 +440,6 @@ def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
     n = len(w)
     if A.n != n:
         raise ValueError("dimension mismatch")
-    if n > 6:
-        raise SizeGuard("KL immanant guard: n <= 6")
     row = {v: {w: c} for v, c in _kl_weights(n, w).items() if c}
     return diagonal_sums(A, row)[w]
 
@@ -453,8 +453,6 @@ def conjecture12_harness(dec, N: int):
     from .ribbonmat import build
     from .symfunc import expand_schur
 
-    if dec.ell > HARNESS_MAX_ELL:
-        raise SizeGuard(f"harness guard: ell <= {HARNESS_MAX_ELL}")
     rm = build(dec, N)
     by_perm = diagonal_sums(rm.matrix, _kl_table(dec.ell))
     per_perm, certificates = [], []

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from .errors import StrandTraceError
 from .shapes import (BELOW, LEFT, InfiniteRibbon, RibbonDecomposition,
                      odd_even_shapes, ribbon_section_shape)
-from .symfunc import (SymPoly, charge_budget, pair_by_weight, partition_key,
-                      tally)
+from .symfunc import SymPoly, charge_budget, pair_by_weight, tally
 from .tlalgebra import NoncrossingMatching
 
 
@@ -136,16 +135,6 @@ def _all_paths(net: RibbonNetwork, i: int, j: int):
         charge_budget("paths", net.N, {f"P_{i} -> Q_{j}": ribbon_section_shape(
             net.ribbon, end[0], start[0])})
     return tuple(_paths_between(net, start, end))
-
-
-def path_weight_sum(net: RibbonNetwork, i: int, j: int) -> SymPoly:
-    """Sum of path weights P_i -> Q_j; equals the matrix entry (i, j)."""
-    coeffs = {}
-    for _, wt in _all_paths(net, i, j):
-        key = partition_key(wt)
-        if key is not None:
-            coeffs[key] = coeffs.get(key, 0) + 1
-    return SymPoly(net.N, coeffs)
 
 
 def _disjoint_families(net: RibbonNetwork, indices):

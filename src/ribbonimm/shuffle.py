@@ -111,9 +111,6 @@ class ShuffleDiagram:
     def ell(self) -> int:
         return self.decomposition.ell
 
-    def color(self, coord) -> str:
-        return "red" if coord[0] % 2 else "blue"
-
     def strand_picture(self):
         """The filling-independent part of the strand picture, compiled on
         first use (see _compile_picture)."""

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import SizeGuard, StrandTraceError
+from .errors import BudgetExceeded, StrandTraceError, budget, charge
 from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
                     first_right_descent, identity_perm, is_321_avoiding,
                     perm_inverse, perm_length, perm_mul, perm_sign,
                     reduced_word)
 from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
-
-TL_MAX_N = 6  # _tl_table: size of the definitional sum over S_n
 
 
 # ------------------------------------------------------------------- matchings
@@ -172,6 +171,18 @@ def perm_to_matching(u: tuple) -> NoncrossingMatching:
     return m
 
 
+def charge_tl_table(n: int) -> None:
+    """Charge the n! Catalan(n) (permutation, matching) slots of
+    _tl_table(n) to the budget.  Since n! >= 2^(n-1), an n past the
+    budget's bit length is refused without its (huge) count."""
+    limit = budget()
+    if n > limit.bit_length():
+        raise BudgetExceeded(f"_tl_table(n={n}): more than 2^{n - 1} slots "
+                             f"exceed RIL_BUDGET={limit}")
+    charge(f"_tl_table(n={n})",
+           math.factorial(n) * math.comb(2 * n, n) // (n + 1), "slots")
+
+
 @functools.lru_cache(maxsize=None)
 def _tl_table(n: int) -> dict:
     """Map w -> {matching: coefficient} of theta(w^-1) over S_n.
@@ -179,8 +190,7 @@ def _tl_table(n: int) -> dict:
     Built in length order by one generator at a time: for a right descent
     i of w, theta(w^-1) = (t_i - 1) theta((w s_i)^-1).
     """
-    if n > TL_MAX_N:
-        raise SizeGuard(f"definitional immanant guard: n <= {TL_MAX_N}")
+    charge_tl_table(n)
     table = {}
     for w in sorted(itertools.permutations(range(1, n + 1)), key=perm_length):
         i = first_right_descent(w)
@@ -200,11 +210,6 @@ def theta_of_perm(w: tuple) -> dict:
     """Image of w under the algebra map sending s_i to t_i - 1, as
     {matching: coefficient}."""
     return _tl_table(len(w))[perm_inverse(w)]
-
-
-def f_coeff(u: tuple, w: tuple) -> int:
-    """Coefficient of the basis element of u in theta_of_perm(w)."""
-    return theta_of_perm(w).get(perm_to_matching(u), 0)
 
 
 def all_matchings(n):

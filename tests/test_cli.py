@@ -225,3 +225,65 @@ def test_imm_over_budget_exits_2(hook_files, method, monkeypatch, capsys):
     assert code == 2
     assert err.startswith(f"error: more than 2000000 {noun}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", ""])
+def test_malformed_budget_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("RIL_BUDGET", value)
+    code = cli.main(["kl-table", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: RIL_BUDGET={value!r} is not a positive integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture()
+def column_files(tmp_path):
+    # a 7-cell column cut by the all-row ribbon: seven one-cell sections
+    ribbon = InfiniteRibbon(tail_lo="L", tail_hi="L")
+    sp = tmp_path / "shape.json"
+    rp = tmp_path / "ribbon.json"
+    sp.write_text(json.dumps(SkewShape((1,) * 7).to_json()))
+    rp.write_text(json.dumps(ribbon.to_json()))
+    return str(sp), str(rp)
+
+
+TL7 = "_tl_table(n=7): 2162160 slots exceed RIL_BUDGET=2000000"
+KL7 = "kl_polynomials(n=7): 3550919 Bruhat pairs exceed RIL_BUDGET=2000000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["imm", "SHAPE", "RIBBON", "--type", "1234567"], TL7),
+    (["imm", "SHAPE", "RIBBON", "--method", "kl", "--perm", "7654321"], KL7),
+    (["kl-table", "7"], KL7),
+    (["sweep", "--theorem", "1.1", "--max-ell", "7"], TL7),
+    (["sweep", "--theorem", "cor3.5", "--max-ell", "7"], TL7),
+    (["sweep", "--theorem", "conj1.2", "--max-ell", "7"], KL7),
+    (["sweep", "--theorem", "1.1", "--max-ell", "1000000000"],
+     "_tl_table(n=1000000000): more than 2^999999999 slots exceed "
+     "RIL_BUDGET=2000000"),
+])
+def test_seven_sections_refused_by_table_size(argv, message, column_files,
+                                              monkeypatch, capsys):
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("corpus built before the table was charged")
+
+    monkeypatch.setattr(cli, "sweep_corpus", refuse)
+    argv = [{"SHAPE": column_files[0], "RIBBON": column_files[1]}.get(a, a)
+            for a in argv]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_conj12_sweep_takes_six_sections(capsys):
+    code = cli.main(["--json", "sweep", "--theorem", "conj1.2", "--max-ell",
+                     "6", "--max-cells", "7", "--per-bucket", "1",
+                     "--full-report"])
+    blob = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert blob["failures"] == 0
+    assert max(len(item["a"]) for item in blob["items"]) == 6

@@ -8,7 +8,8 @@ from conftest import imm_det_check, random_sf_matrix, row_sections_dec
 from ribbonimm import klbase, ribbonmat, tlalgebra
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.perms import apply_s, perm_inverse
-from ribbonimm.symfunc import determinant, expand_schur
+from ribbonimm.shapes import SkewShape, decompose
+from ribbonimm.symfunc import determinant, expand_schur, skew_schur
 from ribbonimm.tlalgebra import identity_perm, perm_length
 
 
@@ -221,6 +222,25 @@ def test_conjecture_harness_small():
     assert len(report["immanants"]) == 2
     for entry in report["immanants"]:
         assert entry["schur_positive"]
+
+
+@pytest.mark.parametrize("outer, inner", [
+    ((2, 2, 1, 1, 1, 1), ()), ((3, 3, 2, 2, 1, 1), (2, 1, 1))])
+def test_conjecture_harness_jacobi_trudi_six_sections(outer, inner,
+                                                      row_ribbon):
+    # the all-row ribbon cuts a shape into its rows, so the matrix is the
+    # (skew) Jacobi-Trudi matrix, and each of its KL immanants is Schur
+    # positive by Haiman's theorem: a certificate here would be a bug
+    shape = SkewShape(outer, inner)
+    dec = decompose(shape, row_ribbon)
+    assert dec.ell == 6
+    N = shape.size
+    report = klbase.conjecture12_harness(dec, N)
+    assert report["all_positive"]
+    assert len(report["immanants"]) == 720
+    identity = report["immanants"][0]
+    assert identity["perm"] == [1, 2, 3, 4, 5, 6]
+    assert identity["expansion"] == str(expand_schur(skew_schur(shape, N)))
 
 
 def test_kl_immanant_expands_in_tl_immanants():

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from conftest import random_sf_matrix
+from ribbonimm import tlalgebra
+from ribbonimm.errors import BudgetExceeded
 from ribbonimm.symfunc import SymPoly, determinant
 from ribbonimm.tlalgebra import (NoncrossingMatching, all_matchings, apply_s,
                                  compatible, compatible_types, diagram_mul,
-                                 enumerate_321_avoiding, f_coeff, generator,
+                                 enumerate_321_avoiding, generator,
                                  identity_matching, identity_perm, imm_tl,
                                  is_321_avoiding, minor, perm_inverse,
                                  perm_length, perm_mul, perm_sign,
@@ -15,6 +17,11 @@ from ribbonimm.tlalgebra import (NoncrossingMatching, all_matchings, apply_s,
                                  theta_of_perm)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
+
+
+def f_coeff(u: tuple, w: tuple) -> int:
+    """Coefficient of the basis element of u in theta_of_perm(w)."""
+    return theta_of_perm(w).get(perm_to_matching(u), 0)
 
 
 def test_perm_utilities():
@@ -161,3 +168,23 @@ def test_minor_matches_determinant():
     assert minor(A, (1, 2), (2, 3)) == determinant(
         A.submatrix((1, 2), (2, 3)))
     assert minor(A, (), ()) == SymPoly.one(2)
+
+
+def test_tl_table_charges_its_slots(monkeypatch):
+    # n! Catalan(n) slots: 336 at n = 4, 2162160 at n = 7
+    monkeypatch.setenv("RIL_BUDGET", "300")
+    with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=4\): 336 slots "
+                       r"exceed RIL_BUDGET=300$"):
+        tlalgebra._tl_table.__wrapped__(4)
+    monkeypatch.setenv("RIL_BUDGET", "336")
+    assert tlalgebra._tl_table.__wrapped__(4) == tlalgebra._tl_table(4)
+    # the default budget refuses S_7 before any diagram is multiplied
+    monkeypatch.delenv("RIL_BUDGET")
+
+    def refuse(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(tlalgebra, "diagram_mul", refuse)
+    with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=7\): 2162160 "
+                       r"slots exceed RIL_BUDGET=2000000$"):
+        tlalgebra._tl_table(7)
