@@ -34,7 +34,7 @@ from .errors import StrandTraceError
 from .shapes import (BELOW, LEFT, InfiniteRibbon, RibbonDecomposition,
                      odd_even_shapes, ribbon_section_shape)
 from .symfunc import SymPoly, charge_budget, pair_by_weight, tally
-from .tlalgebra import NoncrossingMatching
+from .tlalgebra import NoncrossingMatching, matching
 
 
 @dataclass(frozen=True)
@@ -204,6 +204,7 @@ def uncross_type(family) -> NoncrossingMatching:
     that path and reverses direction, so two strands that meet bounce off
     each other instead of crossing.  It ends when it runs forward off the
     end of a path j (at Q_j) or backward off its start (at P_j).
+    Returns the interned matching.
     """
     paths = {k: verts for k, verts, _ in family}
     on = {}  # vertex -> the (path, position) pairs through it
@@ -242,7 +243,7 @@ def uncross_type(family) -> NoncrossingMatching:
                 other = walk(k, i, step)
                 done.update((end, other))
                 pairs.append((end, other))
-    return NoncrossingMatching(len(family), pairs)
+    return matching(len(family), pairs)
 
 
 def covers_by_type(dec: RibbonDecomposition, N: int):

@@ -31,7 +31,7 @@ from .errors import StrandTraceError, ValidityError
 from .shapes import BELOW, RibbonDecomposition, SkewShape
 from .symfunc import (SchurExpansion, SymPoly, charge_budget, enumerate_ssyt,
                       pair_by_weight, tally)
-from .tlalgebra import NoncrossingMatching, trace_strands
+from .tlalgebra import NoncrossingMatching, matching, trace_strands
 
 NEG = float("-inf")
 POS = float("inf")
@@ -296,7 +296,8 @@ def strand_segments(T: ShuffleTableau) -> list:
 
 def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
     """Noncrossing matching traced by the strand segments; P_k is the
-    left point L_k, Q_k the right point R_k.  Closed loops are ignored."""
+    left point L_k, Q_k the right point R_k.  Closed loops are ignored.
+    The matching is the interned one."""
     d = T.diagram
     node_label = d.strand_picture()[2]
     adj = {}
@@ -322,7 +323,7 @@ def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
         raise StrandTraceError(f"cell {pos} received no segment")
 
     pairs, _ = trace_strands(adj, node_label)
-    return NoncrossingMatching(d.ell, pairs)
+    return matching(d.ell, pairs)
 
 
 # -------------------------------------------------- covers to shuffle fillings

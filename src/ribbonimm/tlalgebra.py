@@ -4,10 +4,22 @@ Basis diagrams are noncrossing perfect matchings on boundary points
 L_1..L_n, R_1..R_n, read in circular order L_1..L_n, R_n..R_1.
 Permutations are tuples in one-line notation with values 1..n.
 
+Matchings are interned: `matching(n, pairs)` returns the one object with
+those canonical pairs, validated the first time they are seen.  A
+generator acts by `cap`: t_i m (side "L") or m t_i (side "R") joins two
+adjacent boundary points of m, in O(n), with no strand tracing
+(Rhoades-Skandera, "Temperley-Lieb immanants", 2005, for the matching
+model).  The basis of TL_n is built once per n (`_basis`): the Catalan(n)
+matchings, as the closure of the identity under the generators, and the
+table of the left actions m -> (t_i m, loops).  `perm_to_matching` folds
+the right action over a reduced word.  `diagram_mul` is the general
+product by tracing the glued diagram; the tests use it as the oracle of
+both actions.
+
 The definitional immanants read one coefficient table over S_n: the
 algebra map theta sending s_i to t_i - 1, taken at w^-1 and expanded in
 the basis diagrams.  It is built once per n by a one-generator recursion
-along right descents, in length order.
+along right descents, in length order, reading the left action.
 """
 
 from __future__ import annotations
@@ -37,7 +49,10 @@ def _pt_R(j):
 
 @dataclass(frozen=True)
 class NoncrossingMatching:
-    """Perfect matching on L_1..L_n, R_1..R_n; noncrossing on the circle."""
+    """Perfect matching on L_1..L_n, R_1..R_n; noncrossing on the circle.
+
+    Its hash is computed once: matchings key every row of the TL table.
+    """
 
     n: int
     pairs: tuple  # sorted tuple of sorted 2-tuples of points
@@ -53,6 +68,15 @@ class NoncrossingMatching:
             raise ValueError("matching has crossing strands")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_hash", hash((n, pairs)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt (and interned) on unpickling: string hashes differ
+        # between interpreters
+        return matching, (self.n, self.pairs)
 
     def __str__(self):
         def fmt(p):
@@ -76,8 +100,22 @@ def _crosses(n, pairs) -> bool:
     return False
 
 
+_INTERNED = {}  # (n, canonical pairs) -> the matching
+
+
+def matching(n, pairs) -> NoncrossingMatching:
+    """The interned matching with these pairs.  Pairs not seen before go
+    through the validating constructor, which raises ValueError on a
+    crossing or non-perfect list."""
+    key = (n, tuple(sorted(tuple(sorted(p)) for p in pairs)))
+    m = _INTERNED.get(key)
+    if m is None:
+        m = _INTERNED[key] = NoncrossingMatching(*key)
+    return m
+
+
 def identity_matching(n) -> NoncrossingMatching:
-    return NoncrossingMatching(n, [(_pt_L(k), _pt_R(k)) for k in range(1, n + 1)])
+    return matching(n, [(_pt_L(k), _pt_R(k)) for k in range(1, n + 1)])
 
 
 def generator(n, i) -> NoncrossingMatching:
@@ -85,7 +123,7 @@ def generator(n, i) -> NoncrossingMatching:
         raise ValueError(f"generator index {i} out of range for n={n}")
     pairs = [(_pt_L(i), _pt_L(i + 1)), (_pt_R(i), _pt_R(i + 1))]
     pairs += [(_pt_L(k), _pt_R(k)) for k in range(1, n + 1) if k not in (i, i + 1)]
-    return NoncrossingMatching(n, pairs)
+    return matching(n, pairs)
 
 
 def trace_strands(adj, ends):
@@ -153,9 +191,55 @@ def diagram_mul(m1: NoncrossingMatching, m2: NoncrossingMatching):
     return NoncrossingMatching(n, pairs), loops
 
 
+# ------------------------------------------------------------------ the basis
+
+def cap(m: NoncrossingMatching, side: str, i: int):
+    """Join the boundary points (side, i) and (side, i + 1) of m by a cap
+    from outside, in O(n): returns (matching, loops).  On side "L" this
+    is t_i m, on side "R" it is m t_i.  The two strands at the points
+    join (a closed loop if they were one strand) and the two points are
+    paired."""
+    p, q = (side, i), (side, i + 1)
+    partner = {}
+    for a, b in m.pairs:
+        partner[a], partner[b] = b, a
+    if partner[p] == q:
+        return m, 1
+    pairs = [pair for pair in m.pairs if p not in pair and q not in pair]
+    return matching(m.n, pairs + [(p, q), (partner[p], partner[q])]), 0
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """The basis diagrams of TL_n and the left action of each generator."""
+
+    matchings: tuple  # closure order from the identity
+    left: tuple       # left[i][m] = (t_i m, loops); left[0] unused
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(n: int) -> _Basis:
+    """The Catalan(n) matchings, as the closure of the identity under the
+    generators, with t_i m for each.  Not charged to the budget:
+    _tl_table charges n! times as much before it asks for the basis."""
+    matchings = [identity_matching(n)]
+    seen = set(matchings)
+    left = [{} for _ in range(n)]
+    for m in matchings:  # grows as new products are found
+        for i in range(1, n):
+            prod, loops = cap(m, "L", i)
+            left[i][m] = prod, loops
+            if prod not in seen:
+                seen.add(prod)
+                matchings.append(prod)
+    assert len(matchings) == math.comb(2 * n, n) // (n + 1), n
+    return _Basis(tuple(matchings), tuple(left))
+
+
 @functools.lru_cache(maxsize=None)
 def perm_to_matching(u: tuple) -> NoncrossingMatching:
-    """Basis matching of the product of generators over a reduced word.
+    """Basis matching of the product of generators over a reduced word,
+    folded one right action m -> m t_i at a time.
 
     The KL immanant at a 321-avoiding w is the TL immanant of
     perm_to_matching(perm_inverse(w)), the matching of the inverse (for
@@ -163,10 +247,9 @@ def perm_to_matching(u: tuple) -> NoncrossingMatching:
     """
     if not is_321_avoiding(u):
         raise ValueError(f"{u} contains the pattern 321")
-    n = len(u)
-    m = identity_matching(n)
+    m = identity_matching(len(u))
     for i in reduced_word(u):
-        m, loops = diagram_mul(m, generator(n, i))
+        m, loops = cap(m, "R", i)
         assert loops == 0
     return m
 
@@ -188,18 +271,20 @@ def _tl_table(n: int) -> dict:
     """Map w -> {matching: coefficient} of theta(w^-1) over S_n.
 
     Built in length order by one generator at a time: for a right descent
-    i of w, theta(w^-1) = (t_i - 1) theta((w s_i)^-1).
+    i of w, theta(w^-1) = (t_i - 1) theta((w s_i)^-1), with t_i read from
+    the basis's left action.
     """
     charge_tl_table(n)
+    left = _basis(n).left
     table = {}
     for w in sorted(itertools.permutations(range(1, n + 1)), key=perm_length):
         i = first_right_descent(w)
         if i is None:
             table[w] = {identity_matching(n): 1}
             continue
-        g, out = generator(n, i), {}
+        action, out = left[i], {}
         for m, c in table[apply_s(w, i)].items():
-            prod, loops = diagram_mul(g, m)
+            prod, loops = action[m]
             out[prod] = out.get(prod, 0) + c * 2 ** loops
             out[m] = out.get(m, 0) - c
         table[w] = {m: c for m, c in out.items() if c}
@@ -213,8 +298,8 @@ def theta_of_perm(w: tuple) -> dict:
 
 
 def all_matchings(n):
-    """All noncrossing matchings, via the 321-avoiding bijection."""
-    return [perm_to_matching(u) for u in enumerate_321_avoiding(n)]
+    """All noncrossing matchings on 2n points: the basis of TL_n."""
+    return list(_basis(n).matchings)
 
 
 def imm_tl(tau: NoncrossingMatching, A: SFMatrix) -> SymPoly:
@@ -238,24 +323,6 @@ def imm_tl(tau: NoncrossingMatching, A: SFMatrix) -> SymPoly:
 def imm_tl_all(A: SFMatrix) -> dict:
     """Every Temperley-Lieb immanant of A, keyed by type, in one pass."""
     return diagonal_sums(A, _tl_table(A.n))
-
-
-def compatible(tau: NoncrossingMatching, I, J) -> bool:
-    """True iff every strand has one black and one white endpoint, where
-    L_i is black iff i in I and R_j is white iff j in J."""
-    I, J = set(I), set(J)
-    if len(I) != len(J):
-        raise ValueError("|I| != |J|")
-
-    def black(point):
-        side, k = point
-        return (k in I) if side == "L" else (k not in J)
-
-    return all(black(a) != black(b) for a, b in tau.pairs)
-
-
-def compatible_types(n, I, J):
-    return [m for m in all_matchings(n) if compatible(m, I, J)]
 
 
 def minor(A: SFMatrix, rows, cols) -> SymPoly:

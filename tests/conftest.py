@@ -8,6 +8,7 @@ from ribbonimm.perms import identity_perm
 from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, decompose,
                               shape_from_tuples)
 from ribbonimm.symfunc import SFMatrix, SymPoly, determinant
+from ribbonimm.tlalgebra import all_matchings
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +69,25 @@ def random_sf_matrix(rng: random.Random, n: int, nvars: int,
 def imm_det_check(A: SFMatrix) -> bool:
     """Imm at the identity equals the determinant."""
     return imm_kl(identity_perm(A.n), A) == determinant(A)
+
+
+def compatible(tau, I, J) -> bool:
+    """True iff every strand of the matching tau has one black and one
+    white endpoint, where L_i is black iff i in I and R_j is white iff
+    j in J."""
+    I, J = set(I), set(J)
+    if len(I) != len(J):
+        raise ValueError("|I| != |J|")
+
+    def black(point):
+        side, k = point
+        return (k in I) if side == "L" else (k not in J)
+
+    return all(black(a) != black(b) for a, b in tau.pairs)
+
+
+def compatible_types(n, I, J):
+    """The matchings compatible with (I, J): their immanants sum to the
+    product of the complementary minors on (I, J) and on their
+    complements."""
+    return [m for m in all_matchings(n) if compatible(m, I, J)]

@@ -11,7 +11,8 @@ coverage against runtime.
 import itertools
 import random
 
-from conftest import imm_det_check, random_sf_matrix, row_sections_dec
+from conftest import (compatible_types, imm_det_check, random_sf_matrix,
+                      row_sections_dec)
 from ribbonimm import corpus as corpus_mod
 from ribbonimm import klbase, network, ribbonmat, shuffle, tlalgebra
 from ribbonimm.shapes import (InfiniteRibbon, decompose, shape_from_tuples)
@@ -120,7 +121,7 @@ def test_criterion_04_complementary_minor_identity():
                     Ic = tuple(x for x in range(1, n + 1) if x not in I)
                     Jc = tuple(x for x in range(1, n + 1) if x not in J)
                     total = SymPoly.zero(2)
-                    for tau in tlalgebra.compatible_types(n, I, J):
+                    for tau in compatible_types(n, I, J):
                         total = total + tlalgebra.imm_tl(tau, A)
                     want = tlalgebra.minor(A, I, J) * tlalgebra.minor(A, Ic, Jc)
                     if total != want:

@@ -1,19 +1,19 @@
 import itertools
+import pickle
 import random
 
 import pytest
 
-from conftest import random_sf_matrix
+from conftest import compatible, compatible_types, random_sf_matrix
 from ribbonimm import tlalgebra
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.symfunc import SymPoly, determinant
 from ribbonimm.tlalgebra import (NoncrossingMatching, all_matchings, apply_s,
-                                 compatible, compatible_types, diagram_mul,
-                                 enumerate_321_avoiding, generator,
-                                 identity_matching, identity_perm, imm_tl,
-                                 is_321_avoiding, minor, perm_inverse,
-                                 perm_length, perm_mul, perm_sign,
-                                 perm_to_matching, reduced_word,
+                                 cap, diagram_mul, enumerate_321_avoiding,
+                                 generator, identity_matching, identity_perm,
+                                 imm_tl, is_321_avoiding, matching, minor,
+                                 perm_inverse, perm_length, perm_mul,
+                                 perm_sign, perm_to_matching, reduced_word,
                                  theta_of_perm)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -51,18 +51,81 @@ def test_is_321_avoiding():
 
 
 def test_perm_to_matching_bijective():
-    for n in range(1, 6):
+    # the basis (the closure of the identity under the generators) against
+    # the 321-avoiding bijection and, for n <= 5, against every perfect
+    # matching of the 2n points that the constructor accepts
+    def perfect_matchings(points):
+        if not points:
+            yield []
+            return
+        a, rest = points[0], points[1:]
+        for k, b in enumerate(rest):
+            for tail in perfect_matchings(rest[:k] + rest[k + 1:]):
+                yield [(a, b)] + tail
+
+    for n in range(1, 8):
         images = {perm_to_matching(u) for u in enumerate_321_avoiding(n)}
         assert len(images) == CATALAN[n]
-        assert images == set(all_matchings(n))
+        basis = tlalgebra._basis(n).matchings
+        assert len(basis) == len(set(basis)) == CATALAN[n]
+        assert images == set(basis) == set(all_matchings(n))
+        if n <= 5:
+            points = [(side, k) for side in "LR" for k in range(1, n + 1)]
+            found = set()
+            for pairs in perfect_matchings(points):
+                try:
+                    found.add(NoncrossingMatching(n, pairs))
+                except ValueError:
+                    pass
+            assert found == images
+
+
+BAD_PAIRS = [
+    # crossing strands
+    (2, [(("L", 1), ("R", 2)), (("L", 2), ("R", 1))]),
+    (4, [(("L", 1), ("L", 3)), (("L", 2), ("L", 4)), (("R", 1), ("R", 2)),
+         (("R", 3), ("R", 4))]),
+    # not perfect: a point missing, a point used twice, a foreign point
+    (2, [(("L", 1), ("L", 2))]),
+    (2, [(("L", 1), ("L", 2)), (("L", 1), ("R", 1))]),
+    (2, [(("L", 1), ("L", 2)), (("R", 1), ("R", 3))]),
+]
 
 
 def test_matching_validation():
-    with pytest.raises(ValueError):
-        # crossing strands
-        NoncrossingMatching(2, [(("L", 1), ("R", 2)), (("L", 2), ("R", 1))])
-    with pytest.raises(ValueError):
-        NoncrossingMatching(2, [(("L", 1), ("L", 2))])
+    # the typers' canonical-pairs lookup raises what the constructor
+    # raises, also once the whole basis of TL_n is interned
+    for n, pairs in BAD_PAIRS:
+        with pytest.raises(ValueError) as direct:
+            NoncrossingMatching(n, pairs)
+        for _ in range(2):
+            with pytest.raises(ValueError) as looked_up:
+                matching(n, pairs)
+            assert str(looked_up.value) == str(direct.value), pairs
+            all_matchings(n)
+
+
+def test_matchings_are_interned():
+    m = matching(3, [(("R", 3), ("L", 3)), (("L", 2), ("L", 1)),
+                     (("R", 2), ("R", 1))])
+    assert m is matching(3, list(reversed(m.pairs)))
+    assert m is perm_to_matching((2, 1, 3))
+    traced, _ = diagram_mul(generator(3, 1), identity_matching(3))
+    assert traced is not m and traced == m and hash(traced) == hash(m)
+    assert pickle.loads(pickle.dumps(m)) is m
+
+
+def test_actions_match_diagram_products():
+    # every entry of the left-action table, and the right action that
+    # perm_to_matching folds, against the traced product
+    for n in range(1, 7):
+        B = tlalgebra._basis(n)
+        for i in range(1, n):
+            g = generator(n, i)
+            assert len(B.left[i]) == CATALAN[n]
+            for m in B.matchings:
+                assert B.left[i][m] == cap(m, "L", i) == diagram_mul(g, m)
+                assert cap(m, "R", i) == diagram_mul(m, g)
 
 
 def test_generator_relations():
@@ -178,13 +241,13 @@ def test_tl_table_charges_its_slots(monkeypatch):
         tlalgebra._tl_table.__wrapped__(4)
     monkeypatch.setenv("RIL_BUDGET", "336")
     assert tlalgebra._tl_table.__wrapped__(4) == tlalgebra._tl_table(4)
-    # the default budget refuses S_7 before any diagram is multiplied
+    # the default budget refuses S_7 before its basis is built
     monkeypatch.delenv("RIL_BUDGET")
 
     def refuse(*args):
         raise AssertionError("built before the budget check")
 
-    monkeypatch.setattr(tlalgebra, "diagram_mul", refuse)
+    monkeypatch.setattr(tlalgebra, "_basis", refuse)
     with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=7\): 2162160 "
                        r"slots exceed RIL_BUDGET=2000000$"):
         tlalgebra._tl_table(7)
