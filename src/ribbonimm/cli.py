@@ -36,7 +36,7 @@ def _load_json(path):
         with open(path) as fh:
             return json.load(fh, parse_constant=_not_an_integer,
                              parse_float=_not_an_integer)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -99,8 +99,11 @@ def _emit(obj, args, text_lines=None) -> None:
     else:
         payload = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 

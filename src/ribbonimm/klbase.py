@@ -20,6 +20,10 @@ additions for the 98,407 entries at n = 6.  A second, independent
 computation solves the bar-invariance condition in the Hecke algebra
 directly (triangular solve in the standard basis) and is used as an
 oracle in the tests.
+
+The KL immanant table (`_kl_table`) is read straight off the rows, the
+column of w being the row of w0 w (Rhoades-Skandera, "Kazhdan-Lusztig
+immanants and products of matrix minors", 2006).
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from dataclasses import dataclass
 
 from .errors import SizeGuard, charge
 from .perms import apply_s, first_right_descent, identity_perm, perm_length
-from .symfunc import SFMatrix, SymPoly, diagonal_sums
+from .ribbonmat import build
+from .symfunc import SFMatrix, SymPoly, diagonal_sums, expand_schur
 
 # ------------------------------------------------------------ q-polynomials
 
@@ -170,11 +175,6 @@ class KLTable:
     n: int
     rows: tuple
     pool: tuple
-
-    @functools.cached_property
-    def at_one(self) -> tuple:
-        """P(1) of each pooled polynomial, by id."""
-        return tuple(map(sum, self.pool))
 
     @functools.cached_property
     def polys(self) -> Mapping:
@@ -402,30 +402,22 @@ def kl_polynomials_hecke(n: int) -> KLTable:
 # ----------------------------------------------------------------- immanants
 
 @functools.lru_cache(maxsize=None)
-def _kl_weights(n: int, w: tuple):
-    """Map v -> (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1) over v >= w, in lex
-    order of v."""
-    table = kl_polynomials(n)
-    W = _weyl(n)
-    top = W.index[tuple(n + 1 - k for k in w)]  # w0 w
-    at_one = table.at_one
-    out = {}
-    # v >= w iff w0 v <= w0 w: run x = w0 v over [e, w0 w]
-    for x, pid in table.rows[top].items():
-        v = tuple(n + 1 - k for k in W.perms[x])
-        sign = -1 if (W.length[top] - W.length[x]) % 2 else 1
-        out[v] = sign * at_one[pid]
-    return dict(sorted(out.items()))
-
-
-@functools.lru_cache(maxsize=None)
 def _kl_table(n: int) -> dict:
-    """Map v -> {w: KL weight of v in the immanant at w} over S_n."""
-    table = {}
-    for w in itertools.permutations(range(1, n + 1)):
-        for v, c in _kl_weights(n, w).items():
-            if c:
-                table.setdefault(v, {})[w] = c
+    """Map v -> {w: KL weight of v in the immanant at w} over S_n: the
+    weight is (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1), nonzero exactly for
+    v >= w.  As v >= w iff w0 v <= w0 w, the column of w is the row of
+    w0 w in kl_polynomials(n).
+    """
+    kl, W = kl_polynomials(n), _weyl(n)
+    at_one = [sum(p) for p in kl.pool]
+    w0 = [tuple(n + 1 - a for a in u) for u in W.perms]  # w0 u, by position
+    table = {v: {} for v in sorted(w0)}
+    weights = [table[v] for v in w0]  # weights[x]: those of v = w0 x
+    for top, row in enumerate(kl.rows):
+        w, lw = w0[top], W.length[top]
+        for x, pid in row.items():
+            c = at_one[pid]  # l(v) - l(w) = l(w0 w) - l(x) for v = w0 x
+            weights[x][w] = -c if (lw - W.length[x]) % 2 else c
     return table
 
 
@@ -437,11 +429,11 @@ def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
     matching of the inverse: imm_kl(w, A) ==
     imm_tl(perm_to_matching(perm_inverse(w)), A).
     """
-    n = len(w)
-    if A.n != n:
+    if A.n != len(w):
         raise ValueError("dimension mismatch")
-    row = {v: {w: c} for v, c in _kl_weights(n, w).items() if c}
-    return diagonal_sums(A, row)[w]
+    column = {v: {w: weights[w]}
+              for v, weights in _kl_table(len(w)).items() if w in weights}
+    return diagonal_sums(A, column)[w]
 
 
 def conjecture12_harness(dec, N: int):
@@ -450,9 +442,6 @@ def conjecture12_harness(dec, N: int):
     Returns a report; negative coefficients are surfaced as certificates,
     not errors (the underlying positivity statement is unproven).
     """
-    from .ribbonmat import build
-    from .symfunc import expand_schur
-
     rm = build(dec, N)
     by_perm = diagonal_sums(rm.matrix, _kl_table(dec.ell))
     per_perm, certificates = [], []

@@ -74,14 +74,6 @@ class SkewShape:
     def n_rows(self) -> int:
         return len(self.outer)
 
-    def row_interval(self, i):
-        """Half-open column interval (inner_i, outer_i] of row i, or None."""
-        if not 1 <= i <= len(self.outer):
-            return None
-        if self.outer[i - 1] == self.inner[i - 1]:
-            return None
-        return (self.inner[i - 1] + 1, self.outer[i - 1])
-
     def cells(self):
         """All cells as (row, col, content) in row-major order."""
         out = []

@@ -19,14 +19,12 @@ keys in len(lambda) + len(mu) slots, not in all N.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NotSkew, SizeGuard, budget
-from .perms import perm_sign
 from .shapes import SkewShape, normalize_partition
 
 DET_MAX_N = 8  # determinant: matrix size
@@ -149,9 +147,6 @@ class SymPoly:
     def degree(self):
         """Total degree, or None for the zero polynomial."""
         return max((sum(k) for k in self.coeffs), default=None)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(k) for k in self.coeffs}) <= 1
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -321,7 +316,8 @@ def _horizontal_strips(nu, lam, size) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _skew_schur_cached(shape: SkewShape, N: int) -> SymPoly:
+def skew_schur(shape: SkewShape, N: int) -> SymPoly:
+    """Weight generating function of the SSYT of shape, in N variables."""
     # The coefficient of m_alpha counts the chains inner = nu^0 <= nu^1
     # <= ... <= outer whose steps are horizontal strips of sizes alpha_1,
     # alpha_2, ...  The partitions alpha are walked as a prefix tree,
@@ -361,11 +357,6 @@ def _skew_schur_cached(shape: SkewShape, N: int) -> SymPoly:
 
     walk((), shape.size, {mu: 1})
     return SymPoly(N, coeffs)
-
-
-def skew_schur(shape: SkewShape, N: int) -> SymPoly:
-    """Weight generating function of the SSYT of shape, in N variables."""
-    return _skew_schur_cached(shape, N)
 
 
 def schur_poly(lam, N: int) -> SymPoly:
@@ -469,17 +460,6 @@ def diagonal_sums(M: SFMatrix, table) -> dict:
 
     walk(1, SymPoly.one(M.nvars), list(table))
     return {key: SymPoly(M.nvars, coeffs) for key, coeffs in acc.items()}
-
-
-@functools.lru_cache(maxsize=None)
-def _sign_table(n: int) -> dict:
-    return {w: {"det": perm_sign(w)}
-            for w in itertools.permutations(range(1, n + 1))}
-
-
-def determinant_naive(M: SFMatrix) -> SymPoly:
-    """Signed sum over permutations; small-n oracle for determinant."""
-    return diagonal_sums(M, _sign_table(M.n))["det"]
 
 
 class SchurExpansion:

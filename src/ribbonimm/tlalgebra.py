@@ -291,12 +291,6 @@ def _tl_table(n: int) -> dict:
     return table
 
 
-def theta_of_perm(w: tuple) -> dict:
-    """Image of w under the algebra map sending s_i to t_i - 1, as
-    {matching: coefficient}."""
-    return _tl_table(len(w))[perm_inverse(w)]
-
-
 def all_matchings(n):
     """All noncrossing matchings on 2n points: the basis of TL_n."""
     return list(_basis(n).matchings)

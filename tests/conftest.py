@@ -66,6 +66,20 @@ def random_sf_matrix(rng: random.Random, n: int, nvars: int,
     return SFMatrix(n, nvars, grid)
 
 
+def is_homogeneous(p: SymPoly) -> bool:
+    return len({sum(k) for k in p.coeffs}) <= 1
+
+
+def row_interval(shape, i):
+    """Half-open column interval (inner_i, outer_i] of row i of a skew
+    shape, or None."""
+    if not 1 <= i <= len(shape.outer):
+        return None
+    if shape.outer[i - 1] == shape.inner[i - 1]:
+        return None
+    return (shape.inner[i - 1] + 1, shape.outer[i - 1])
+
+
 def imm_det_check(A: SFMatrix) -> bool:
     """Imm at the identity equals the determinant."""
     return imm_kl(identity_perm(A.n), A) == determinant(A)

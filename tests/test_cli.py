@@ -75,10 +75,16 @@ def test_bad_input_exits_2(tmp_path, hook_files, capsys):
             ("shape", '{"outer": [2.9, 1]}'),
             ("shape", '{"outer": [2, 1], "inner": [1e0]}'),
             ("ribbon", json.dumps({**ribbon_json, "window_lo": 0.5})),
-            ("ribbon", json.dumps({**ribbon_json, "window_lo": float("inf")}))]:
+            ("ribbon", json.dumps({**ribbon_json, "window_lo": float("inf")})),
+            # nested past the recursion limit
+            ("shape", "[" * 100000 + "]" * 100000)]:
         bad.write_text(text)
         argv = [str(bad), ribbon] if name == "shape" else [shape, str(bad)]
-        assert cli.main(["decompose", *argv]) == 2, text
+        assert cli.main(["decompose", *argv]) == 2, text[:40]
+        assert "Traceback" not in capsys.readouterr().err
+    # an --out that cannot be written: a directory, a missing directory
+    for out in [tmp_path, tmp_path / "missing" / "x.json"]:
+        assert cli.main(["--out", str(out), "kl-table", "2"]) == 2, out
         assert "Traceback" not in capsys.readouterr().err
 
 

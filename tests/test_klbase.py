@@ -31,14 +31,16 @@ def test_bruhat_matches_prefix_criterion():
         for w in perms:
             for x in perms:
                 assert klbase.bruhat_leq(x, w) == ehresmann_leq(x, w), (x, w)
-            # the immanant weights: every v >= w in lex order, with
+            # the immanant weights: every v >= w, with
             # (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1)
             w0w = tuple(n + 1 - k for k in w)
-            expected = [
-                (v, (-1) ** (perm_length(v) - perm_length(w))
-                 * sum(table.P(tuple(n + 1 - k for k in v), w0w)))
-                for v in perms if ehresmann_leq(w, v)]
-            assert list(klbase._kl_weights(n, w).items()) == expected, w
+            expected = {
+                v: (-1) ** (perm_length(v) - perm_length(w))
+                * sum(table.P(tuple(n + 1 - k for k in v), w0w))
+                for v in perms if ehresmann_leq(w, v)}
+            column = {v: row[w] for v, row in klbase._kl_table(n).items()
+                      if w in row}
+            assert column == expected, w
 
 
 def test_kl_base_cases():
@@ -154,19 +156,15 @@ def test_tl_is_kl_at_321_avoiding(monkeypatch):
     try:
         for n in range(1, 8):
             tl = tlalgebra._tl_table.__wrapped__(n)
+            kl = klbase._kl_table.__wrapped__(n)
             for w in tlalgebra.enumerate_321_avoiding(n):
                 tau = tlalgebra.perm_to_matching(perm_inverse(w))
                 by_tl = {v: row[tau] for v, row in tl.items() if tau in row}
-                by_kl = {v: c for v, c in klbase._kl_weights(n, w).items()
-                         if c}
+                by_kl = {v: row[w] for v, row in kl.items() if w in row}
                 assert by_kl == by_tl, w
-                if n < 7:  # the immanant table (3,550,919 entries at n = 7)
-                    assert by_kl == {v: row[w] for v, row in
-                                     klbase._kl_table(n).items() if w in row}
     finally:
-        # the n = 7 tables hold about 200 MB
+        # the n = 7 KL rows hold about 155 MB
         klbase.kl_polynomials.cache_clear()
-        klbase._kl_weights.cache_clear()
 
 
 def test_mu_values():

@@ -1,4 +1,4 @@
-from conftest import row_sections_dec
+from conftest import is_homogeneous, row_sections_dec
 from ribbonimm import ribbonmat
 from ribbonimm.shapes import (SkewShape, decompose, ribbon_section_shape,
                               shape_from_tuples)
@@ -98,7 +98,7 @@ def test_remark_matrices_homogeneous():
     for M in (A, Abad):
         for i in range(1, 5):
             for j in range(1, 5):
-                assert M[i, j].is_homogeneous()
+                assert is_homogeneous(M[i, j])
     # every nonvanishing permutation diagonal of the first matrix has
     # total degree 13, so its immanants are homogeneous
     for perm in itertools.permutations(range(1, 5)):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import row_interval
 from ribbonimm.errors import EmptySection, IncompatibleShape, NotSkew
 from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, SkewShape,
                               decompose, normalize_partition,
@@ -18,7 +19,7 @@ def test_skew_shape_basics():
     sh = SkewShape((3, 2), (1, 0))
     assert sh.size == 4
     assert sh.n_rows == 2
-    assert sh.row_interval(1) == (2, 3)
+    assert row_interval(sh, 1) == (2, 3)
     assert (2, 1) in sh and (1, 1) not in sh
     assert [(i, j, c) for i, j, c in sh.cells()] == [
         (1, 2, 1), (1, 3, 2), (2, 1, -1), (2, 2, 0)]

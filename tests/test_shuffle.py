@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import row_sections_dec
+from conftest import row_interval, row_sections_dec
 from test_acceptance import _nontrivial_nvars
 from ribbonimm import corpus, network, ribbonmat, shuffle, tlalgebra
 from ribbonimm.errors import BudgetExceeded, ValidityError
@@ -19,7 +19,7 @@ def _fill(shape, rows):
     out = {}
     rit = iter(rows)
     for i in range(1, shape.n_rows + 1):
-        iv = shape.row_interval(i)
+        iv = row_interval(shape, i)
         if iv is None:
             continue
         vals = next(rit)

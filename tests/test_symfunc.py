@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -5,16 +6,16 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_sf_matrix
+from conftest import is_homogeneous, random_sf_matrix
 from ribbonimm.errors import BudgetExceeded
+from ribbonimm.perms import perm_sign
 from ribbonimm.ribbonmat import build, odd_even_split
 from ribbonimm.shapes import SkewShape
 from ribbonimm.symfunc import (SFMatrix, SchurExpansion, SymPoly, _orbit,
-                               _skew_schur_cached, determinant,
-                               determinant_naive, e_poly, enumerate_ssyt,
-                               expand_schur, h_poly, lr_coefficient,
-                               partition_key, schur_poly, skew_schur,
-                               ssyt_count)
+                               determinant, diagonal_sums, e_poly,
+                               enumerate_ssyt, expand_schur, h_poly,
+                               lr_coefficient, partition_key, schur_poly,
+                               skew_schur, ssyt_count)
 
 partitions = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -30,7 +31,7 @@ def test_sympoly_basics():
     p = SymPoly(2, {(1,): 2, (2, 1): -1})
     assert not p.is_zero()
     assert p.degree() == 3
-    assert not p.is_homogeneous()
+    assert not is_homogeneous(p)
     assert SymPoly.one(2).degree() == 0
     assert SymPoly.zero(3).degree() is None
     with pytest.raises(ValueError):
@@ -165,7 +166,7 @@ def test_skew_schur_matches_ssyt_weights(corpus_decs):
 
 
 def test_skew_schur_budget_guard(monkeypatch):
-    _skew_schur_cached.cache_clear()
+    skew_schur.cache_clear()
     monkeypatch.setenv("RIL_BUDGET", "3")
     with pytest.raises(BudgetExceeded, match=r"skew_schur.*\(3, 2\)"):
         skew_schur(SkewShape((3, 2), (1,)), 3)
@@ -204,6 +205,17 @@ def test_expand_schur_of_schur_is_delta():
     exp = expand_schur(schur_poly((3, 1), 3))
     assert exp.coeffs == {(3, 1): 1}
     assert exp.schur_positive
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_table(n: int) -> dict:
+    return {w: {"det": perm_sign(w)}
+            for w in itertools.permutations(range(1, n + 1))}
+
+
+def determinant_naive(M: SFMatrix) -> SymPoly:
+    """Signed sum over permutations; small-n oracle for determinant."""
+    return diagonal_sums(M, _sign_table(M.n))["det"]
 
 
 def test_determinant_matches_naive(hook_dec):

@@ -13,10 +13,15 @@ from ribbonimm.tlalgebra import (NoncrossingMatching, all_matchings, apply_s,
                                  generator, identity_matching, identity_perm,
                                  imm_tl, is_321_avoiding, matching, minor,
                                  perm_inverse, perm_length, perm_mul,
-                                 perm_sign, perm_to_matching, reduced_word,
-                                 theta_of_perm)
+                                 perm_sign, perm_to_matching, reduced_word)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
+
+
+def theta_of_perm(w: tuple) -> dict:
+    """Image of w under the algebra map sending s_i to t_i - 1, as
+    {matching: coefficient}."""
+    return tlalgebra._tl_table(len(w))[perm_inverse(w)]
 
 
 def f_coeff(u: tuple, w: tuple) -> int:
