@@ -2,15 +2,15 @@
 
 Canonical infinite ribbons with short step windows are taken in a fixed
 order; for each, placements of 1..max_ell consecutive sections with at
-most max_cells total cells are searched depth first, and those whose
-assembled shape is a connected skew diagram are kept.  A placement's
-bucket (section count, cell count) is known from its section tuples
-alone, so a bucket that already holds per_bucket instances is skipped
-before any shape is built, and the search stops descending once no
-bucket it could still reach is open.  Every ribbon is canonical with
-window_lo = 0 and each section sequence is visited once, so no
-decomposition is produced twice and the corpus is reproducible run to
-run.
+most max_cells total cells are searched depth first.  A section may
+follow the one before it iff the two form a connected skew shape on
+consecutive copies, so only such placements are searched and only kept
+instances are built.  A placement's bucket (section count, cell count)
+is known from its section tuples alone, so a full bucket is skipped,
+and the search stops descending once no bucket it could still reach is
+open.  Every ribbon is canonical with window_lo = 0 and each section
+sequence is visited once, so no decomposition is produced twice and
+the corpus is reproducible run to run.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import NotSkew
-from .shapes import (BELOW, LEFT, InfiniteRibbon, decompose,
-                     shape_from_tuples)
+from .errors import BudgetExceeded, NotSkew, budget
+from .shapes import BELOW, LEFT, InfiniteRibbon, decompose, shape_from_tuples
 
 
 def enumerate_ribbons(max_window: int):
@@ -33,60 +32,33 @@ def enumerate_ribbons(max_window: int):
                     yield InfiniteRibbon(0, steps, tail_lo, tail_hi)
 
 
-def _touches(R: InfiniteRibbon, outer_sec, inner_sec) -> bool:
-    """True iff a section on copy m+1 (inner coordinates outer_sec is the
-    copy-m one) shares an edge with the section below it.
-
-    A copy-(m+1) cell of content c borders copy m exactly at content c+1
-    when the step there is L, or at content c-1 when the step at c is B.
-    """
-    a0, b0 = outer_sec
-    a1, b1 = inner_sec
-    for c in range(a1, b1):
-        if R.step(c + 1) == LEFT and a0 <= c + 1 < b0:
-            return True
-        if R.step(c) == BELOW and a0 <= c - 1 < b0:
-            return True
-    return False
-
-
 @functools.lru_cache(maxsize=None)
 def sweep_corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
                  per_bucket: int = 16) -> tuple:
     """The first per_bucket decompositions of every (section count, cell
     count) bucket in enumeration order, grouped by bucket.
 
-    Buckets fill bucket-first: a candidate whose bucket is full is
-    skipped before its shape is built, and a prefix of ell sections and
-    `used` cells is extended only while some open bucket has more
-    sections and at least one more cell per extra section.  A bucket
-    only ever takes its first per_bucket candidates and never reopens,
-    so neither skip can change which instances are selected or their
-    order.
+    Section k+1 may follow section k iff the two form a connected skew
+    shape on copies k and k+1 (`follows`, once per previous section).
+    Cells between those copies lie on one of them, so a skew union has
+    skew consecutive pairs; the tests check the converse against the
+    whole-shape rule, and a kept instance is built whole, so a wrong
+    admission would raise NotSkew.  A full bucket is skipped, and a
+    prefix of ell sections and `used` cells is extended only while some
+    open bucket has more sections and one more cell per extra section.
+    Buckets take their first per_bucket candidates and never reopen, so
+    neither skip changes which instances are selected or their order.
+    Each placed section is a search node, counted against the budget.
     """
     if per_bucket < 1:
         raise ValueError("per_bucket must be positive")
     buckets = {(ell, size): [] for ell in range(1, max_ell + 1)
                for size in range(ell, max_cells + 1)}
     open_ = set(buckets)
+    limit, nodes = budget(), 0
 
     def reachable(ell, used):
         return any(e > ell and s - used >= e - ell for e, s in open_)
-
-    def keep(R, sections, key):
-        abar = tuple(a for a, _ in sections)
-        bbar = tuple(b for _, b in sections)
-        try:
-            shape = shape_from_tuples(R, abar, bbar)
-        except NotSkew:
-            return
-        if not shape.is_connected():
-            return
-        dec = decompose(shape, R)
-        assert dec.abar == abar and dec.bbar == bbar
-        buckets[key].append(dec)
-        if len(buckets[key]) == per_bucket:
-            open_.discard(key)
 
     for R in enumerate_ribbons(max_window):
         if not reachable(0, 0):
@@ -95,16 +67,39 @@ def sweep_corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
         pairs = [(a, b) for a in range(lo, hi + 1)
                  for b in range(a + 1, hi + 2) if b - a <= max_cells]
 
-        def rec(sections, used):
+        @functools.lru_cache(maxsize=None)
+        def follows(pa, pb):
+            # a skew shape is connected iff its contents form an interval
+            out = []
             for a, b in pairs:
+                if a <= pb and b >= pa:
+                    try:
+                        shape_from_tuples(R, (pa, a), (pb, b))
+                    except NotSkew:
+                        continue
+                    out.append((a, b))
+            return out
+
+        def rec(sections, used):
+            nonlocal nodes
+            for a, b in follows(*sections[-1]) if sections else pairs:
                 if used + (b - a) > max_cells:
                     continue
-                if sections and not _touches(R, sections[-1], (a, b)):
-                    continue
+                nodes += 1
+                if nodes > limit:
+                    raise BudgetExceeded(
+                        f"sweep_corpus({max_cells=}, {max_window=}, "
+                        f"{max_ell=}, {per_bucket=}): more than {limit} "
+                        "search nodes")
                 sections.append((a, b))
                 key = (len(sections), used + (b - a))
                 if key in open_:
-                    keep(R, sections, key)
+                    abar, bbar = zip(*sections)
+                    dec = decompose(shape_from_tuples(R, abar, bbar), R)
+                    assert dec.abar == abar and dec.bbar == bbar
+                    buckets[key].append(dec)
+                    if len(buckets[key]) == per_bucket:
+                        open_.discard(key)
                 if reachable(*key):
                     rec(sections, key[1])
                 sections.pop()

@@ -323,20 +323,16 @@ def shape_from_tuples(ribbon: InfiniteRibbon, abar, bbar) -> SkewShape:
 
     The cells are translated diagonally only, by the least t that brings
     every row and column to 1 or more, so decompose round-trips the tuples
-    exactly.
+    exactly.  Sections on distinct copies never share a cell: a cell's
+    content fixes its ribbon box, and the diagonal shift then its copy.
     """
     abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) != len(bbar) or not abar:
         raise ValueError("tuple lengths must agree and be positive")
     if any(a >= b for a, b in zip(abar, bbar)):
         raise EmptySection(f"empty section in a={abar}, b={bbar}")
-    cells_ = set()
-    for k, (a, b) in enumerate(zip(abar, bbar), start=1):
-        for c in range(a, b):
-            r, q = ribbon.box(c)
-            cell = (r + k, q + k)
-            if cell in cells_:
-                raise NotSkew(f"sections overlap at cell {cell}")
-            cells_.add(cell)
+    cells_ = {(r + k, q + k)
+              for k, (a, b) in enumerate(zip(abar, bbar), start=1)
+              for r, q in map(ribbon.box, range(a, b))}
     t = max(1 - min(i for i, _ in cells_), 1 - min(j for _, j in cells_))
     return SkewShape.from_cells({(i + t, j + t) for i, j in cells_})

@@ -123,6 +123,17 @@ def test_bad_arguments_exit_2(argv, small_files, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_corpus_search_over_budget_exits_2(monkeypatch, capsys):
+    # bucket (1, 40) needs about 2^35 ribbons: refused by its search nodes
+    monkeypatch.setenv("RIL_BUDGET", "1000")
+    code = cli.main(["sweep", "--max-window", "40", "--max-cells", "40",
+                     "--max-ell", "1", "--per-bucket", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: sweep_corpus(max_cells=40, max_window=40, "
+                   "max_ell=1, per_bucket=1): more than 1000 search nodes\n")
+
+
 @pytest.mark.parametrize("method, needed", [
     ("def", "--type"), ("shuffle", "--type"), ("covers", "--type"),
     ("crystal", "--type"), ("kl", "--perm or --type")])

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from ribbonimm import corpus
-from ribbonimm.shapes import decompose
+from ribbonimm.errors import BudgetExceeded, NotSkew
+from ribbonimm.shapes import decompose, shape_from_tuples
 
 
 def test_ribbons_are_canonical_and_distinct():
@@ -54,6 +55,10 @@ def test_sweep_corpus_buckets_and_determinism():
      "426543ce88a442b76af2965f3ab3ac6c51586abcde611ef87f491a84a28b3600"),
     ((8, 5, 5, 1), 30,
      "f9b399370b898cfb5458e53ba01319e493243564a3c8c1e49d9d60285db52ff0"),
+    ((10, 5, 5, 2), 80,
+     "cb50a330229f5dc7b45d1a9423ae5366727fe71c208bf2af53d60747b278aef2"),
+    ((10, 5, 6, 2), 90,
+     "38fb92286fa03a77f88342b9d321445c822921d295959fbaa978343043a670f4"),
 ])
 def test_sweep_corpus_pinned(args, count, digest):
     decs = corpus.sweep_corpus(*args)
@@ -71,3 +76,59 @@ def test_pruning_keeps_the_first_of_every_bucket():
         expected = tuple(dec for key in sorted(everything)
                          for dec in everything[key][:k])
         assert corpus.sweep_corpus(6, 3, 3, k) == expected
+
+
+def _whole_shape_corpus(max_cells, max_window, max_ell):
+    """Every (ribbon, sections) placement whose whole assembled shape is a
+    connected skew shape, grouped by (section count, cell count) in
+    enumeration order.  Only sections whose contents are too far apart to
+    share an edge with the previous one are skipped unbuilt."""
+    found = {}
+    for R in corpus.enumerate_ribbons(max_window):
+        hi = R.window_hi + 2
+        pairs = [(a, b) for a in range(-2, hi + 1)
+                 for b in range(a + 1, hi + 2) if b - a <= max_cells]
+
+        def rec(sections, used):
+            for a, b in pairs:
+                if used + (b - a) > max_cells or sections and (
+                        a > sections[-1][1] or b < sections[-1][0]):
+                    continue
+                sections.append((a, b))
+                abar, bbar = zip(*sections)
+                try:
+                    if shape_from_tuples(R, abar, bbar).is_connected():
+                        key = (len(sections), used + (b - a))
+                        found.setdefault(key, []).append(
+                            (R, tuple(sections)))
+                except NotSkew:
+                    pass
+                if len(sections) < max_ell:
+                    rec(sections, used + (b - a))
+                sections.pop()
+
+        rec([], 0)
+    return [item for key in sorted(found) for item in found[key]]
+
+
+def test_pair_rule_matches_the_whole_shape_rule():
+    decs = corpus.sweep_corpus(6, 3, 4, 10**6)
+    assert len(decs) == 2562
+    assert [(d.ribbon, tuple(zip(d.abar, d.bbar))) for d in decs] == \
+        _whole_shape_corpus(6, 3, 4)
+
+
+def test_corpus_search_is_budgeted(monkeypatch):
+    # the cache would return an earlier result instead of searching again
+    monkeypatch.setenv("RIL_BUDGET", "100")
+    with pytest.raises(BudgetExceeded, match=r"sweep_corpus\(max_cells=8, "
+                       r"max_window=5, max_ell=4, per_bucket=2\): more "
+                       r"than 100 search nodes"):
+        corpus.sweep_corpus.__wrapped__(8, 5, 4, 2)
+    # the benchmark pool takes 329 search nodes
+    monkeypatch.setenv("RIL_BUDGET", "329")
+    assert corpus.sweep_corpus.__wrapped__(8, 5, 4, 2) == \
+        corpus.sweep_corpus(8, 5, 4, 2)
+    monkeypatch.setenv("RIL_BUDGET", "328")
+    with pytest.raises(BudgetExceeded):
+        corpus.sweep_corpus.__wrapped__(8, 5, 4, 2)

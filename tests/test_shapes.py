@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +52,19 @@ def test_ribbon_and_connected():
     assert not SkewShape((2, 2)).is_ribbon()
     assert SkewShape((2, 2)).is_connected()
     assert not SkewShape((3, 1), (2, 0)).is_connected()
+
+
+def test_skew_shape_connected_iff_contents_are_an_interval():
+    # the corpus's pair rule reads connectivity off the section contents
+    parts = [tuple(reversed(p)) for p in
+             itertools.combinations_with_replacement(range(5), 4)]
+    for outer in parts:
+        for inner in parts:
+            if all(m <= l for l, m in zip(outer, inner)) and outer != inner:
+                shape = SkewShape(outer, inner)
+                contents = {c for _, _, c in shape.cells()}
+                interval = len(contents) == max(contents) - min(contents) + 1
+                assert shape.is_connected() == interval, (outer, inner)
 
 
 def test_from_cells_keeps_absolute_coordinates():
