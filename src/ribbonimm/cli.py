@@ -18,7 +18,7 @@ from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
 from .errors import RibbonError, budget
 from .shapes import InfiniteRibbon, SkewShape, decompose
-from .symfunc import (DET_MAX_N, SymPoly, determinant, expand_schur,
+from .symfunc import (SymPoly, charge_determinant, determinant, expand_schur,
                       skew_schur)
 
 
@@ -228,8 +228,7 @@ def _sweep_one(packed):
 def cmd_sweep(args) -> int:
     # refuse the largest table the theorem needs before building the corpus
     if args.theorem == "det":
-        if args.max_ell > DET_MAX_N:
-            raise InputError(f"--theorem det supports --max-ell <= {DET_MAX_N}")
+        charge_determinant(args.max_ell)
     elif args.theorem == "conj1.2":
         klbase.charge_kl_table(args.max_ell)
     else:

@@ -21,8 +21,8 @@ computation solves the bar-invariance condition in the Hecke algebra
 directly (triangular solve in the standard basis) and is used as an
 oracle in the tests.
 
-The KL immanant table (`_kl_table`) is read straight off the rows, the
-column of w being the row of w0 w (Rhoades-Skandera, "Kazhdan-Lusztig
+The KL immanants read their weights straight off the rows, the column
+of w being the row of w0 w (Rhoades-Skandera, "Kazhdan-Lusztig
 immanants and products of matrix minors", 2006).
 """
 
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from .errors import SizeGuard, charge
 from .perms import apply_s, first_right_descent, identity_perm, perm_length
 from .ribbonmat import build
-from .symfunc import SFMatrix, SymPoly, diagonal_sums, expand_schur
+from .symfunc import (SFMatrix, SymPoly, diagonal_products, expand_schur,
+                      weighted_sums)
 
 # ------------------------------------------------------------ q-polynomials
 
@@ -401,24 +402,28 @@ def kl_polynomials_hecke(n: int) -> KLTable:
 
 # ----------------------------------------------------------------- immanants
 
-@functools.lru_cache(maxsize=None)
-def _kl_table(n: int) -> dict:
-    """Map v -> {w: KL weight of v in the immanant at w} over S_n: the
-    weight is (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1), nonzero exactly for
-    v >= w.  As v >= w iff w0 v <= w0 w, the column of w is the row of
-    w0 w in kl_polynomials(n).
+def _kl_sums(A: SFMatrix, ws) -> dict:
+    """Map w -> the KL immanant of A at w, for the w in ws whose column
+    has a nonzero diagonal product.  The weight of v at w is
+    (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1), nonzero exactly for v >= w, so
+    the column of w is the row of w0 w, its entry x weighing v = w0 x;
+    w0 reverses the (length, lex) order, sending position k to last - k.
     """
-    kl, W = kl_polynomials(n), _weyl(n)
-    at_one = [sum(p) for p in kl.pool]
-    w0 = [tuple(n + 1 - a for a in u) for u in W.perms]  # w0 u, by position
-    table = {v: {} for v in sorted(w0)}
-    weights = [table[v] for v in w0]  # weights[x]: those of v = w0 x
-    for top, row in enumerate(kl.rows):
-        w, lw = w0[top], W.length[top]
-        for x, pid in row.items():
-            c = at_one[pid]  # l(v) - l(w) = l(w0 w) - l(x) for v = w0 x
-            weights[x][w] = -c if (lw - W.length[x]) % 2 else c
-    return table
+    kl, W = kl_polynomials(A.n), _weyl(A.n)
+    last, L, at_one = len(W.perms) - 1, W.length, [sum(p) for p in kl.pool]
+    tops = [last - W.index[w] for w in ws]
+    support = set().union(*(kl.rows[top] for top in tops))
+    prods = diagonal_products(A, [W.perms[last - x] for x in support])
+    by_x = {last - W.index[v]: p for v, p in prods.items()}
+
+    def terms():
+        for w, top in zip(ws, tops):
+            row = kl.rows[top]
+            for x in row.keys() & by_x.keys():
+                c = at_one[row[x]]
+                yield w, -c if (L[top] - L[x]) % 2 else c, by_x[x]
+
+    return weighted_sums(terms(), A.nvars)
 
 
 def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
@@ -431,9 +436,7 @@ def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
     """
     if A.n != len(w):
         raise ValueError("dimension mismatch")
-    column = {v: {w: weights[w]}
-              for v, weights in _kl_table(len(w)).items() if w in weights}
-    return diagonal_sums(A, column)[w]
+    return _kl_sums(A, [w]).get(w, SymPoly.zero(A.nvars))
 
 
 def conjecture12_harness(dec, N: int):
@@ -442,11 +445,11 @@ def conjecture12_harness(dec, N: int):
     Returns a report; negative coefficients are surfaced as certificates,
     not errors (the underlying positivity statement is unproven).
     """
-    rm = build(dec, N)
-    by_perm = diagonal_sums(rm.matrix, _kl_table(dec.ell))
+    perms = list(itertools.permutations(range(1, dec.ell + 1)))
+    by_perm = _kl_sums(build(dec, N).matrix, perms)
     per_perm, certificates = [], []
-    for w in itertools.permutations(range(1, dec.ell + 1)):
-        exp = expand_schur(by_perm[w])
+    for w in perms:
+        exp = expand_schur(by_perm.get(w, SymPoly.zero(N)))
         entry = {
             "perm": list(w),
             "expansion": str(exp),

@@ -257,7 +257,7 @@ def covers_by_type(dec: RibbonDecomposition, N: int):
     """
     reds, blues = _colour_families(build_network(dec, N))
     pairs = pair_by_weight(reds, blues, lambda fam: _family_weight(fam, N))
-    return tally(((uncross_type(sorted(red + blue)), key)
+    return tally(((uncross_type(sorted(red + blue)), key, 1)
                   for red, blue, key in pairs), N)
 
 

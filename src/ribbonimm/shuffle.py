@@ -445,7 +445,7 @@ def tableaux_by_type(dec: RibbonDecomposition, N: int):
 
     Only partition (sorted) weights are recorded, the polynomials being
     symmetric, and only those fillings are enumerated and typed."""
-    return tally(((tl_type(T), key)
+    return tally(((tl_type(T), key, 1)
                   for T, key in _fillings(build_diagram(dec), N)), N)
 
 
@@ -463,6 +463,6 @@ def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):
     are at least as many i as i+1), so only the partition-weight fillings
     are visited.  Coefficients are nonnegative by construction.
     """
-    return tally(((tl_type(T), key)
+    return tally(((tl_type(T), key, 1)
                   for T, key in _fillings(build_diagram(dec), N)
                   if is_yamanouchi(T)), N, SchurExpansion)

@@ -24,10 +24,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, NotSkew, SizeGuard, budget
+from .errors import BudgetExceeded, NotSkew, budget
 from .shapes import SkewShape, normalize_partition
-
-DET_MAX_N = 8  # determinant: matrix size
 
 
 def partition_key(wt):
@@ -285,12 +283,12 @@ def charge_budget(what: str, N: int, shapes: dict) -> bool:
 
 
 def tally(items, N: int, cls=SymPoly) -> dict:
-    """Map from label to cls(N, coeffs), where coeffs counts the partition
-    keys that items pairs with that label."""
+    """Map from label to cls(N, coeffs), where coeffs sums, by partition
+    key, the counts c of the (label, key, c) in items."""
     acc = {}
-    for label, key in items:
+    for label, key, c in items:
         bucket = acc.setdefault(label, {})
-        bucket[key] = bucket.get(key, 0) + 1
+        bucket[key] = bucket.get(key, 0) + c
     return {label: cls(N, coeffs) for label, coeffs in acc.items()}
 
 
@@ -400,21 +398,26 @@ class SFMatrix:
                         [[self[i, j] for j in cols] for i in rows])
 
 
+def charge_determinant(n: int) -> None:
+    """Refuse an n x n determinant whose Laplace expansion visits more
+    column subsets (2^n, compared by bit length) than the budget."""
+    limit = budget()
+    if n >= limit.bit_length():
+        raise BudgetExceeded(f"determinant(n={n}): 2^{n} column subsets "
+                             f"exceed RIL_BUDGET={limit}")
+
+
 def determinant(M: SFMatrix) -> SymPoly:
     """Exact determinant; Laplace expansion memoized over column subsets."""
-    if M.n == 0:
-        return SymPoly.one(M.nvars)
-    if M.n > DET_MAX_N:
-        raise SizeGuard(f"determinant guard: n <= {DET_MAX_N}")
+    charge_determinant(M.n)
     cache = {}
 
     def minor(row, colmask):
         # determinant of rows row..n over the columns set in colmask
         if row > M.n:
             return SymPoly.one(M.nvars)
-        key = colmask
-        if key in cache:
-            return cache[key]
+        if colmask in cache:
+            return cache[colmask]
         total = SymPoly.zero(M.nvars)
         sign = 1
         for j in range(1, M.n + 1):
@@ -425,30 +428,26 @@ def determinant(M: SFMatrix) -> SymPoly:
             if not entry.is_zero():
                 total = total + (entry * minor(row + 1, colmask & ~bit)).scale(sign)
             sign = -sign
-        cache[key] = total
+        cache[colmask] = total
         return total
 
     return minor(1, (1 << M.n) - 1)
 
 
-def diagonal_sums(M: SFMatrix, table) -> dict:
-    """Map key -> sum over w of table[w][key] * M[1, w(1)] ... M[n, w(n)].
+def diagonal_products(M: SFMatrix, perms) -> dict:
+    """Map w -> M[1, w(1)] ... M[n, w(n)] over the permutations w in perms
+    (one-line tuples of 1..n) whose product is nonzero.
 
-    table maps permutations of 1..n (one-line tuples) to {key: integer}.
     The permutations are walked as a prefix tree, so each row-prefix
     product is formed once, and a prefix whose product is zero prunes
-    every permutation that extends it.  Every key of the table gets an
-    entry, zero when all of its products vanish.
+    every permutation that extends it.
     """
-    acc = {key: {} for coeffs in table.values() for key in coeffs}
+    out = {}
 
     def walk(row, prod, perms):
         if row > M.n:
             for w in perms:
-                for key, c in table[w].items():
-                    out = acc[key]
-                    for lam, v in prod.coeffs.items():
-                        out[lam] = out.get(lam, 0) + c * v
+                out[w] = prod
             return
         by_col = {}
         for w in perms:
@@ -458,8 +457,15 @@ def diagonal_sums(M: SFMatrix, table) -> dict:
             if not nxt.is_zero():
                 walk(row + 1, nxt, ws)
 
-    walk(1, SymPoly.one(M.nvars), list(table))
-    return {key: SymPoly(M.nvars, coeffs) for key, coeffs in acc.items()}
+    walk(1, SymPoly.one(M.nvars), list(perms))
+    return out
+
+
+def weighted_sums(terms, nvars: int) -> dict:
+    """Map key -> sum of c * p over the (key, c, p) in terms, p a SymPoly
+    in nvars variables; only the keys in terms get an entry."""
+    return tally(((key, lam, c * v) for key, c, p in terms
+                  for lam, v in p.coeffs.items()), nvars)
 
 
 class SchurExpansion:

@@ -34,7 +34,8 @@ from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
                     first_right_descent, identity_perm, is_321_avoiding,
                     perm_inverse, perm_length, perm_mul, perm_sign,
                     reduced_word)
-from .symfunc import SFMatrix, SymPoly, determinant, diagonal_sums
+from .symfunc import (SFMatrix, SymPoly, determinant, diagonal_products,
+                      weighted_sums)
 
 
 # ------------------------------------------------------------------- matchings
@@ -309,14 +310,19 @@ def imm_tl(tau: NoncrossingMatching, A: SFMatrix) -> SymPoly:
     """
     if A.n != tau.n:
         raise ValueError("dimension mismatch")
-    column = {w: {tau: terms[tau]}
-              for w, terms in _tl_table(tau.n).items() if tau in terms}
-    return diagonal_sums(A, column)[tau]
+    column = {w: row[tau]
+              for w, row in _tl_table(tau.n).items() if tau in row}
+    terms = ((tau, column[w], p)
+             for w, p in diagonal_products(A, column).items())
+    return weighted_sums(terms, A.nvars).get(tau, SymPoly.zero(A.nvars))
 
 
 def imm_tl_all(A: SFMatrix) -> dict:
-    """Every Temperley-Lieb immanant of A, keyed by type, in one pass."""
-    return diagonal_sums(A, _tl_table(A.n))
+    """Every Temperley-Lieb immanant of A by type, in one pass; 0 if absent."""
+    table = _tl_table(A.n)
+    terms = ((tau, c, p) for w, p in diagonal_products(A, table).items()
+             for tau, c in table[w].items())
+    return weighted_sums(terms, A.nvars)
 
 
 def minor(A: SFMatrix, rows, cols) -> SymPoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -279,6 +280,11 @@ KL7 = "kl_polynomials(n=7): 3550919 Bruhat pairs exceed RIL_BUDGET=2000000"
     (["sweep", "--theorem", "1.1", "--max-ell", "1000000000"],
      "_tl_table(n=1000000000): more than 2^999999999 slots exceed "
      "RIL_BUDGET=2000000"),
+    (["sweep", "--theorem", "det", "--max-ell", "21"],
+     "determinant(n=21): 2^21 column subsets exceed RIL_BUDGET=2000000"),
+    (["sweep", "--theorem", "det", "--max-ell", "1000000000"],
+     "determinant(n=1000000000): 2^1000000000 column subsets exceed "
+     "RIL_BUDGET=2000000"),
 ])
 def test_seven_sections_refused_by_table_size(argv, message, column_files,
                                               monkeypatch, capsys):
@@ -304,3 +310,32 @@ def test_conj12_sweep_takes_six_sections(capsys):
     assert code == 0
     assert blob["failures"] == 0
     assert max(len(item["a"]) for item in blob["items"]) == 6
+
+
+def test_det_sweep_takes_nine_sections(capsys):
+    code = cli.main(["--json", "sweep", "--theorem", "det", "--max-ell", "9",
+                     "--max-cells", "9", "--max-window", "8",
+                     "--per-bucket", "1", "--full-report"])
+    blob = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert blob["failures"] == 0
+    assert max(len(item["a"]) for item in blob["items"]) == 9
+
+
+@pytest.mark.parametrize("theorem, digest", [
+    ("det", "b015499273107c58e412a2b3407b93dce1131ef62dd2a999447783cb2ac34cb1"),
+    ("1.1", "fead0d811f53181aa5e053e99bc0f6959afcc35ad7e7219b665e5ce79c621d40"),
+    ("cor3.5",
+     "5b0b4f30c14a712c06e4bf2c54c674bccd22b119f7979f4b306b4cc0296182d8"),
+    ("conj1.2",
+     "170c1db58622d4947b516e766a890ded203528b7a82c569ef697c6209a01ab65"),
+])
+def test_default_sweeps_pinned(theorem, digest, monkeypatch, capsys):
+    # the full --json report of each sweep on the default corpus, byte for
+    # byte
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+    code = cli.main(["--json", "sweep", "--theorem", theorem,
+                     "--full-report"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

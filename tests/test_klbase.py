@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from ribbonimm import klbase, ribbonmat, tlalgebra
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.perms import apply_s, perm_inverse
 from ribbonimm.shapes import SkewShape, decompose
-from ribbonimm.symfunc import determinant, expand_schur, skew_schur
+from ribbonimm.symfunc import (SFMatrix, SymPoly, determinant, expand_schur,
+                               skew_schur)
 from ribbonimm.tlalgebra import identity_perm, perm_length
 
 
@@ -22,6 +24,36 @@ def ehresmann_leq(x, w):
         if any(a > b for a, b in zip(xs, ws)):
             return False
     return True
+
+
+@pytest.fixture(scope="module")
+def kl7():
+    """kl_polynomials(7), built once at a raised budget (3,550,919 Bruhat
+    pairs) for the tests of this module that read S_7, and dropped after
+    them: its rows hold about 155 MB."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("RIL_BUDGET", "4000000")
+        table = klbase.kl_polynomials(7)
+    yield table
+    klbase.kl_polynomials.cache_clear()
+
+
+def kl_weights(table, w) -> dict:
+    """v -> (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1), the weight of v in the KL
+    immanant at w, read off the row of w0 w in table.rows."""
+    n, W = table.n, klbase._weyl(table.n)
+    top = W.index[tuple(n + 1 - k for k in w)]
+    return {tuple(n + 1 - k for k in W.perms[x]):
+            (-1) ** (W.length[top] - W.length[x]) * sum(table.pool[pid])
+            for x, pid in table.rows[top].items()}
+
+
+def perm_matrix(v) -> SFMatrix:
+    """The 0/1 matrix of v in one variable: the diagonal product of v is 1
+    and every other one is 0."""
+    one, zero = SymPoly.one(1), SymPoly.zero(1)
+    return SFMatrix(len(v), 1, [[one if j == k else zero
+                                 for j in range(1, len(v) + 1)] for k in v])
 
 
 def test_bruhat_matches_prefix_criterion():
@@ -38,9 +70,11 @@ def test_bruhat_matches_prefix_criterion():
                 v: (-1) ** (perm_length(v) - perm_length(w))
                 * sum(table.P(tuple(n + 1 - k for k in v), w0w))
                 for v in perms if ehresmann_leq(w, v)}
-            column = {v: row[w] for v, row in klbase._kl_table(n).items()
-                      if w in row}
-            assert column == expected, w
+            assert kl_weights(table, w) == expected, w
+            # the KL immanant at w of the matrix of v is the weight of v
+            column = {v: klbase.imm_kl(w, perm_matrix(v)).coeffs
+                      for v in perms}
+            assert {v: c[()] for v, c in column.items() if c} == expected, w
 
 
 def test_kl_base_cases():
@@ -146,25 +180,19 @@ def test_polys_is_a_read_only_view():
         table.polys[((1, 2, 3, 4), (1, 2, 3, 4))] = (1,)
 
 
-def test_tl_is_kl_at_321_avoiding(monkeypatch):
+def test_tl_is_kl_at_321_avoiding(kl7, monkeypatch):
     # Theorem 1.1 is the 321-avoiding case of Conjecture 1.2: the KL
     # weight of v at a 321-avoiding w is the TL coefficient of v at the
     # matching of w^-1 (Rhoades-Skandera, "Temperley-Lieb immanants").
-    # n = 7 needs a raised budget: 2,162,160 TL slots and 3,550,919
-    # Bruhat pairs.
+    # n = 7 needs a raised budget: 2,162,160 TL slots.
     monkeypatch.setenv("RIL_BUDGET", "4000000")
-    try:
-        for n in range(1, 8):
-            tl = tlalgebra._tl_table.__wrapped__(n)
-            kl = klbase._kl_table.__wrapped__(n)
-            for w in tlalgebra.enumerate_321_avoiding(n):
-                tau = tlalgebra.perm_to_matching(perm_inverse(w))
-                by_tl = {v: row[tau] for v, row in tl.items() if tau in row}
-                by_kl = {v: row[w] for v, row in kl.items() if w in row}
-                assert by_kl == by_tl, w
-    finally:
-        # the n = 7 KL rows hold about 155 MB
-        klbase.kl_polynomials.cache_clear()
+    for n in range(1, 8):
+        tl = tlalgebra._tl_table.__wrapped__(n)
+        kl = klbase.kl_polynomials(n)
+        for w in tlalgebra.enumerate_321_avoiding(n):
+            tau = tlalgebra.perm_to_matching(perm_inverse(w))
+            by_tl = {v: row[tau] for v, row in tl.items() if tau in row}
+            assert kl_weights(kl, w) == by_tl, w
 
 
 def test_mu_values():
@@ -235,23 +263,34 @@ def test_conjecture_harness_small():
         assert entry["schur_positive"]
 
 
+def assert_jacobi_trudi_positive(shape, row_ribbon, ell):
+    # the all-row ribbon cuts a shape into its rows, so the matrix is the
+    # (skew) Jacobi-Trudi matrix, and each of its KL immanants is Schur
+    # positive by Haiman's theorem: a certificate here would be a bug
+    dec = decompose(shape, row_ribbon)
+    assert dec.ell == ell
+    N = shape.size
+    report = klbase.conjecture12_harness(dec, N)
+    assert report["all_positive"]
+    assert len(report["immanants"]) == math.factorial(ell)
+    identity = report["immanants"][0]
+    assert identity["perm"] == list(range(1, ell + 1))
+    assert identity["expansion"] == str(expand_schur(skew_schur(shape, N)))
+
+
 @pytest.mark.parametrize("outer, inner", [
     ((2, 2, 1, 1, 1, 1), ()), ((3, 3, 2, 2, 1, 1), (2, 1, 1))])
 def test_conjecture_harness_jacobi_trudi_six_sections(outer, inner,
                                                       row_ribbon):
-    # the all-row ribbon cuts a shape into its rows, so the matrix is the
-    # (skew) Jacobi-Trudi matrix, and each of its KL immanants is Schur
-    # positive by Haiman's theorem: a certificate here would be a bug
-    shape = SkewShape(outer, inner)
-    dec = decompose(shape, row_ribbon)
-    assert dec.ell == 6
-    N = shape.size
-    report = klbase.conjecture12_harness(dec, N)
-    assert report["all_positive"]
-    assert len(report["immanants"]) == 720
-    identity = report["immanants"][0]
-    assert identity["perm"] == [1, 2, 3, 4, 5, 6]
-    assert identity["expansion"] == str(expand_schur(skew_schur(shape, N)))
+    assert_jacobi_trudi_positive(SkewShape(outer, inner), row_ribbon, 6)
+
+
+def test_conjecture_harness_jacobi_trudi_seven_sections(kl7, row_ribbon,
+                                                        monkeypatch):
+    # 5,040 immanants at N = 9, on the shared S_7 table
+    monkeypatch.setenv("RIL_BUDGET", "4000000")
+    assert_jacobi_trudi_positive(SkewShape((2, 2, 1, 1, 1, 1, 1)),
+                                 row_ribbon, 7)
 
 
 def test_kl_immanant_expands_in_tl_immanants():

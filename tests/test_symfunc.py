@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -10,12 +11,12 @@ from conftest import is_homogeneous, random_sf_matrix
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.perms import perm_sign
 from ribbonimm.ribbonmat import build, odd_even_split
-from ribbonimm.shapes import SkewShape
+from ribbonimm.shapes import SkewShape, decompose
 from ribbonimm.symfunc import (SFMatrix, SchurExpansion, SymPoly, _orbit,
-                               determinant, diagonal_sums, e_poly,
+                               determinant, diagonal_products, e_poly,
                                enumerate_ssyt, expand_schur, h_poly,
                                lr_coefficient, partition_key, schur_poly,
-                               skew_schur, ssyt_count)
+                               skew_schur, ssyt_count, weighted_sums)
 
 partitions = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -207,15 +208,40 @@ def test_expand_schur_of_schur_is_delta():
     assert exp.schur_positive
 
 
-@functools.lru_cache(maxsize=None)
-def _sign_table(n: int) -> dict:
-    return {w: {"det": perm_sign(w)}
-            for w in itertools.permutations(range(1, n + 1))}
-
-
 def determinant_naive(M: SFMatrix) -> SymPoly:
     """Signed sum over permutations; small-n oracle for determinant."""
-    return diagonal_sums(M, _sign_table(M.n))["det"]
+    perms = itertools.permutations(range(1, M.n + 1))
+    terms = (("det", perm_sign(w), p)
+             for w, p in diagonal_products(M, perms).items())
+    return weighted_sums(terms, M.nvars).get("det", SymPoly.zero(M.nvars))
+
+
+def test_diagonal_products_are_the_nonzero_row_products(row_ribbon):
+    # a Jacobi-Trudi matrix h_{lambda_i - i + j}: zero below the subdiagonal
+    M = build(decompose(SkewShape((2, 2, 1, 1)), row_ribbon), 6).matrix
+    perms = list(itertools.permutations(range(1, M.n + 1)))
+    naive = {w: functools.reduce(operator.mul, (M[i, j] for i, j in
+                                                enumerate(w, 1)))
+             for w in perms}
+    nonzero = {w: p for w, p in naive.items() if not p.is_zero()}
+    # the zero entries make some products vanish, but not all
+    assert 0 < len(nonzero) < len(perms)
+    assert diagonal_products(M, perms) == nonzero
+    # only the permutations asked for are walked
+    some = perms[::3]
+    assert diagonal_products(M, some) == {
+        w: p for w, p in nonzero.items() if w in some}
+
+
+def test_determinant_is_budgeted(monkeypatch):
+    # a 4 x 4 Laplace expansion visits 2^4 = 16 column subsets
+    M = random_sf_matrix(random.Random(5), 4, 2)
+    monkeypatch.setenv("RIL_BUDGET", "15")
+    with pytest.raises(BudgetExceeded, match=r"^determinant\(n=4\): 2\^4 "
+                       r"column subsets exceed RIL_BUDGET=15$"):
+        determinant(M)
+    monkeypatch.setenv("RIL_BUDGET", "16")
+    assert determinant(M) == determinant_naive(M)
 
 
 def test_determinant_matches_naive(hook_dec):
