@@ -10,7 +10,9 @@ output), 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from multiprocessing import Pool
 
@@ -18,8 +20,8 @@ from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
 from .errors import RibbonError, budget
 from .shapes import InfiniteRibbon, SkewShape, decompose
-from .symfunc import (SymPoly, charge_determinant, determinant, expand_schur,
-                      skew_schur)
+from .symfunc import (SchurExpansion, SymPoly, charge_determinant, determinant,
+                      expand_schur, skew_schur)
 
 
 class InputError(Exception):
@@ -40,43 +42,32 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _shape_from_file(path) -> SkewShape:
+def _decomposition(args):
+    """Read args.shape and args.ribbon and cut the shape along the ribbon."""
+    parsed = []
+    for kind, path, cls in (("shape", args.shape, SkewShape),
+                            ("ribbon", args.ribbon, InfiniteRibbon)):
+        try:
+            parsed.append(cls.from_json(_load_json(path)))
+        except (RibbonError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad {kind} file {path}: {exc}") from exc
     try:
-        return SkewShape.from_json(_load_json(path))
-    except (RibbonError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad shape file {path}: {exc}") from exc
-
-
-def _ribbon_from_file(path) -> InfiniteRibbon:
-    try:
-        return InfiniteRibbon.from_json(_load_json(path))
-    except (RibbonError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad ribbon file {path}: {exc}") from exc
-
-
-def _decompose(shape, ribbon):
-    try:
-        return decompose(shape, ribbon)
+        return decompose(*parsed)
     except RibbonError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _nonnegative_int(text) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a non-negative integer")
-    return int(text)
-
-
-def _positive_int(text) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+def _int_arg(text, low=1) -> int:
+    """A decimal integer of at least low (positive by default)."""
+    if not text.isdecimal() or int(text) < low:
+        kind = "positive" if low else "non-negative"
+        raise argparse.ArgumentTypeError(f"{text!r} is not a {kind} integer")
     return int(text)
 
 
 def _nvars_arg(text):
     """--nvars: a positive integer, or 'auto' for the cell count."""
-    return text if text == "auto" else _positive_int(text)
+    return text if text == "auto" else _int_arg(text)
 
 
 def _resolve_nvars(arg, dec):
@@ -85,7 +76,7 @@ def _resolve_nvars(arg, dec):
 
 def _parse_perm(text) -> tuple:
     text = text.replace(",", "")
-    if not text.isdigit():
+    if not text.isdecimal():
         raise InputError(f"bad permutation {text!r}")
     w = tuple(int(ch) for ch in text)
     if sorted(w) != list(range(1, len(w) + 1)):
@@ -111,9 +102,7 @@ def _emit(obj, args, text_lines=None) -> None:
 # ------------------------------------------------------------------ commands
 
 def cmd_decompose(args) -> int:
-    shape = _shape_from_file(args.shape)
-    ribbon = _ribbon_from_file(args.ribbon)
-    dec = _decompose(shape, ribbon)
+    dec = _decomposition(args)
     obj = dec.to_json()
     _emit(obj, args, [f"a = {list(dec.abar)}", f"b = {list(dec.bbar)}",
                       f"copies = {list(dec.copies)}"])
@@ -121,9 +110,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    shape = _shape_from_file(args.shape)
-    ribbon = _ribbon_from_file(args.ribbon)
-    dec = _decompose(shape, ribbon)
+    dec = _decomposition(args)
     N = _resolve_nvars(args.nvars, dec)
     rm = ribbonmat.build(dec, N)
     if args.minor:
@@ -156,16 +143,16 @@ def cmd_imm(args) -> int:
         raise InputError("--perm or --type is required for --method kl")
     if args.method != "kl" and not args.type:
         raise InputError(f"--type is required for --method {args.method}")
-    shape = _shape_from_file(args.shape)
-    ribbon = _ribbon_from_file(args.ribbon)
-    dec = _decompose(shape, ribbon)
+    dec = _decomposition(args)
     N = _resolve_nvars(args.nvars, dec)
+    obj = {"method": args.method, "nvars": N}
     if args.method == "kl":
         w = _parse_perm(args.perm or args.type)
         if len(w) != dec.ell:
             raise InputError("permutation size != number of sections")
         rm = ribbonmat.build(dec, N)
-        value = klbase.imm_kl(w, rm.matrix)
+        exp = expand_schur(klbase.imm_kl(w, rm.matrix))
+        obj["perm"] = list(w)
         label = f"kl {''.join(map(str, w))}"
     else:
         u = _parse_perm(args.type)
@@ -176,23 +163,17 @@ def cmd_imm(args) -> int:
         tau = tlalgebra.perm_to_matching(u)
         if args.method == "def":
             rm = ribbonmat.build(dec, N)
-            value = tlalgebra.imm_tl(tau, rm.matrix)
+            exp = expand_schur(tlalgebra.imm_tl(tau, rm.matrix))
         elif args.method == "shuffle":
-            value = shuffle.imm_by_shuffle(dec, N, tau)
+            exp = expand_schur(shuffle.imm_by_shuffle(dec, N, tau))
         elif args.method == "covers":
-            value = network.imm_by_covers(dec, N, tau)
-        elif args.method == "crystal":
-            exp = shuffle.schur_expand_by_crystal(dec, N).get(tau)
-            value = exp.to_poly() if exp else SymPoly.zero(N)
-        else:  # pragma: no cover - argparse restricts choices
-            raise InputError(f"unknown method {args.method}")
-        label = f"{args.method} {str(tau)}"
-    exp = expand_schur(value)
-    obj = {"method": args.method, "nvars": N, "expansion": exp.to_json()}
-    if args.method == "kl":
-        obj["perm"] = list(w)
-    else:
+            exp = expand_schur(network.imm_by_covers(dec, N, tau))
+        else:  # crystal: the sources give the expansion itself
+            exp = shuffle.schur_expand_by_crystal(dec, N).get(
+                tau, SchurExpansion(N))
         obj["type"] = str(tau)
+        label = f"{args.method} {str(tau)}"
+    obj["expansion"] = exp.to_json()
     _emit(obj, args, [f"Imm[{label}] = {exp}"])
     return 0
 
@@ -238,8 +219,10 @@ def cmd_sweep(args) -> int:
     if args.limit is not None:
         decs = decs[: args.limit]
     jobs = [(d, args.theorem, args.nvars) for d in decs]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    # a worker beyond the instances or the CPUs would only wait
+    processes = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if processes > 1:
+        with Pool(processes) as pool:
             items = pool.map(_sweep_one, jobs)
     else:
         items = [_sweep_one(j) for j in jobs]
@@ -259,12 +242,11 @@ def cmd_remarks(args) -> int:
     tau = tlalgebra.perm_to_matching((2, 1, 4, 3))
     exp1 = expand_schur(tlalgebra.imm_tl(tau, A))
     rows, cols = ribbonmat.remark_bad_minor_indices()
-    exp2 = expand_schur(tlalgebra.minor(Abad, rows, cols))
+    bad = tlalgebra.minor(Abad, rows, cols)
+    exp2 = expand_schur(bad)
     comp_rows = tuple(sorted(set(range(1, 5)) - set(rows)))
     comp_cols = tuple(sorted(set(range(1, 5)) - set(cols)))
-    prod = tlalgebra.minor(Abad, rows, cols) * tlalgebra.minor(
-        Abad, comp_rows, comp_cols)
-    exp3 = expand_schur(prod)
+    exp3 = expand_schur(bad * tlalgebra.minor(Abad, comp_rows, comp_cols))
     ok = (not exp1.schur_positive) and (not exp2.schur_positive) \
         and exp3.schur_positive
     obj = {
@@ -329,12 +311,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_imm)
 
     p = sub.add_parser("sweep")
-    p.add_argument("--max-cells", type=_positive_int, default=8)
-    p.add_argument("--max-window", type=_nonnegative_int, default=5)
-    p.add_argument("--max-ell", type=_positive_int, default=4)
-    p.add_argument("--per-bucket", type=_positive_int, default=16)
-    p.add_argument("--limit", type=_positive_int)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--max-cells", type=_int_arg, default=8)
+    p.add_argument("--max-window", type=functools.partial(_int_arg, low=0),
+                   default=5)
+    p.add_argument("--max-ell", type=_int_arg, default=4)
+    p.add_argument("--per-bucket", type=_int_arg, default=16)
+    p.add_argument("--limit", type=_int_arg)
+    p.add_argument("--jobs", type=_int_arg, default=1)
     p.add_argument("--nvars", default="4", type=_nvars_arg)
     p.add_argument("--full-report", action="store_true")
     p.add_argument("--theorem", default="det",
@@ -346,14 +329,15 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_remarks)
 
     p = sub.add_parser("kl-table")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_int_arg)
     p.set_defaults(func=cmd_kl_table)
 
     args = ap.parse_args(argv)
     try:
         budget()  # a malformed RIL_BUDGET is bad input to every command
         return args.func(args)
-    except (InputError, RibbonError) as exc:
+    except (InputError, RibbonError, RecursionError) as exc:
+        # a RecursionError is an input deeper than a recursive walk reaches
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

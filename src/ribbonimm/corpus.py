@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import BudgetExceeded, NotSkew, budget
+from .errors import BudgetExceeded, NotSkew, budget, charge
 from .shapes import BELOW, LEFT, InfiniteRibbon, decompose, shape_from_tuples
 
 
@@ -48,10 +48,15 @@ def sweep_corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
     open bucket has more sections and one more cell per extra section.
     Buckets take their first per_bucket candidates and never reopen, so
     neither skip changes which instances are selected or their order.
-    Each placed section is a search node, counted against the budget.
+    The buckets, max_ell * max_cells at most, are charged to the budget
+    before any is made, and each placed section is a search node,
+    counted against it.
     """
     if per_bucket < 1:
         raise ValueError("per_bucket must be positive")
+    name = (f"sweep_corpus({max_cells=}, {max_window=}, {max_ell=}, "
+            f"{per_bucket=})")
+    charge(name, max_ell * max_cells, "buckets")
     buckets = {(ell, size): [] for ell in range(1, max_ell + 1)
                for size in range(ell, max_cells + 1)}
     open_ = set(buckets)
@@ -88,9 +93,7 @@ def sweep_corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
                 nodes += 1
                 if nodes > limit:
                     raise BudgetExceeded(
-                        f"sweep_corpus({max_cells=}, {max_window=}, "
-                        f"{max_ell=}, {per_bucket=}): more than {limit} "
-                        "search nodes")
+                        f"{name}: more than {limit} search nodes")
                 sections.append((a, b))
                 key = (len(sections), used + (b - a))
                 if key in open_:

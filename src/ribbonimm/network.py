@@ -254,9 +254,13 @@ def covers_by_type(dec: RibbonDecomposition, N: int):
     paired, so only the covers the symmetric sum records are built and
     uncrossed.  The red and blue families, and each section's paths, are
     counted and charged to the enumeration budget before any is built.
+    A partition weight has no more parts than the shape has cells, so no
+    such cover has a higher source: the network is built min(N, cells)
+    levels high.
     """
-    reds, blues = _colour_families(build_network(dec, N))
-    pairs = pair_by_weight(reds, blues, lambda fam: _family_weight(fam, N))
+    n = min(N, dec.shape.size)
+    reds, blues = _colour_families(build_network(dec, n))
+    pairs = pair_by_weight(reds, blues, lambda fam: _family_weight(fam, n))
     return tally(((uncross_type(sorted(red + blue)), key, 1)
                   for red, blue, key in pairs), N)
 

@@ -12,10 +12,10 @@ tile the plane with one box of each content per copy.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .errors import EmptySection, IncompatibleShape, NonConsecutiveCopies, NotSkew
+from .errors import (EmptySection, IncompatibleShape, NonConsecutiveCopies,
+                     NotSkew, charge)
 
 LEFT = "L"
 BELOW = "B"
@@ -33,6 +33,28 @@ def normalize_partition(parts) -> tuple:
     if parts and parts[-1] < 0:
         raise ValueError(f"negative part in {parts}")
     return parts
+
+
+def _json_field(obj, key, kind, default=None):
+    """obj[key], or default if given and the key is missing, of exactly
+    the type kind (a JSON true is not an integer)."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected an object, not {type(obj).__name__}")
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {kind.__name__}, "
+                        f"not {type(value).__name__}")
+    return value
+
+
+def _json_list(obj, key, kind, default=None):
+    """obj[key] as a tuple: a list of values of exactly the type kind."""
+    value = _json_field(obj, key, list, default)
+    for v in value:
+        if type(v) is not kind:
+            raise TypeError(f"{key} must list {kind.__name__} values, "
+                            f"not {type(v).__name__}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -153,7 +175,10 @@ class SkewShape:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(tuple(obj["outer"]), tuple(obj.get("inner", ())))
+        """Shape from {"outer": [...], "inner": [...]}, lists of JSON
+        integers; "inner" may be omitted."""
+        return cls(_json_list(obj, "outer", int),
+                   _json_list(obj, "inner", int, []))
 
 
 @dataclass(frozen=True)
@@ -200,8 +225,16 @@ class InfiniteRibbon:
         return self.tail_hi
 
     def box(self, i: int):
-        """Position (row, col) of the content-i box, anchored r_0 = (0, 0)."""
-        return _ribbon_box(self, i)
+        """Position (row, col) of the content-i box, anchored r_0 = (0, 0):
+        (-b, i - b) for b the BELOW steps at contents 1..i, each one row up
+        (negated, over contents i+1..0, when i < 0)."""
+        lo, hi = sorted((0, i))
+        wlo, whi = self.window_lo, self.window_hi
+        b = (self.steps[max(lo, wlo) - wlo:max(min(hi, whi), wlo) - wlo]
+             .count(BELOW)
+             + (self.tail_lo == BELOW) * max(min(hi, wlo) - lo, 0)
+             + (self.tail_hi == BELOW) * max(hi - max(lo, whi), 0))
+        return (-b, i - b) if i >= 0 else (b, i + b)
 
     def shift(self, t: int) -> "InfiniteRibbon":
         """Ribbon with step map shifted: new step(i) = old step(i - t)."""
@@ -217,20 +250,13 @@ class InfiniteRibbon:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj.get("window_lo", 0), tuple(obj.get("steps", ())),
-                   obj["tail_lo"], obj["tail_hi"])
-
-
-@functools.lru_cache(maxsize=None)
-def _ribbon_box(ribbon: InfiniteRibbon, i: int):
-    if i == 0:
-        return (0, 0)
-    if i > 0:
-        r, c = _ribbon_box(ribbon, i - 1)
-        # r_{i-1} below r_i: r_i one row up; left: one column right
-        return (r - 1, c) if ribbon.step(i) == BELOW else (r, c + 1)
-    r, c = _ribbon_box(ribbon, i + 1)
-    return (r + 1, c) if ribbon.step(i + 1) == BELOW else (r, c - 1)
+        """Ribbon from {"window_lo": int, "steps": ["L", "B", ...],
+        "tail_lo": "L" or "B", "tail_hi": ...}; window_lo defaults to 0
+        and steps to []."""
+        return cls(_json_field(obj, "window_lo", int, 0),
+                   _json_list(obj, "steps", str, []),
+                   _json_field(obj, "tail_lo", str),
+                   _json_field(obj, "tail_hi", str))
 
 
 def ribbon_section_shape(ribbon: InfiniteRibbon, a: int, b: int) -> SkewShape:
@@ -292,9 +318,11 @@ class RibbonDecomposition:
 
 
 def decompose(shape: SkewShape, ribbon: InfiniteRibbon) -> RibbonDecomposition:
-    """Cut shape along the copies of ribbon; raise if incompatible."""
+    """Cut shape along the copies of ribbon; raise if incompatible.  The
+    cells are charged to the budget before they are listed."""
     if shape.size == 0:
         raise IncompatibleShape("shape is empty")
+    charge("decompose", shape.size, "cells")
     by_copy = {}
     for i, j, c in shape.cells():
         r, q = ribbon.box(c)

@@ -431,12 +431,15 @@ def _fillings(d: ShuffleDiagram, N: int):
 
     Weight first: the red and the blue SSYT are grouped by weight vector
     and only the groups whose summed weight is a partition are paired, so
-    no other filling is built.  _halves refuses an over-budget filling
-    count before anything is enumerated.
+    no other filling is built.  A partition weight has no more parts than
+    the diagram has cells, so no such filling has a larger entry: the
+    halves are listed in min(N, cells) variables.  _halves refuses an
+    over-budget filling count before anything is enumerated.
     """
-    reds, blues = _halves(d, N)
+    n = min(N, len(d.cells))
+    reds, blues = _halves(d, n)
     for red, blue, key in pair_by_weight(
-            reds, blues, lambda half: _weight(half.values(), N)):
+            reds, blues, lambda half: _weight(half.values(), n)):
         yield ShuffleTableau(d, {**red, **blue}), key
 
 

@@ -319,7 +319,8 @@ def skew_schur(shape: SkewShape, N: int) -> SymPoly:
     # The coefficient of m_alpha counts the chains inner = nu^0 <= nu^1
     # <= ... <= outer whose steps are horizontal strips of sizes alpha_1,
     # alpha_2, ...  The partitions alpha are walked as a prefix tree,
-    # carrying the chain ends of the prefix with their counts.
+    # carrying the chain ends of the prefix with their counts.  Each node
+    # of the walk and each strip list is charged to the budget.
     lam, mu = shape.outer, shape.inner
     limit = budget()
     strips = {}     # (nu, size) -> horizontal strips of that size on nu
@@ -339,7 +340,15 @@ def skew_schur(shape: SkewShape, N: int) -> SymPoly:
                 out[kappa] = out.get(kappa, 0) + count
         return out
 
+    nodes = 0
+
     def walk(alpha, left, ends):
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceeded(
+                f"skew_schur of {shape} in {N} variables: more than "
+                f"{limit} Kostka walk nodes")
         if not left:
             coeffs[alpha] = ends[lam]
             return

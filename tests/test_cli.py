@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ribbonimm
 from ribbonimm import cli
@@ -77,6 +84,13 @@ def test_bad_input_exits_2(tmp_path, hook_files, capsys):
             ("shape", '{"outer": [2, 1], "inner": [1e0]}'),
             ("ribbon", json.dumps({**ribbon_json, "window_lo": 0.5})),
             ("ribbon", json.dumps({**ribbon_json, "window_lo": float("inf")})),
+            # JSON numbers must be JSON integers, and steps a list
+            ("shape", '{"outer": ["3", "2"], "inner": ["1"]}'),
+            ("shape", '{"outer": [true, 1]}'),
+            ("ribbon", json.dumps({**ribbon_json, "window_lo": "0"})),
+            ("ribbon", json.dumps({**ribbon_json, "window_lo": True})),
+            ("ribbon", json.dumps({**ribbon_json, "steps": "LB"})),
+            ("ribbon", json.dumps([ribbon_json])),
             # nested past the recursion limit
             ("shape", "[" * 100000 + "]" * 100000)]:
         bad.write_text(text)
@@ -112,6 +126,7 @@ def test_bad_input_exits_2(tmp_path, hook_files, capsys):
     ["sweep", "--limit", "-1"],
     ["sweep", "--jobs", "0"],
     ["sweep", "--max-cells", "x"],
+    ["imm", "SHAPE", "RIBBON", "--type", "²"],   # a digit, not a decimal
 ])
 def test_bad_arguments_exit_2(argv, small_files, capsys):
     argv = [{"SHAPE": small_files[0], "RIBBON": small_files[1]}.get(a, a)
@@ -255,6 +270,76 @@ def test_malformed_budget_exits_2(value, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+ROW = {"window_lo": 0, "steps": [], "tail_lo": "L", "tail_hi": "L"}
+COLUMN = {"window_lo": 0, "steps": [], "tail_lo": "B", "tail_hi": "B"}
+DEEP = "error: maximum recursion depth exceeded"
+
+
+@pytest.mark.parametrize("shape, ribbon, argv, code, err", [
+    # one cell at content 500: its box is counted, not recursed to
+    ({"outer": [501], "inner": [500]}, ROW, ["decompose"], 0, ""),
+    # the cells are charged before decompose lists them
+    ({"outer": [99999999999]}, ROW, ["matrix"], 2,
+     "error: decompose: 99999999999 cells exceed RIL_BUDGET=2000000\n"),
+    # a 500-row column: the Kostka and strip walks recurse once per row
+    ({"outer": [1] * 500}, COLUMN, ["matrix"], 2, DEEP),
+    # a partition weight of one cell uses one variable of the million
+    *[({"outer": [1]}, ROW, ["imm", "--nvars", "1000000", "--type", "1",
+                              "--method", method], 0, "")
+      for method in ("shuffle", "covers", "crystal")],
+], ids=["content-500", "1e11-cells", "500-rows", "shuffle-1e6-vars",
+        "covers-1e6-vars", "crystal-1e6-vars"])
+def test_far_large_and_deep_inputs(shape, ribbon, argv, code, err, tmp_path,
+                                   monkeypatch, capsys):
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+    files = []
+    for name, obj in (("shape.json", shape), ("ribbon.json", ribbon)):
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(obj))
+    assert cli.main([argv[0], *map(str, files), *argv[1:]]) == code
+    assert capsys.readouterr().err.startswith(err)
+
+
+def test_sweep_buckets_are_charged_before_they_are_made(monkeypatch, capsys):
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+    code = cli.main(["sweep", "--max-cells", "99999999999", "--max-ell", "1",
+                     "--per-bucket", "1", "--max-window", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: sweep_corpus(max_cells=99999999999, max_window=0, max_ell=1, "
+        "per_bucket=1): 99999999999 buckets exceed RIL_BUDGET=2000000\n")
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool, recording the worker count."""
+
+    started = []
+
+    def __init__(self, processes):
+        self.started.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return list(map(fn, jobs))
+
+
+def test_sweep_starts_no_more_workers_than_cpus_or_instances(monkeypatch,
+                                                             capsys):
+    monkeypatch.setattr(cli, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["sweep", "--max-cells", "3", "--max-window", "1",
+            "--per-bucket", "1", "--nvars", "3"]
+    assert cli.main(args + ["--jobs", "99999999999"]) == 0
+    assert cli.main(args + ["--jobs", "4", "--limit", "1"]) == 0
+    assert _SerialPool.started == [2]
+
+
 @pytest.fixture()
 def column_files(tmp_path):
     # a 7-cell column cut by the all-row ribbon: seven one-cell sections
@@ -339,3 +424,150 @@ def test_default_sweeps_pinned(theorem, digest, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------------------- CLI fuzzing
+
+FILES = ["SHAPE", "RIBBON"]
+
+FUZZ_VALUES = st.one_of(
+    st.integers(1, 6).map(str),
+    st.sampled_from(["0", "-1", "-7", "auto", "99999999999", "9" * 5000,
+                     "1.5", "", "x", "1,3", "1,99", "12", "213", "2143",
+                     "²", "١", " 2"]),
+    st.text(max_size=4))
+FUZZ_OPTIONS = {
+    "decompose": {},
+    "matrix": {"--nvars": FUZZ_VALUES, "--minor": FUZZ_VALUES},
+    "imm": {"--nvars": FUZZ_VALUES, "--type": FUZZ_VALUES,
+            "--perm": FUZZ_VALUES,
+            "--method": st.sampled_from(["def", "shuffle", "covers",
+                                         "crystal", "kl", "x", ""])},
+    "sweep": {**{opt: FUZZ_VALUES for opt in (
+        "--max-cells", "--max-window", "--max-ell", "--per-bucket",
+        "--limit", "--jobs", "--nvars")},
+        "--theorem": st.sampled_from(["det", "1.1", "cor3.5", "conj1.2",
+                                      "2", ""])},
+    "remarks": {"--nvars": FUZZ_VALUES},
+    "kl-table": {},
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 99999999999)
+    | st.sampled_from(["L", "B", "LB", "", "0"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["outer", "inner", "window_lo",
+                                       "steps", "tail_lo", "tail_hi"]),
+                      inner, max_size=4),
+    max_leaves=8)
+
+
+def _mostly(strategy):
+    """strategy, and now and then any JSON value in its place."""
+    return st.one_of(strategy, strategy, strategy, JSON_VALUES)
+
+
+@st.composite
+def _skew_shapes(draw):
+    outer = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)),
+                   reverse=True)
+    inner = sorted(draw(st.lists(st.integers(0, 3), max_size=4)),
+                   reverse=True)
+    return {"outer": outer, "inner": list(map(min, inner, outer))}
+
+
+SHAPES = _skew_shapes().flatmap(lambda shape: st.fixed_dictionaries(
+    {"outer": _mostly(st.just(shape["outer"]))},
+    optional={"inner": _mostly(st.just(shape["inner"]))}))
+RIBBONS = st.fixed_dictionaries(
+    {"tail_lo": _mostly(st.sampled_from("LB")),
+     "tail_hi": _mostly(st.sampled_from("LB"))},
+    optional={"window_lo": _mostly(st.integers(-4, 4)),
+              "steps": _mostly(st.lists(st.sampled_from("LB"),
+                                        max_size=6))})
+RAW_TEXTS = st.sampled_from(["", "{not json", "[" * 100000,
+                             '{"outer": [NaN]}', '{"outer": [1e400]}',
+                             '{"outer": [' + "9" * 5000 + "]}"])
+
+
+def _file_texts(objects):
+    # None: no such file
+    return st.one_of(objects.map(json.dumps), objects.map(json.dumps),
+                     JSON_VALUES.map(json.dumps), RAW_TEXTS, st.none())
+
+
+@st.composite
+def _cli_runs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    if command in ("decompose", "matrix", "imm"):
+        argv += FILES
+    if command == "kl-table":
+        argv.append(draw(FUZZ_VALUES))
+    for opt, values in sorted(FUZZ_OPTIONS[command].items()):
+        if draw(st.booleans()):
+            argv += [opt, draw(values)]
+    if command == "sweep" and draw(st.booleans()):
+        argv.append("--full-report")
+    prefix = draw(st.sampled_from([[], [], ["--json"], ["--json"],
+                                   ["--out", "OUT"], ["--out", "MISSING"],
+                                   ["--out", "DIR"]]))
+    files = (draw(_file_texts(SHAPES)), draw(_file_texts(RIBBONS)))
+    return prefix + argv, files
+
+
+def _example(argv, shape=None, ribbon=None):
+    """An explicit run: a dict is written as JSON, a str as it is."""
+    return example((argv, tuple(json.dumps(obj) if isinstance(obj, dict)
+                                else obj for obj in (shape, ribbon))))
+
+
+# each input below once ended in a traceback, a MemoryError or minutes of
+# work; at this budget each ends in well under a second
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@_example(["decompose", *FILES], {"outer": [501], "inner": [500]}, ROW)
+@_example(["decompose", *FILES], '{"outer": ["3", "2"], "inner": ["1"]}',
+          ROW)
+@_example(["decompose", *FILES], '{"outer": [true, 1]}', ROW)
+@_example(["decompose", *FILES], {"outer": [1]}, {**ROW, "window_lo": "0"})
+@_example(["decompose", *FILES], {"outer": [1]}, {**ROW, "window_lo": True})
+@_example(["decompose", *FILES], {"outer": [1]}, {**ROW, "steps": "LB"})
+@_example(["matrix", *FILES], {"outer": [99999999999]}, ROW)
+@_example(["sweep", "--max-cells", "99999999999", "--max-ell", "1",
+           "--per-bucket", "1", "--max-window", "0"])
+@_example(["matrix", *FILES], {"outer": [70]}, ROW)
+@_example(["matrix", *FILES], {"outer": [40]}, ROW)
+@_example(["matrix", *FILES], {"outer": [1] * 500}, COLUMN)
+@_example(["imm", *FILES, "--nvars", "1000000", "--type", "1", "--method",
+           "shuffle"], {"outer": [1]}, ROW)
+@_example(["imm", *FILES, "--nvars", "1000000", "--type", "1", "--method",
+           "covers"], {"outer": [1]}, ROW)
+@_example(["imm", *FILES, "--nvars", "1000000", "--type", "1", "--method",
+           "crystal"], {"outer": [1]}, ROW)
+@given(_cli_runs())
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(run):
+    argv, texts = run
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"RIL_BUDGET": "2000"}), \
+            mock.patch.object(cli, "Pool", _SerialPool), \
+            mock.patch.object(_SerialPool, "started", []):
+        paths = {"OUT": os.path.join(tmp, "out.json"),
+                 "MISSING": os.path.join(tmp, "missing", "out.json"),
+                 "DIR": tmp}
+        for name, text in zip(FILES, texts):
+            paths[name] = os.path.join(tmp, name.lower() + ".json")
+            if text is not None:
+                with open(paths[name], "w") as fh:
+                    fh.write(text)
+        argv = [paths.get(word, word) for word in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:   # argparse: usage errors and --help
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        assert all(n <= (os.cpu_count() or 1) for n in _SerialPool.started)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import row_interval
-from ribbonimm.errors import EmptySection, IncompatibleShape, NotSkew
+from ribbonimm import corpus
+from ribbonimm.errors import (BudgetExceeded, EmptySection, IncompatibleShape,
+                             NotSkew)
 from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, SkewShape,
                               decompose, normalize_partition,
                               ribbon_section_shape, shape_from_tuples)
@@ -104,6 +106,35 @@ def test_ribbon_box_content(i):
     assert col - row == i
 
 
+def _walked_box(ribbon, i):
+    """Box of content i, one step at a time from r_0 = (0, 0)."""
+    r = q = 0
+    for k in range(1, i + 1):
+        r, q = (r - 1, q) if ribbon.step(k) == BELOW else (r, q + 1)
+    for k in range(0, i, -1):
+        r, q = (r + 1, q) if ribbon.step(k) == BELOW else (r, q - 1)
+    return r, q
+
+
+def test_ribbon_box_counts_the_walk(hook_ribbon):
+    ribbons = [*corpus.enumerate_ribbons(5), hook_ribbon]
+    assert len(ribbons) == 67
+    for ribbon in ribbons:
+        for t in (-7, 0, 4):
+            R = ribbon.shift(t)
+            assert [R.box(i) for i in range(-30, 31)] == [
+                _walked_box(R, i) for i in range(-30, 31)], R
+
+
+def test_ribbon_box_far_from_the_window(hook_ribbon):
+    # counted, not walked: no recursion depth or cache grows with |i|
+    # three BELOW steps in the window at 1..5, then the LEFT tail
+    assert hook_ribbon.box(10 ** 6) == (-3, 10 ** 6 - 3)
+    # the BELOW tail below -2, and one more BELOW in the window at -2..0
+    assert hook_ribbon.box(-10 ** 6) == (10 ** 6 - 2, -2)
+    assert hook_ribbon.box(500) == _walked_box(hook_ribbon, 500)
+
+
 def test_ribbon_shift():
     r = InfiniteRibbon(0, (BELOW,), tail_lo=LEFT, tail_hi=LEFT)
     assert r.shift(3).step(4) == r.step(1)
@@ -149,3 +180,27 @@ def test_json_roundtrips(hook_dec):
     blob = hook_dec.to_json()
     assert blob["a"] == [0, -4, -3, 3]
     assert blob["b"] == [3, 5, 9, 6]
+
+
+def test_from_json_takes_json_integers_and_lists_only():
+    ribbon = {"window_lo": 0, "steps": ["B", "L"], "tail_lo": "L",
+              "tail_hi": "B"}
+    assert InfiniteRibbon.from_json(ribbon) == InfiniteRibbon(
+        0, "BL", tail_lo=LEFT, tail_hi=BELOW)
+    for bad in [{"outer": ["3", "2"], "inner": ["1"]}, {"outer": [True, 1]},
+                {"outer": [2], "inner": [1.0]}, {"outer": "21"}, [2, 1]]:
+        with pytest.raises(TypeError):
+            SkewShape.from_json(bad)
+    for key, value in [("window_lo", "0"), ("window_lo", True),
+                       ("steps", "LB"), ("steps", [1]), ("tail_lo", ["L"])]:
+        with pytest.raises(TypeError):
+            InfiniteRibbon.from_json({**ribbon, key: value})
+    with pytest.raises(TypeError):
+        InfiniteRibbon.from_json([ribbon])
+
+
+def test_decompose_charges_the_cells_before_listing_them(row_ribbon,
+                                                         monkeypatch):
+    monkeypatch.setattr(SkewShape, "cells", None)   # never listed
+    with pytest.raises(BudgetExceeded, match="decompose: 99999999999 cells"):
+        decompose(SkewShape((99999999999,)), row_ribbon)

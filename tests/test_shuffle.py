@@ -294,3 +294,23 @@ def test_budget_is_checked_before_enumerating(hook_dec, monkeypatch):
                 lambda: network.count_covers(net)):
         with pytest.raises(BudgetExceeded, match="more than 2000000 covers"):
             run()
+
+
+def test_models_need_no_more_variables_than_cells():
+    # A partition weight has no more parts than the shape has cells, so
+    # the weight-first models list their objects in min(N, cells)
+    # variables.  At N = cells + 2 each equals the listing of every
+    # filling or cover in N variables, and its own output at N = cells.
+    decs = [d for d in corpus.sweep_corpus(5, 3, 4, per_bucket=1)
+            if d.ell >= 2]
+    assert len(decs) == 9
+    for dec in decs:
+        n = dec.shape.size
+        N = n + 2
+        models = (shuffle.tableaux_by_type, network.covers_by_type,
+                  shuffle.schur_expand_by_crystal)
+        for model, listed in zip(models, _unfiltered_models(dec, N)):
+            wide, narrow = model(dec, N), model(dec, n)
+            assert wide == listed, (model.__name__, dec)
+            assert {t: p.coeffs for t, p in wide.items()} == {
+                t: p.coeffs for t, p in narrow.items()}

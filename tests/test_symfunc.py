@@ -173,6 +173,19 @@ def test_skew_schur_budget_guard(monkeypatch):
         skew_schur(SkewShape((3, 2), (1,)), 3)
 
 
+def test_skew_schur_charges_every_walk_node(monkeypatch):
+    # the 40-cell row walks 215,308 prefixes of the partitions of 40 but
+    # needs only 40 strip lists: the nodes, not the lists, meet the budget
+    row = SkewShape((40,))
+    monkeypatch.setenv("RIL_BUDGET", "215307")
+    skew_schur.cache_clear()
+    with pytest.raises(BudgetExceeded, match="215307 Kostka walk nodes"):
+        skew_schur(row, 40)
+    monkeypatch.setenv("RIL_BUDGET", "215308")
+    assert len(skew_schur(row, 40).coeffs) == 37338     # p(40)
+    skew_schur.cache_clear()
+
+
 def test_skew_schur_lr_expansion():
     # s_{(2,1)/(1)} = s_2 + s_11
     exp = expand_schur(skew_schur(SkewShape((2, 1), (1, 0)), 2))
@@ -249,10 +262,15 @@ def test_determinant_matches_naive(hook_dec):
     for n in (1, 2, 3):
         M = random_sf_matrix(rng, n, 2)
         assert determinant(M) == determinant_naive(M)
-    # zero entries prune the permutations through them
-    M = build(hook_dec, 2).matrix
-    assert any(p.is_zero() for row in M.entries for p in row)
-    assert determinant(M) == determinant_naive(M)
+    # the hook from N = 3 on: all 24 diagonal products are nonzero (at
+    # N = 2 they all vanish, and the comparison would be 0 == 0).  The
+    # hook has a column of four cells, so at N = 3 they cancel to 0.
+    perms = list(itertools.permutations(range(1, 5)))
+    for N in (3, 4):
+        M = build(hook_dec, N).matrix
+        assert len(diagonal_products(M, perms)) == 24
+        assert determinant(M).is_zero() == (N == 3)
+        assert determinant(M) == determinant_naive(M)
 
 
 def test_sfmatrix_indexing():
