@@ -21,7 +21,7 @@ from .corpus import sweep_corpus
 from .errors import RibbonError, budget
 from .shapes import InfiniteRibbon, SkewShape, decompose
 from .symfunc import (SchurExpansion, SymPoly, charge_determinant, determinant,
-                      expand_schur, skew_schur)
+                      expand_schur, skew_schur, weighted_sums)
 
 
 class InputError(Exception):
@@ -199,7 +199,9 @@ def _sweep_one(packed):
             item["certificate"] = report["certificates"]
     elif theorem == "cor3.5":
         rm = ribbonmat.build(dec, N)
-        total = sum(tlalgebra.imm_tl_all(rm.matrix).values(), SymPoly.zero(N))
+        total = weighted_sums(
+            ((None, 1, p) for p in tlalgebra.imm_tl_all(rm.matrix).values()),
+            N).get(None, SymPoly.zero(N))
         item["ok"] = total == ribbonmat.odd_even_product(dec, N)
     else:
         raise InputError(f"unknown theorem {theorem}")

@@ -81,45 +81,47 @@ def _paths_between(net: RibbonNetwork, start, end):
     """All directed paths start -> end as (vertex tuple, weight exponent).
 
     A path crosses each content in (end_content, start_content] exactly
-    once; within a content it may ride the one-way vertical chain.
+    once; within a content it may ride the one-way vertical chain.  Only
+    heights from which the end is still reachable are entered: they are
+    found once, from the end back to the start, and form an interval at
+    each content, as its vertical chain runs one way.
     """
-    b, a = start[1], end[1]
-    c_start, c_end = start[0], end[0]
+    (c_start, b), (c_end, a) = start, end
     assert c_start >= c_end
-    R = net.ribbon
-    N = net.N
+    R, N = net.ribbon, net.N
+    # [lo, hi]: the heights at content c from which the end is reachable;
+    # leave[c]: the heights [jlo, jhi] at which such a path crosses to
+    # c - 1, arriving d higher (1 on a diagonal edge).  They sit in 1..N:
+    # edges out of the top level would carry a variable the ring lacks
+    lo, hi = (1, a) if net.vertical_up(c_end) else (a, N + 1)
+    leave = {}
+    for c in range(c_end + 1, c_start + 1):
+        d = int(R.step(c - 1) == BELOW)
+        jlo, jhi, _ = leave[c] = max(1, lo - d), min(N, hi - d), d
+        if jlo > jhi:
+            return []
+        lo, hi = (1, jhi) if net.vertical_up(c) else (jlo, N + 1)
+    if not lo <= b <= hi:
+        return []
 
-    def vertical_run(content, j_from, j_to):
-        # vertices visited moving from j_from to j_to along verticals,
-        # or None if the chain direction forbids it
-        if j_from == j_to:
-            return [(content, j_from)]
-        up = net.vertical_up(content)
-        if (j_to > j_from) != up:
-            return None
-        step = 1 if up else -1
+    def run(content, j_from, j_to):
+        # the vertices from j_from to j_to along the vertical chain
+        step = 1 if j_to >= j_from else -1
         return [(content, j) for j in range(j_from, j_to + step, step)]
 
     results = []
 
     def walk(content, height, vertices, wt):
         if content == c_end:
-            run = vertical_run(content, height, a)
-            if run is not None:
-                results.append((tuple(vertices + run), tuple(wt)))
+            results.append((tuple(vertices + run(content, height, a)),
+                            tuple(wt)))
             return
-        # sources sit at heights 1..N: edges out of the top level would
-        # carry a variable the ring does not have
-        diag = R.step(content - 1) == BELOW
-        sources = (range(height, N + 1) if net.vertical_up(content)
-                   else range(1, min(height, N) + 1))
-        for j in sources:
-            run = vertical_run(content, height, j)
-            if run is None:
-                continue
+        jlo, jhi, d = leave[content]
+        for j in (range(max(height, jlo), jhi + 1) if net.vertical_up(content)
+                  else range(jlo, min(height, jhi) + 1)):
             wt2 = list(wt)
             wt2[j - 1] += 1
-            walk(content - 1, j + 1 if diag else j, vertices + run, wt2)
+            walk(content - 1, j + d, vertices + run(content, height, j), wt2)
 
     walk(c_start, b, [], [0] * N)
     return results

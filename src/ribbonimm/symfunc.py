@@ -19,6 +19,7 @@ keys in len(lambda) + len(mu) slots, not in all N.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections import Counter
@@ -168,20 +169,7 @@ class SymPoly:
                 out.pop(k, None)
         return SymPoly(self.nvars, out)
 
-    def __neg__(self):
-        return SymPoly(self.nvars, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: int):
-        if c == 0:
-            return SymPoly(self.nvars)
-        return SymPoly(self.nvars, {k: c * v for k, v in self.coeffs.items()})
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         self._check(other)
         out = {}
         for lam, a in self.coeffs.items():
@@ -190,8 +178,6 @@ class SymPoly:
                 for nu, c in _monomial_product(lam, mu, self.nvars).items():
                     out[nu] = out.get(nu, 0) + ab * c
         return SymPoly(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def evaluate(self, point) -> int:
         """Exact evaluation at an integer point of length nvars."""
@@ -216,24 +202,33 @@ def enumerate_ssyt(shape: SkewShape, N: int):
     columns, entries in [1, N], as cell -> entry maps in row-major
     lexicographic order."""
     cells = [(i, j) for i, j, _ in shape.cells()]
-    cell_set = set(cells)
-
-    def fill(pos, entries):
-        if pos == len(cells):
-            yield dict(entries)
+    # an entry is capped at N minus the cells below it in its column; the
+    # column of a cell's left neighbour reaches at least as far down, so
+    # every partial filling within the caps completes
+    bottom = {j: i for i, j in cells}
+    cap = [N - bottom[j] + i for i, j in cells]
+    if min(cap, default=1) < 1:
+        return
+    n = len(cells)
+    # a missing left neighbour reads slot n (1), a missing one above n + 1 (0)
+    index = {cell: k for k, cell in enumerate(cells)}
+    left = [index.get((i, j - 1), n) for i, j in cells]
+    above = [index.get((i - 1, j), n + 1) for i, j in cells]
+    vals = [0] * n + [1, 0]
+    k = 0
+    while True:
+        # the least entries from cell k on, then the next filling in
+        # order: the last entry below its cap goes up by one
+        for r in range(k, n):
+            vals[r] = max(vals[left[r]], vals[above[r]] + 1)
+        yield dict(zip(cells, vals))
+        k = n - 1
+        while k >= 0 and vals[k] == cap[k]:
+            k -= 1
+        if k < 0:
             return
-        i, j = cells[pos]
-        lo = 1
-        if (i, j - 1) in cell_set:
-            lo = max(lo, entries[(i, j - 1)])
-        if (i - 1, j) in cell_set:
-            lo = max(lo, entries[(i - 1, j)] + 1)
-        for v in range(lo, N + 1):
-            entries[(i, j)] = v
-            yield from fill(pos + 1, entries)
-        entries.pop((i, j), None)
-
-    yield from fill(0, {})
+        vals[k] += 1
+        k += 1
 
 
 def ssyt_count(shape: SkewShape, N: int) -> int:
@@ -294,22 +289,24 @@ def tally(items, N: int, cls=SymPoly) -> dict:
 
 def _horizontal_strips(nu, lam, size) -> list:
     """Every kappa with nu <= kappa <= lam such that kappa/nu is a
-    horizontal strip of the given size; nu and kappa have len(lam) parts."""
-    out = []
-
-    def grow(kappa, left):
+    horizontal strip of the given size; nu and kappa have len(lam) parts,
+    listed in increasing lexicographic order."""
+    n = len(lam)
+    room = [(lam[i] if i == 0 else min(lam[i], nu[i - 1])) - nu[i]
+            for i in range(n)]
+    rest = list(itertools.accumulate(reversed(room), initial=0))[::-1]
+    out, stack = [], [((), size)]
+    while stack:
+        kappa, left = stack.pop()
         i = len(kappa)
-        if i == len(lam):
-            if not left:
-                out.append(tuple(kappa))
-            return
-        top = lam[i] if i == 0 else min(lam[i], nu[i - 1])
-        for add in range(min(top - nu[i], left) + 1):
-            kappa.append(nu[i] + add)
-            grow(kappa, left - add)
-            kappa.pop()
-
-    grow([], size)
+        if i == n:
+            out.append(kappa)
+            continue
+        # row i takes at least what the rows below it have no room for, so
+        # every prefix completes
+        for add in range(min(room[i], left), max(0, left - rest[i + 1]) - 1,
+                         -1):
+            stack.append((kappa + (nu[i] + add,), left - add))
     return out
 
 
@@ -340,10 +337,11 @@ def skew_schur(shape: SkewShape, N: int) -> SymPoly:
                 out[kappa] = out.get(kappa, 0) + count
         return out
 
+    # depth first over an explicit stack, largest next part first
+    stack = [((), shape.size, {mu: 1})]
     nodes = 0
-
-    def walk(alpha, left, ends):
-        nonlocal nodes
+    while stack:
+        alpha, left, ends = stack.pop()
         nodes += 1
         if nodes > limit:
             raise BudgetExceeded(
@@ -351,18 +349,15 @@ def skew_schur(shape: SkewShape, N: int) -> SymPoly:
                 f"{limit} Kostka walk nodes")
         if not left:
             coeffs[alpha] = ends[lam]
-            return
+            continue
         if len(alpha) == N:
-            return
+            continue
         # the remaining parts, at most N - len(alpha) of them, are <= part
         lowest = -(-left // (N - len(alpha)))
-        for part in range(min(left, alpha[-1] if alpha else left),
-                          lowest - 1, -1):
+        for part in range(lowest, min(left, alpha[-1] if alpha else left) + 1):
             nxt = extend(ends, part)
             if nxt:
-                walk(alpha + (part,), left - part, nxt)
-
-    walk((), shape.size, {mu: 1})
+                stack.append((alpha + (part,), left - part, nxt))
     return SymPoly(N, coeffs)
 
 
@@ -419,26 +414,23 @@ def charge_determinant(n: int) -> None:
 def determinant(M: SFMatrix) -> SymPoly:
     """Exact determinant; Laplace expansion memoized over column subsets."""
     charge_determinant(M.n)
+    if not M.n:
+        return SymPoly.one(M.nvars)
     cache = {}
 
     def minor(row, colmask):
-        # determinant of rows row..n over the columns set in colmask
-        if row > M.n:
-            return SymPoly.one(M.nvars)
-        if colmask in cache:
-            return cache[colmask]
-        total = SymPoly.zero(M.nvars)
-        sign = 1
-        for j in range(1, M.n + 1):
-            bit = 1 << (j - 1)
-            if not colmask & bit:
-                continue
-            entry = M[row, j]
-            if not entry.is_zero():
-                total = total + (entry * minor(row + 1, colmask & ~bit)).scale(sign)
-            sign = -sign
-        cache[colmask] = total
-        return total
+        # determinant of rows row..n over the columns set in colmask; the
+        # last row's entry is its own 1 x 1 minor
+        if row == M.n:
+            return M[row, colmask.bit_length()]
+        if colmask not in cache:
+            cols = [j for j in range(1, M.n + 1) if colmask >> (j - 1) & 1]
+            terms = ((None, (-1) ** k,
+                      M[row, j] * minor(row + 1, colmask ^ 1 << (j - 1)))
+                     for k, j in enumerate(cols) if not M[row, j].is_zero())
+            cache[colmask] = weighted_sums(terms, M.nvars).get(
+                None, SymPoly.zero(M.nvars))
+        return cache[colmask]
 
     return minor(1, (1 << M.n) - 1)
 
@@ -462,7 +454,9 @@ def diagonal_products(M: SFMatrix, perms) -> dict:
         for w in perms:
             by_col.setdefault(w[row - 1], []).append(w)
         for j, ws in by_col.items():
-            nxt = prod * M[row, j]
+            # a prefix starts from the first row's entry itself; one is
+            # only the empty product of a 0 x 0 matrix
+            nxt = M[row, j] if row == 1 else prod * M[row, j]
             if not nxt.is_zero():
                 walk(row + 1, nxt, ws)
 
@@ -501,10 +495,10 @@ class SchurExpansion:
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def to_poly(self) -> SymPoly:
-        total = SymPoly.zero(self.nvars)
-        for lam, c in self.coeffs.items():
-            total = total + schur_poly(lam, self.nvars).scale(c)
-        return total
+        return weighted_sums(
+            ((None, c, schur_poly(lam, self.nvars))
+             for lam, c in self.coeffs.items()), self.nvars).get(
+            None, SymPoly.zero(self.nvars))
 
     def __str__(self):
         if not self.coeffs:
@@ -535,20 +529,19 @@ class SchurExpansion:
 
 
 def expand_schur(p: SymPoly) -> SchurExpansion:
-    """Expand in the Schur basis by subtracting at the lex-greatest key."""
-    n_terms_bound = 4 * (len(p.coeffs) + 1) * (1 + sum(
-        abs(c) for c in p.coeffs.values()))
-    rem = p
+    """Expand in the Schur basis by subtracting c * s_lam at the
+    lex-greatest key lam until nothing is left.  s_lam has no key
+    lex-greater than lam, and m_lam in it once, so each step removes the
+    greatest key for good."""
+    rem = dict(p.coeffs)
     out = {}
-    steps = 0
-    while not rem.is_zero():
-        steps += 1
-        if steps > n_terms_bound:
-            raise RuntimeError("expansion did not terminate; input not symmetric?")
-        lam = max(rem.coeffs)
-        c = rem.coeffs[lam]
-        out[lam] = c
-        rem = rem - schur_poly(lam, p.nvars).scale(c)
+    while rem:
+        lam = max(rem)
+        c = out[lam] = rem[lam]
+        for key, v in schur_poly(lam, p.nvars).coeffs.items():
+            rem[key] = rem.get(key, 0) - c * v
+            if not rem[key]:
+                del rem[key]
     return SchurExpansion(p.nvars, out)
 
 

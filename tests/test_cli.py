@@ -272,7 +272,6 @@ def test_malformed_budget_exits_2(value, monkeypatch, capsys):
 
 ROW = {"window_lo": 0, "steps": [], "tail_lo": "L", "tail_hi": "L"}
 COLUMN = {"window_lo": 0, "steps": [], "tail_lo": "B", "tail_hi": "B"}
-DEEP = "error: maximum recursion depth exceeded"
 
 
 @pytest.mark.parametrize("shape, ribbon, argv, code, err", [
@@ -281,14 +280,21 @@ DEEP = "error: maximum recursion depth exceeded"
     # the cells are charged before decompose lists them
     ({"outer": [99999999999]}, ROW, ["matrix"], 2,
      "error: decompose: 99999999999 cells exceed RIL_BUDGET=2000000\n"),
-    # a 500-row column: the Kostka and strip walks recurse once per row
-    ({"outer": [1] * 500}, COLUMN, ["matrix"], 2, DEEP),
+    # a 500-row column: the Kostka and strip walks loop, not recurse, and
+    # its 1 x 1 determinant is the entry itself (exit 0: det = s_lambda)
+    ({"outer": [1] * 500}, COLUMN, ["matrix"], 0, ""),
     # a partition weight of one cell uses one variable of the million
     *[({"outer": [1]}, ROW, ["imm", "--nvars", "1000000", "--type", "1",
                               "--method", method], 0, "")
       for method in ("shuffle", "covers", "crystal")],
+    # a 30-row column has one filling and one path in 30 variables, and
+    # the listings enter no partial filling or vertex that cannot complete
+    *[({"outer": [1] * 30}, COLUMN, ["imm", "--type", "1", "--method",
+                                     method], 0, "")
+      for method in ("shuffle", "covers", "crystal")],
 ], ids=["content-500", "1e11-cells", "500-rows", "shuffle-1e6-vars",
-        "covers-1e6-vars", "crystal-1e6-vars"])
+        "covers-1e6-vars", "crystal-1e6-vars", "shuffle-30-rows",
+        "covers-30-rows", "crystal-30-rows"])
 def test_far_large_and_deep_inputs(shape, ribbon, argv, code, err, tmp_path,
                                    monkeypatch, capsys):
     monkeypatch.delenv("RIL_BUDGET", raising=False)

@@ -1,7 +1,9 @@
 import functools
+import inspect
 import itertools
 import operator
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -12,9 +14,10 @@ from ribbonimm.errors import BudgetExceeded
 from ribbonimm.perms import perm_sign
 from ribbonimm.ribbonmat import build, odd_even_split
 from ribbonimm.shapes import SkewShape, decompose
-from ribbonimm.symfunc import (SFMatrix, SchurExpansion, SymPoly, _orbit,
-                               determinant, diagonal_products, e_poly,
-                               enumerate_ssyt, expand_schur, h_poly,
+from ribbonimm.symfunc import (SFMatrix, SchurExpansion, SymPoly,
+                               _monomial_product, _orbit, determinant,
+                               diagonal_products, e_poly, enumerate_ssyt,
+                               expand_schur, h_poly,
                                lr_coefficient, partition_key, schur_poly,
                                skew_schur, ssyt_count, weighted_sums)
 
@@ -186,6 +189,24 @@ def test_skew_schur_charges_every_walk_node(monkeypatch):
     skew_schur.cache_clear()
 
 
+def test_deep_column_walks_loop_instead_of_recursing():
+    # a 300-row column has one SSYT in 300 variables and one Kostka chain;
+    # both walks run under a recursion limit a few dozen frames above the
+    # test's own depth, far below one frame per row
+    column = SkewShape((1,) * 300)
+    skew_schur.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        poly = skew_schur(column, 300)
+        fillings = list(enumerate_ssyt(column, 300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert poly == SymPoly(300, {(1,) * 300: 1})
+    assert fillings == [{(i, 1): i for i in range(1, 301)}]
+    skew_schur.cache_clear()
+
+
 def test_skew_schur_lr_expansion():
     # s_{(2,1)/(1)} = s_2 + s_11
     exp = expand_schur(skew_schur(SkewShape((2, 1), (1, 0)), 2))
@@ -271,6 +292,21 @@ def test_determinant_matches_naive(hook_dec):
         assert len(diagonal_products(M, perms)) == 24
         assert determinant(M).is_zero() == (N == 3)
         assert determinant(M) == determinant_naive(M)
+
+
+def test_determinant_of_the_empty_matrix_is_one():
+    assert determinant(SFMatrix(0, 3, [])) == SymPoly.one(3)
+
+
+def test_first_row_entries_are_not_multiplied_by_one():
+    # a 1 x 1 determinant is its entry, and a diagonal product starts from
+    # the first row's entry: neither forms a monomial product
+    p = schur_poly((2, 1), 3)
+    M = SFMatrix(1, 3, [[p]])
+    calls = sum(_monomial_product.cache_info()[:2])
+    assert determinant(M) == p
+    assert diagonal_products(M, [(1,)]) == {(1,): p}
+    assert sum(_monomial_product.cache_info()[:2]) == calls
 
 
 def test_sfmatrix_indexing():
