@@ -209,13 +209,13 @@ def _sweep_one(packed):
 
 
 def cmd_sweep(args) -> int:
-    # refuse the largest table the theorem needs before building the corpus
+    # the largest table first: refused before the corpus, shared by workers
     if args.theorem == "det":
         charge_determinant(args.max_ell)
     elif args.theorem == "conj1.2":
-        klbase.charge_kl_table(args.max_ell)
+        klbase.kl_polynomials(args.max_ell)
     else:
-        tlalgebra.charge_tl_table(args.max_ell)
+        tlalgebra._tl_table(args.max_ell)
     decs = sweep_corpus(args.max_cells, args.max_window,
                         args.max_ell, args.per_bucket)
     if args.limit is not None:

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the enumeration budget."""
 
+import math
 import os
 
 
@@ -31,10 +32,6 @@ class BudgetExceeded(RibbonError):
     """An enumeration exceeded the configured budget (see RIL_BUDGET)."""
 
 
-class SizeGuard(RibbonError, ValueError):
-    """An input is larger than a computation supports (a fixed size limit)."""
-
-
 def budget() -> int:
     """Most items an exponential enumeration or an S_n table may hold:
     RIL_BUDGET, a positive integer."""
@@ -45,11 +42,22 @@ def budget() -> int:
 
 
 def charge(layer: str, size: int, unit: str) -> None:
-    """Refuse a table of size items before it is built."""
+    """Refuse size items, a table's size or a count kept while building."""
     limit = budget()
     if size > limit:
         raise BudgetExceeded(f"{layer}: {size} {unit} exceed "
                              f"RIL_BUDGET={limit}")
+
+
+def charge_permutations(layer: str, n: int, per: int, unit: str) -> None:
+    """Refuse a table of per items for each permutation of S_n before any
+    is listed.  Since n! >= 2^(n-1), an n past the budget's bit length is
+    refused without computing n!."""
+    limit = budget()
+    if n > limit.bit_length():
+        raise BudgetExceeded(f"{layer}: more than 2^{n - 1} permutations "
+                             f"exceed RIL_BUDGET={limit}")
+    charge(layer, math.factorial(n) * per, unit)
 
 
 class ValidityError(RibbonError):

@@ -33,7 +33,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import SizeGuard, charge
+from .errors import budget, charge, charge_permutations
 from .perms import apply_s, first_right_descent, identity_perm, perm_length
 from .ribbonmat import build
 from .symfunc import (SFMatrix, SymPoly, diagonal_products, expand_schur,
@@ -109,8 +109,9 @@ def _bits(mask: int, positions: tuple) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _weyl(n: int) -> _Weyl:
-    if n > 7:
-        raise SizeGuard("indexed S_n (KL table, Bruhat order) guard: n <= 7")
+    """S_n indexed; charged n! * n entries first, then its Bruhat pairs."""
+    layer = f"_weyl(n={n})"
+    charge_permutations(layer, n, n, "permutations and right actions")
     ranked = sorted((perm_length(u), u)
                     for u in itertools.permutations(range(1, n + 1)))
     perms = tuple(u for _, u in ranked)
@@ -119,7 +120,7 @@ def _weyl(n: int) -> _Weyl:
     right = ((),) + tuple(tuple(index[apply_s(u, i)] for u in perms)
                           for i in range(1, n))
     descent = tuple(first_right_descent(u) or 0 for u in perms)
-    below = [1]
+    below, limit, pairs = [1], budget(), 1
     for k in range(1, len(perms)):
         s = right[descent[k]]
         lower = below[s[k]]  # [e, ws] with ws < w comes earlier
@@ -127,12 +128,15 @@ def _weyl(n: int) -> _Weyl:
         for x in _bits(lower, positions):
             mask |= 1 << s[x]
         below.append(mask)
+        pairs += mask.bit_count()
+        if pairs > limit:
+            charge(layer, pairs, "Bruhat pairs")
     return _Weyl(perms, index, tuple(lw for lw, _ in ranked), right,
                  descent, tuple(below), positions)
 
 
 def bruhat_leq(x: tuple, w: tuple) -> bool:
-    """x <= w in Bruhat order (n <= 7): a bit test on [e, w]."""
+    """x <= w in Bruhat order: a bit test on [e, w]."""
     if len(x) != len(w):
         raise ValueError("size mismatch")
     W = _weyl(len(w))
@@ -216,18 +220,12 @@ class _Pool:
         return pid
 
 
-def charge_kl_table(n: int) -> None:
-    """Charge the entries of kl_polynomials(n), one per Bruhat pair of
-    S_n, to the budget."""
-    charge(f"kl_polynomials(n={n})",
-           sum(m.bit_count() for m in _weyl(n).below), "Bruhat pairs")
-
-
 @functools.lru_cache(maxsize=None)
 def kl_polynomials(n: int) -> KLTable:
-    """All P_{x,w} by the classical recursion on l(w) (n <= 7)."""
-    charge_kl_table(n)
+    """All P_{x,w} by the classical recursion, one entry per Bruhat pair."""
     W = _weyl(n)
+    charge(f"kl_polynomials(n={n})", sum(m.bit_count() for m in W.below),
+           "Bruhat pairs")
     L = W.length
     pool = _Pool()
     pooled, one = pool.tuples, pool.id((1,))
@@ -362,11 +360,10 @@ def kl_polynomials_hecke(n: int) -> KLTable:
     """Independent KL computation: solve bar(b_w) = b_w triangularly.
 
     b_w = H_w + sum h_x H_x with h_x in v*Z[v]; then
-    h_x(v) = v^{l(w)-l(x)} P_{x,w}(v^{-2}).
+    h_x(v) = v^{l(w)-l(x)} P_{x,w}(v^{-2}).  Charged its n!^2 (x, w) visits.
     """
-    if n > 6:
-        raise SizeGuard("oracle guard: n <= 6")
     W = _weyl(n)
+    charge(f"kl_polynomials_hecke(n={n})", len(W.perms) ** 2, "(x, w) visits")
     perms = sorted(W.perms, key=lambda p: (-perm_length(p), p))
     pool = _Pool()
     rows = []

@@ -124,13 +124,17 @@ def build_diagram(dec: RibbonDecomposition) -> ShuffleDiagram:
 
 
 class ShuffleTableau:
-    """Filling of an interleaved diagram, entries positive integers."""
+    """Filling of an interleaved diagram, entries positive integers.
 
-    __slots__ = ("diagram", "entries")
+    Nothing mutates the entries after construction, so the reading word of
+    each index is built once and kept in words."""
+
+    __slots__ = ("diagram", "entries", "words")
 
     def __init__(self, diagram: ShuffleDiagram, entries):
         self.diagram = diagram
         self.entries = dict(entries)
+        self.words = {}
         if set(self.entries) != set(diagram.cells):
             raise ValidityError("filling does not cover the diagram")
 
@@ -352,6 +356,14 @@ class ReadingWord:
 
 
 def reading_word(T: ShuffleTableau, i: int) -> ReadingWord:
+    """The reading word of T at i, built once per (T, i) and kept on T."""
+    word = T.words.get(i)
+    if word is None:
+        word = T.words[i] = _build_reading_word(T, i)
+    return word
+
+
+def _build_reading_word(T: ShuffleTableau, i: int) -> ReadingWord:
     """Letters i/i+1 outside column overlaps, rows bottom to top and left
     to right within a row.
 

@@ -233,14 +233,23 @@ def enumerate_ssyt(shape: SkewShape, N: int):
 
 def ssyt_count(shape: SkewShape, N: int) -> int:
     """Number of SSYT of shape with entries in [1, N], without listing
-    them: the Jacobi-Trudi determinant det h_{outer_i - inner_j - i + j}
-    at x_1 = ... = x_N = 1, where h_k takes the value C(N + k - 1, k)."""
+    them: a Jacobi-Trudi determinant at x_1 = ... = x_N = 1, over the rows
+    or, if fewer, the columns (Macdonald I.5.4 and 5.5).  Over the rows it
+    is det h_{outer_i - inner_j - i + j}, where h_k takes the value
+    C(N + k - 1, k); over the columns it is the same determinant of e's
+    on the conjugate shapes, where e_k takes the value C(N, k)."""
     lam, mu = shape.outer, shape.inner
+    columns = bool(lam) and lam[0] < len(lam)
+    if columns:
+        lam, mu = ([sum(p > j for p in part) for j in range(lam[0])]
+                   for part in (lam, mu))
 
-    def h(k):
-        return math.comb(N + k - 1, k) if k > 0 else int(k == 0)
+    def value(k):
+        if k <= 0:
+            return int(k == 0)
+        return math.comb(N, k) if columns else math.comb(N + k - 1, k)
 
-    a = [[h(lam[i] - mu[j] - i + j) for j in range(len(lam))]
+    a = [[value(lam[i] - mu[j] - i + j) for j in range(len(lam))]
          for i in range(len(lam))]
     # fraction-free (Bareiss) elimination: every division is exact
     sign, prev = 1, 1

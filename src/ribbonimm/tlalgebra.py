@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, StrandTraceError, budget, charge
+from .errors import StrandTraceError, budget, charge, charge_permutations
 from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
                     first_right_descent, identity_perm, is_321_avoiding,
                     perm_inverse, perm_length, perm_mul, perm_sign,
@@ -221,8 +221,8 @@ class _Basis:
 @functools.lru_cache(maxsize=None)
 def _basis(n: int) -> _Basis:
     """The Catalan(n) matchings, as the closure of the identity under the
-    generators, with t_i m for each.  Not charged to the budget:
-    _tl_table charges n! times as much before it asks for the basis."""
+    generators, with t_i m for each.  Not charged to the budget: _tl_table
+    first charges n! >= Catalan(n) permutations."""
     matchings = [identity_matching(n)]
     seen = set(matchings)
     left = [{} for _ in range(n)]
@@ -255,40 +255,31 @@ def perm_to_matching(u: tuple) -> NoncrossingMatching:
     return m
 
 
-def charge_tl_table(n: int) -> None:
-    """Charge the n! Catalan(n) (permutation, matching) slots of
-    _tl_table(n) to the budget.  Since n! >= 2^(n-1), an n past the
-    budget's bit length is refused without its (huge) count."""
-    limit = budget()
-    if n > limit.bit_length():
-        raise BudgetExceeded(f"_tl_table(n={n}): more than 2^{n - 1} slots "
-                             f"exceed RIL_BUDGET={limit}")
-    charge(f"_tl_table(n={n})",
-           math.factorial(n) * math.comb(2 * n, n) // (n + 1), "slots")
-
-
 @functools.lru_cache(maxsize=None)
 def _tl_table(n: int) -> dict:
     """Map w -> {matching: coefficient} of theta(w^-1) over S_n.
 
     Built in length order by one generator at a time: for a right descent
     i of w, theta(w^-1) = (t_i - 1) theta((w s_i)^-1), with t_i read from
-    the basis's left action.
+    the basis's left action.  Charged its n! permutations before any is
+    listed, then its nonzero entries as each row is stored.
     """
-    charge_tl_table(n)
+    layer = f"_tl_table(n={n})"
+    charge_permutations(layer, n, 1, "permutations")
     left = _basis(n).left
-    table = {}
-    for w in sorted(itertools.permutations(range(1, n + 1)), key=perm_length):
+    perms = sorted(itertools.permutations(range(1, n + 1)), key=perm_length)
+    table, limit, stored = {perms[0]: {identity_matching(n): 1}}, budget(), 1
+    for w in perms[1:]:
         i = first_right_descent(w)
-        if i is None:
-            table[w] = {identity_matching(n): 1}
-            continue
         action, out = left[i], {}
         for m, c in table[apply_s(w, i)].items():
             prod, loops = action[m]
             out[prod] = out.get(prod, 0) + c * 2 ** loops
             out[m] = out.get(m, 0) - c
-        table[w] = {m: c for m, c in out.items() if c}
+        table[w] = row = {m: c for m, c in out.items() if c}
+        stored += len(row)
+        if stored > limit:
+            charge(layer, stored, "entries")
     return table
 
 

@@ -213,8 +213,18 @@ def test_criterion_07_reading_word_and_type_pins():
     _report(7, "reading words and pinned strand type", failures)
 
 
-def test_criterion_08_crystal_properties():
+def test_criterion_08_crystal_properties(monkeypatch):
     failures = []
+    # E_i, F_i and the Yamanouchi test share one reading word per (T, i);
+    # keeping each T keeps its id from being reused
+    built = {}
+    build = shuffle._build_reading_word
+
+    def counted(T, i):
+        built.setdefault((id(T), i), []).append(T)
+        return build(T, i)
+
+    monkeypatch.setattr(shuffle, "_build_reading_word", counted)
     for dec in corpus_mod.sweep_corpus(8, 5, 4, per_bucket=2):
         N = _nontrivial_nvars(dec, 4)
         d = shuffle.build_diagram(dec)
@@ -271,6 +281,9 @@ def test_criterion_08_crystal_properties():
                     gen = gen + SymPoly(N, {key: 1})
             if gen != schur_poly(wt, N):
                 failures.append(("component sum", dec.abar, wt))
+    rebuilt = sum(len(kept) > 1 for kept in built.values())
+    if not built or rebuilt:
+        failures.append(("reading words rebuilt", rebuilt, len(built)))
     _report(8, "crystal operator laws and component generating functions",
             failures)
 

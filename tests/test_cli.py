@@ -292,9 +292,15 @@ COLUMN = {"window_lo": 0, "steps": [], "tail_lo": "B", "tail_hi": "B"}
     *[({"outer": [1] * 30}, COLUMN, ["imm", "--type", "1", "--method",
                                      method], 0, "")
       for method in ("shuffle", "covers", "crystal")],
+    # a 500-row column has one column, so its SSYT are counted from a
+    # 1 x 1 Jacobi-Trudi matrix of e's before they are listed
+    *[({"outer": [1] * 500}, COLUMN, ["imm", "--type", "1", "--method",
+                                      method], 0, "")
+      for method in ("shuffle", "covers", "crystal")],
 ], ids=["content-500", "1e11-cells", "500-rows", "shuffle-1e6-vars",
         "covers-1e6-vars", "crystal-1e6-vars", "shuffle-30-rows",
-        "covers-30-rows", "crystal-30-rows"])
+        "covers-30-rows", "crystal-30-rows", "shuffle-500-rows",
+        "covers-500-rows", "crystal-500-rows"])
 def test_far_large_and_deep_inputs(shape, ribbon, argv, code, err, tmp_path,
                                    monkeypatch, capsys):
     monkeypatch.delenv("RIL_BUDGET", raising=False)
@@ -348,45 +354,75 @@ def test_sweep_starts_no_more_workers_than_cpus_or_instances(monkeypatch,
 
 @pytest.fixture()
 def column_files(tmp_path):
-    # a 7-cell column cut by the all-row ribbon: seven one-cell sections
-    ribbon = InfiniteRibbon(tail_lo="L", tail_hi="L")
-    sp = tmp_path / "shape.json"
-    rp = tmp_path / "ribbon.json"
-    sp.write_text(json.dumps(SkewShape((1,) * 7).to_json()))
-    rp.write_text(json.dumps(ribbon.to_json()))
-    return str(sp), str(rp)
+    # 7- and 8-cell columns cut by the all-row ribbon: one-cell sections
+    ribbon = tmp_path / "ribbon.json"
+    ribbon.write_text(json.dumps(
+        InfiniteRibbon(tail_lo="L", tail_hi="L").to_json()))
+    files = {"RIBBON": str(ribbon)}
+    for n in (7, 8):
+        files[f"COLUMN{n}"] = str(tmp_path / f"column{n}.json")
+        Path(files[f"COLUMN{n}"]).write_text(
+            json.dumps(SkewShape((1,) * n).to_json()))
+    return files
 
 
-TL7 = "_tl_table(n=7): 2162160 slots exceed RIL_BUDGET=2000000"
-KL7 = "kl_polynomials(n=7): 3550919 Bruhat pairs exceed RIL_BUDGET=2000000"
+def test_imm_takes_seven_sections(column_files, monkeypatch, capsys):
+    # the S_7 TL table (943,584 entries) fits the default budget; the
+    # shuffle, crystal and covers models give the same s_{1^7}
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+    code = cli.main(["--json", "imm", column_files["COLUMN7"],
+                     column_files["RIBBON"], "--type", "1234567"])
+    blob = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert blob["expansion"]["terms"] == [{"coeff": "1",
+                                           "partition": [1] * 7}]
+
+
+# the S_8 TL table would first store two million entries at the default
+# budget, so its rows are pinned at a lowered one
+TL8 = "_tl_table(n=8): 100014 entries exceed RIL_BUDGET=100000"
+KL7 = "_weyl(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["imm", "SHAPE", "RIBBON", "--type", "1234567"], TL7),
-    (["imm", "SHAPE", "RIBBON", "--method", "kl", "--perm", "7654321"], KL7),
+    (["imm", "COLUMN8", "RIBBON", "--type", "12345678"], TL8),
+    (["imm", "COLUMN7", "RIBBON", "--method", "kl", "--perm", "7654321"],
+     KL7),
     (["kl-table", "7"], KL7),
-    (["sweep", "--theorem", "1.1", "--max-ell", "7"], TL7),
-    (["sweep", "--theorem", "cor3.5", "--max-ell", "7"], TL7),
+    (["sweep", "--theorem", "1.1", "--max-ell", "8"], TL8),
+    (["sweep", "--theorem", "cor3.5", "--max-ell", "8"], TL8),
     (["sweep", "--theorem", "conj1.2", "--max-ell", "7"], KL7),
     (["sweep", "--theorem", "1.1", "--max-ell", "1000000000"],
-     "_tl_table(n=1000000000): more than 2^999999999 slots exceed "
+     "_tl_table(n=1000000000): more than 2^999999999 permutations exceed "
      "RIL_BUDGET=2000000"),
     (["sweep", "--theorem", "det", "--max-ell", "21"],
      "determinant(n=21): 2^21 column subsets exceed RIL_BUDGET=2000000"),
     (["sweep", "--theorem", "det", "--max-ell", "1000000000"],
      "determinant(n=1000000000): 2^1000000000 column subsets exceed "
      "RIL_BUDGET=2000000"),
+    (["kl-table", "8"],
+     "_weyl(n=8): 400065 Bruhat pairs exceed RIL_BUDGET=400000"),
+    (["kl-table", "9"], "_weyl(n=9): 3265920 permutations and right actions "
+     "exceed RIL_BUDGET=2000000"),
+    (["sweep", "--theorem", "conj1.2", "--max-ell", "1000000000"],
+     "_weyl(n=1000000000): more than 2^999999999 permutations exceed "
+     "RIL_BUDGET=2000000"),
 ])
 def test_seven_sections_refused_by_table_size(argv, message, column_files,
-                                              monkeypatch, capsys):
-    monkeypatch.delenv("RIL_BUDGET", raising=False)
+                                              cold_tables, monkeypatch,
+                                              capsys):
+    # each row runs at the budget its message names, the default unset
+    limit = message.rpartition("RIL_BUDGET=")[2]
+    if limit == "2000000":
+        monkeypatch.delenv("RIL_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RIL_BUDGET", limit)
 
     def refuse(*args):
         raise AssertionError("corpus built before the table was charged")
 
     monkeypatch.setattr(cli, "sweep_corpus", refuse)
-    argv = [{"SHAPE": column_files[0], "RIBBON": column_files[1]}.get(a, a)
-            for a in argv]
+    argv = [column_files.get(a, a) for a in argv]
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 2

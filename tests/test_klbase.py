@@ -30,12 +30,13 @@ def ehresmann_leq(x, w):
 def kl7():
     """kl_polynomials(7), built once at a raised budget (3,550,919 Bruhat
     pairs) for the tests of this module that read S_7, and dropped after
-    them: its rows hold about 155 MB."""
+    them with the index of S_7: its rows hold about 155 MB."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("RIL_BUDGET", "4000000")
         table = klbase.kl_polynomials(7)
     yield table
     klbase.kl_polynomials.cache_clear()
+    klbase._weyl.cache_clear()
 
 
 def kl_weights(table, w) -> dict:
@@ -109,16 +110,35 @@ def test_kl_table_s6_pinned():
         "7162a3dc3142c109c162c7ba9ffc5ab6144f2461908e1643e3e06a194478c253")
 
 
-def test_kl_table_budget_guard(monkeypatch):
-    klbase.kl_polynomials.cache_clear()
-    monkeypatch.setenv("RIL_BUDGET", "100")
-    with pytest.raises(BudgetExceeded, match=r"kl_polynomials\(n=4\).*213"):
+def test_kl_table_budget_guard(cold_tables, monkeypatch):
+    # the index of S_4 holds 4! * 4 = 96 permutations and right actions,
+    # then counts its 213 Bruhat pairs as it builds them
+    monkeypatch.setenv("RIL_BUDGET", "95")
+    with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=4\): 96 permutations "
+                       r"and right actions exceed RIL_BUDGET=95$"):
         klbase.kl_polynomials(4)
-    # the default budget refuses S_7 from the pair count alone
+    monkeypatch.setenv("RIL_BUDGET", "100")
+    with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=4\): 109 Bruhat "
+                       r"pairs exceed RIL_BUDGET=100$"):
+        klbase.kl_polynomials(4)
+    # an index built under a larger budget: the table is still charged
+    # its one entry per Bruhat pair
+    monkeypatch.setenv("RIL_BUDGET", "213")
+    klbase._weyl(4)
+    monkeypatch.setenv("RIL_BUDGET", "212")
+    with pytest.raises(BudgetExceeded, match=r"^kl_polynomials\(n=4\): 213 "
+                       r"Bruhat pairs exceed RIL_BUDGET=212$"):
+        klbase.kl_polynomials(4)
+    # the default budget refuses S_7 while its Bruhat pairs are counted,
+    # and S_9 from its permutations alone
     monkeypatch.delenv("RIL_BUDGET")
-    with pytest.raises(BudgetExceeded, match=r"\(n=7\): 3550919 Bruhat pairs "
-                       r"exceed RIL_BUDGET=2000000"):
+    with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=7\): 2000277 Bruhat "
+                       r"pairs exceed RIL_BUDGET=2000000$"):
         klbase.kl_polynomials(7)
+    with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=9\): 3265920 "
+                       r"permutations and right actions exceed "
+                       r"RIL_BUDGET=2000000$"):
+        klbase.kl_polynomials(9)
 
 
 def test_table_only_on_bruhat_pairs():
@@ -184,7 +204,7 @@ def test_tl_is_kl_at_321_avoiding(kl7, monkeypatch):
     # Theorem 1.1 is the 321-avoiding case of Conjecture 1.2: the KL
     # weight of v at a 321-avoiding w is the TL coefficient of v at the
     # matching of w^-1 (Rhoades-Skandera, "Temperley-Lieb immanants").
-    # n = 7 needs a raised budget: 2,162,160 TL slots.
+    # n = 7 needs a raised budget for the KL table: 3,550,919 Bruhat pairs.
     monkeypatch.setenv("RIL_BUDGET", "4000000")
     for n in range(1, 8):
         tl = tlalgebra._tl_table.__wrapped__(n)
@@ -221,10 +241,22 @@ def test_conjecture_harness_matches_imm_kl(corpus_decs):
                 expand_schur(klbase.imm_kl(w, rm.matrix))), (dec.abar, w)
 
 
-def test_guards():
-    with pytest.raises(ValueError):
+def test_guards(monkeypatch):
+    # no fixed guard: the budget refuses the S_8 KL table and the S_7
+    # Hecke oracle
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded):
         klbase.kl_polynomials(8)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
+        klbase.kl_polynomials_hecke(7)
+
+
+def test_hecke_oracle_charges_its_visits(kl7, monkeypatch):
+    # n!^2 (x, w) visits, charged once S_n is indexed: 518,400 at n = 6
+    # fit the default budget, and 25,401,600 at n = 7 pass a raised one
+    monkeypatch.setenv("RIL_BUDGET", "4000000")
+    with pytest.raises(BudgetExceeded, match=r"^kl_polynomials_hecke\(n=7\): "
+                       r"25401600 \(x, w\) visits exceed RIL_BUDGET=4000000$"):
         klbase.kl_polynomials_hecke(7)
 
 

@@ -148,7 +148,9 @@ def test_skew_schur_matches_enumeration():
 
 def test_skew_schur_matches_ssyt_weights(corpus_decs):
     # every skew shape inside a 4x4 box, and the disconnected halves of
-    # corpus decompositions, against weight counts of the fillings
+    # corpus decompositions, against weight counts of the fillings; their
+    # number is ssyt_count, by the h-matrix over the rows or the smaller
+    # e-matrix over the columns, both met here
     box = list(itertools.combinations_with_replacement(range(4, -1, -1), 4))
     shapes = {SkewShape(lam, mu) for lam in box for mu in box
               if all(m <= l for m, l in zip(mu, lam))}
@@ -167,6 +169,8 @@ def test_skew_schur_matches_ssyt_weights(corpus_decs):
                     if not any(wt[N:])}
             kept.pop(None, None)
             assert skew_schur(shape, N) == SymPoly(N, kept), (shape, N)
+            assert ssyt_count(shape, N) == sum(
+                c for wt, c in weights.items() if not any(wt[N:])), (shape, N)
 
 
 def test_skew_schur_budget_guard(monkeypatch):

@@ -239,20 +239,30 @@ def test_minor_matches_determinant():
 
 
 def test_tl_table_charges_its_slots(monkeypatch):
-    # n! Catalan(n) slots: 336 at n = 4, 2162160 at n = 7
-    monkeypatch.setenv("RIL_BUDGET", "300")
-    with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=4\): 336 slots "
-                       r"exceed RIL_BUDGET=300$"):
+    # charged its n! permutations before any is listed, then its nonzero
+    # entries as each row is stored: 174 at n = 4
+    monkeypatch.setenv("RIL_BUDGET", "173")
+    with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=4\): 174 "
+                       r"entries exceed RIL_BUDGET=173$"):
         tlalgebra._tl_table.__wrapped__(4)
-    monkeypatch.setenv("RIL_BUDGET", "336")
+    monkeypatch.setenv("RIL_BUDGET", "174")
     assert tlalgebra._tl_table.__wrapped__(4) == tlalgebra._tl_table(4)
-    # the default budget refuses S_7 before its basis is built
-    monkeypatch.delenv("RIL_BUDGET")
+    # 8! permutations pass a budget of 40,319 before the basis is built
+    monkeypatch.setenv("RIL_BUDGET", "40319")
 
     def refuse(*args):
         raise AssertionError("built before the budget check")
 
-    monkeypatch.setattr(tlalgebra, "_basis", refuse)
-    with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=7\): 2162160 "
-                       r"slots exceed RIL_BUDGET=2000000$"):
-        tlalgebra._tl_table(7)
+    with monkeypatch.context() as mp:
+        mp.setattr(tlalgebra, "_basis", refuse)
+        with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=8\): 40320 "
+                           r"permutations exceed RIL_BUDGET=40319$"):
+            tlalgebra._tl_table(8)
+    # the default budget takes S_6 and S_7 by the entries they store, and
+    # refuses S_8 once its entries pass it
+    monkeypatch.delenv("RIL_BUDGET")
+    assert [sum(map(len, tlalgebra._tl_table.__wrapped__(n).values()))
+            for n in (6, 7)] == [42600, 943584]
+    with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=8\): 2000074 "
+                       r"entries exceed RIL_BUDGET=2000000$"):
+        tlalgebra._tl_table(8)
