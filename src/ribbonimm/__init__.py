@@ -13,11 +13,13 @@ from .errors import (EmptySection, IncompatibleShape, NotSkew, RibbonError,
 from .shapes import (BELOW, LEFT, InfiniteRibbon, RibbonDecomposition,
                      SkewShape, decompose, ribbon_section_shape,
                      shape_from_tuples)
-from .symfunc import (SchurExpansion, SFMatrix, SymPoly, determinant,
-                      expand_schur, schur_poly, skew_schur)
+from .symfunc import (LRProducts, SchurExpansion, SFMatrix, ShapeMatrix,
+                      SymPoly, determinant, expand_schur, schur_poly,
+                      skew_schur)
 from .tlalgebra import (NoncrossingMatching, enumerate_321_avoiding, imm_tl,
                         is_321_avoiding, perm_to_matching)
-from .ribbonmat import RibbonMatrix, build, check_determinant, principal_minor
+from .ribbonmat import (RibbonMatrix, build, check_determinant,
+                        principal_minor, section_matrix)
 from .network import (build_network, count_covers, covers_by_type,
                       enumerate_covers, imm_by_covers, uncross_type)
 from .shuffle import (ShuffleDiagram, ShuffleTableau, build_diagram,
@@ -36,11 +38,12 @@ __all__ = [
     "RibbonError", "StrandTraceError", "ValidityError",
     "InfiniteRibbon", "RibbonDecomposition", "SkewShape", "decompose",
     "ribbon_section_shape", "shape_from_tuples",
-    "SchurExpansion", "SFMatrix", "SymPoly", "determinant", "expand_schur",
-    "schur_poly", "skew_schur",
+    "LRProducts", "SchurExpansion", "SFMatrix", "ShapeMatrix", "SymPoly",
+    "determinant", "expand_schur", "schur_poly", "skew_schur",
     "NoncrossingMatching", "enumerate_321_avoiding", "imm_tl",
     "is_321_avoiding", "perm_to_matching",
     "RibbonMatrix", "build", "check_determinant", "principal_minor",
+    "section_matrix",
     "build_network", "count_covers", "covers_by_type", "enumerate_covers",
     "imm_by_covers", "uncross_type",
     "ShuffleDiagram", "ShuffleTableau", "build_diagram", "crystal_E",

@@ -150,8 +150,7 @@ def cmd_imm(args) -> int:
         w = _parse_perm(args.perm or args.type)
         if len(w) != dec.ell:
             raise InputError("permutation size != number of sections")
-        rm = ribbonmat.build(dec, N)
-        exp = expand_schur(klbase.imm_kl(w, rm.matrix))
+        exp = klbase.imm_kl(w, ribbonmat.section_matrix(dec, N))
         obj["perm"] = list(w)
         label = f"kl {''.join(map(str, w))}"
     else:
@@ -162,8 +161,7 @@ def cmd_imm(args) -> int:
             raise InputError(f"type {u} is not 321-avoiding")
         tau = tlalgebra.perm_to_matching(u)
         if args.method == "def":
-            rm = ribbonmat.build(dec, N)
-            exp = expand_schur(tlalgebra.imm_tl(tau, rm.matrix))
+            exp = tlalgebra.imm_tl(tau, ribbonmat.section_matrix(dec, N))
         elif args.method == "shuffle":
             exp = expand_schur(shuffle.imm_by_shuffle(dec, N, tau))
         elif args.method == "covers":

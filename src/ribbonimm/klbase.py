@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 from .errors import budget, charge, charge_permutations
 from .perms import apply_s, first_right_descent, identity_perm, perm_length
-from .ribbonmat import build
-from .symfunc import (SFMatrix, SymPoly, diagonal_products, expand_schur,
-                      weighted_sums)
+from .ribbonmat import section_matrix
+from .symfunc import SchurExpansion, diagonal_products, weighted_sums
 
 # ------------------------------------------------------------ q-polynomials
 
@@ -399,9 +398,9 @@ def kl_polynomials_hecke(n: int) -> KLTable:
 
 # ----------------------------------------------------------------- immanants
 
-def _kl_sums(A: SFMatrix, ws) -> dict:
-    """Map w -> the KL immanant of A at w, for the w in ws whose column
-    has a nonzero diagonal product.  The weight of v at w is
+def _kl_sums(A, ws) -> dict:
+    """Map w -> the KL immanant of A at w, in A's ring, for the w in ws
+    whose column has a nonzero diagonal product.  The weight of v at w is
     (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1), nonzero exactly for v >= w, so
     the column of w is the row of w0 w, its entry x weighing v = w0 x;
     w0 reverses the (length, lex) order, sending position k to last - k.
@@ -420,12 +419,13 @@ def _kl_sums(A: SFMatrix, ws) -> dict:
                 c = at_one[row[x]]
                 yield w, -c if (L[top] - L[x]) % 2 else c, by_x[x]
 
-    return weighted_sums(terms(), A.nvars)
+    return weighted_sums(terms(), A.nvars, A.ring)
 
 
-def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
+def imm_kl(w: tuple, A):
     """Kazhdan-Lusztig immanant at w: a signed, KL-weighted sum of
-    diagonal products; at w = e it is the determinant.
+    diagonal products, in A's ring (a SymPoly for an SFMatrix, a
+    SchurExpansion for a ShapeMatrix); at w = e it is the determinant.
 
     At a 321-avoiding w it is the Temperley-Lieb immanant of the
     matching of the inverse: imm_kl(w, A) ==
@@ -433,7 +433,7 @@ def imm_kl(w: tuple, A: SFMatrix) -> SymPoly:
     """
     if A.n != len(w):
         raise ValueError("dimension mismatch")
-    return _kl_sums(A, [w]).get(w, SymPoly.zero(A.nvars))
+    return _kl_sums(A, [w]).get(w, A.ring(A.nvars))
 
 
 def conjecture12_harness(dec, N: int):
@@ -443,10 +443,10 @@ def conjecture12_harness(dec, N: int):
     not errors (the underlying positivity statement is unproven).
     """
     perms = list(itertools.permutations(range(1, dec.ell + 1)))
-    by_perm = _kl_sums(build(dec, N).matrix, perms)
+    by_perm = _kl_sums(section_matrix(dec, N), perms)
     per_perm, certificates = [], []
     for w in perms:
-        exp = expand_schur(by_perm.get(w, SymPoly.zero(N)))
+        exp = by_perm.get(w, SchurExpansion(N))
         entry = {
             "perm": list(w),
             "expansion": str(exp),

@@ -5,6 +5,11 @@ the skew Schur polynomial of the ribbon section [a_j, b_i), with the
 convention 1 when a_j = b_i and 0 when a_j > b_i.  The determinant equals
 the skew Schur polynomial of the whole shape, and every principal minor is
 again a matrix of the same kind.
+
+`section_matrix` keeps each entry as its section's shape, and the
+harnesses compute every immanant on it in the Schur basis, by
+Littlewood-Richardson fillings; `build` maps the same grid through
+`skew_schur` to the monomial basis.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 
 from .shapes import (RibbonDecomposition, SkewShape, decompose,
                      odd_even_shapes, ribbon_section_shape, shape_from_tuples)
-from .symfunc import (SFMatrix, SymPoly, determinant, expand_schur,
-                      skew_schur)
+from .symfunc import (SchurExpansion, SFMatrix, ShapeMatrix, SymPoly,
+                      determinant, skew_schur)
 from . import tlalgebra
 
 
@@ -31,22 +36,23 @@ class RibbonMatrix:
         return self.decomposition.ell
 
 
-def build(dec: RibbonDecomposition, N: int) -> RibbonMatrix:
-    R = dec.ribbon
+def section_matrix(dec: RibbonDecomposition, N: int) -> ShapeMatrix:
+    """The matrix with entry (i, j) the shape of the section [a_j, b_i):
+    the empty shape (the entry 1) when a_j = b_i, None (the entry 0) when
+    a_j > b_i."""
     a, b = dec.abar, dec.bbar
-    ell = dec.ell
-    rows = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            if a[j] < b[i]:
-                row.append(skew_schur(ribbon_section_shape(R, a[j], b[i]), N))
-            elif a[j] == b[i]:
-                row.append(SymPoly.one(N))
-            else:
-                row.append(SymPoly.zero(N))
-        rows.append(row)
-    return RibbonMatrix(dec, N, SFMatrix(ell, N, rows))
+    empty = SkewShape(())
+    return ShapeMatrix(dec.ell, N, [
+        [ribbon_section_shape(dec.ribbon, aj, bi) if aj < bi else
+         empty if aj == bi else None for aj in a] for bi in b])
+
+
+def build(dec: RibbonDecomposition, N: int) -> RibbonMatrix:
+    """The matrix in the monomial basis: each section's skew Schur
+    polynomial in N variables."""
+    rows = [[SymPoly.zero(N) if theta is None else skew_schur(theta, N)
+             for theta in row] for row in section_matrix(dec, N).shapes]
+    return RibbonMatrix(dec, N, SFMatrix(dec.ell, N, rows))
 
 
 def check_determinant(rm: RibbonMatrix) -> bool:
@@ -87,12 +93,12 @@ def theorem1_harness(dec: RibbonDecomposition, N: int):
     Returns a report dict; overall_positive is True iff no expansion has a
     negative coefficient.
     """
-    by_type = tlalgebra.imm_tl_all(build(dec, N).matrix)
+    by_type = tlalgebra.imm_tl_all(section_matrix(dec, N))
     per_type = []
     ok = True
     for u in tlalgebra.enumerate_321_avoiding(dec.ell):
         tau = tlalgebra.perm_to_matching(u)
-        exp = expand_schur(by_type.get(tau, SymPoly.zero(N)))
+        exp = by_type.get(tau, SchurExpansion(N))
         positive = exp.schur_positive
         ok = ok and positive
         per_type.append({

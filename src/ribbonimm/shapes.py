@@ -261,15 +261,20 @@ class InfiniteRibbon:
 
 def ribbon_section_shape(ribbon: InfiniteRibbon, a: int, b: int) -> SkewShape:
     """Standalone shape of the ribbon section [a, b), its rows and columns
-    translated independently to start at 1."""
+    translated independently to start at 1: read from content a up, a
+    LEFT step extends the current row one column right, and a BELOW step
+    starts the row above at the same column."""
     if a >= b:
         raise EmptySection(f"section [{a}, {b}) is empty")
-    boxes = [ribbon.box(c) for c in range(a, b)]
-    dr = 1 - min(r for r, _ in boxes)
-    dc = 1 - min(q for _, q in boxes)
-    shape = SkewShape.from_cells({(r + dr, q + dc) for r, q in boxes})
-    assert shape.size == b - a and shape.is_ribbon()
-    return shape
+    rows = [[1, 1]]  # [first column, last column], the bottom row first
+    for c in range(a + 1, b):
+        col = rows[-1][1]
+        if ribbon.step(c) == LEFT:
+            rows[-1][1] = col + 1
+        else:
+            rows.append([col, col])
+    return SkewShape(tuple(hi for _, hi in reversed(rows)),
+                     tuple(lo - 1 for lo, _ in reversed(rows)))
 
 
 def odd_even_shapes(ribbon: InfiniteRibbon, abar, bbar):

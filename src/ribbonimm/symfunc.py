@@ -143,6 +143,9 @@ class SymPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def is_one(self) -> bool:
+        return self.coeffs == {(): 1}
+
     def degree(self):
         """Total degree, or None for the zero polynomial."""
         return max((sum(k) for k in self.coeffs), default=None)
@@ -389,6 +392,8 @@ def e_poly(k: int, N: int) -> SymPoly:
 class SFMatrix:
     """Square matrix of SymPoly entries sharing one variable count."""
 
+    ring = SymPoly
+
     n: int
     nvars: int
     entries: list = field(default_factory=list)
@@ -409,6 +414,16 @@ class SFMatrix:
         assert len(rows) == len(cols)
         return SFMatrix(len(rows), self.nvars,
                         [[self[i, j] for j in cols] for i in rows])
+
+    def one(self) -> SymPoly:
+        return SymPoly.one(self.nvars)
+
+    def times(self, prod: SymPoly, i: int, j: int) -> SymPoly:
+        """prod * self[i, j], where a factor of one is not multiplied by."""
+        entry = self[i, j]
+        if prod.is_one():
+            return entry
+        return prod if entry.is_one() else prod * entry
 
 
 def charge_determinant(n: int) -> None:
@@ -444,13 +459,15 @@ def determinant(M: SFMatrix) -> SymPoly:
     return minor(1, (1 << M.n) - 1)
 
 
-def diagonal_products(M: SFMatrix, perms) -> dict:
+def diagonal_products(M, perms) -> dict:
     """Map w -> M[1, w(1)] ... M[n, w(n)] over the permutations w in perms
     (one-line tuples of 1..n) whose product is nonzero.
 
-    The permutations are walked as a prefix tree, so each row-prefix
-    product is formed once, and a prefix whose product is zero prunes
-    every permutation that extends it.
+    M is an SFMatrix or a ShapeMatrix: the walk reads only M.n, M.one()
+    and M.times, so the products are in M's ring.  The permutations are
+    walked as a prefix tree, so each row-prefix product is formed once,
+    and a prefix whose product is zero prunes every permutation that
+    extends it.
     """
     out = {}
 
@@ -463,21 +480,20 @@ def diagonal_products(M: SFMatrix, perms) -> dict:
         for w in perms:
             by_col.setdefault(w[row - 1], []).append(w)
         for j, ws in by_col.items():
-            # a prefix starts from the first row's entry itself; one is
-            # only the empty product of a 0 x 0 matrix
-            nxt = M[row, j] if row == 1 else prod * M[row, j]
+            nxt = M.times(prod, row, j)
             if not nxt.is_zero():
                 walk(row + 1, nxt, ws)
 
-    walk(1, SymPoly.one(M.nvars), list(perms))
+    walk(1, M.one(), list(perms))
     return out
 
 
-def weighted_sums(terms, nvars: int) -> dict:
+def weighted_sums(terms, nvars: int, ring=SymPoly) -> dict:
     """Map key -> sum of c * p over the (key, c, p) in terms, p a SymPoly
-    in nvars variables; only the keys in terms get an entry."""
+    or, with ring=SchurExpansion, a SchurExpansion in nvars variables;
+    only the keys in terms get an entry."""
     return tally(((key, lam, c * v) for key, c, p in terms
-                  for lam, v in p.coeffs.items()), nvars)
+                  for lam, v in p.coeffs.items()), nvars, ring)
 
 
 class SchurExpansion:
@@ -488,6 +504,9 @@ class SchurExpansion:
     def __init__(self, nvars: int, coeffs=None):
         self.nvars = nvars
         self.coeffs = {tuple(k): c for k, c in (coeffs or {}).items() if c}
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
 
     @property
     def schur_positive(self) -> bool:
@@ -552,6 +571,146 @@ def expand_schur(p: SymPoly) -> SchurExpansion:
             if not rem[key]:
                 del rem[key]
     return SchurExpansion(p.nvars, out)
+
+
+class LRProducts:
+    """Products s_lam * s_theta in nvars variables, theta a skew shape, by
+    the Littlewood-Richardson rule in Stembridge's form ("A concise proof
+    of the Littlewood-Richardson rule", EJC 9, 2002; Macdonald I.9):
+    s_lam * s_theta is the sum of s_{lam + wt(T)} over the SSYT T of
+    theta whose reverse reading word (rows top to bottom, each row right
+    to left) keeps lam + content a partition at every letter.  Entries
+    at most nvars drop exactly the terms with more than nvars parts, so
+    the product is the truncated one.
+
+    The fillings are memoized on (lam, theta) for the life of the object,
+    and every partial filling the search visits is charged to RIL_BUDGET,
+    counted over all searches of the object.
+    """
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.visited = 0
+        self.limit = budget()
+        self._memo, self._layouts = {}, {}
+
+    def fillings(self, lam: tuple, theta: SkewShape) -> dict:
+        """Map nu -> the number of LR fillings T of theta with
+        lam + wt(T) = nu; the caller must not modify the returned map."""
+        key = (lam, theta)
+        if key not in self._memo:
+            self._memo[key] = self._search(lam, theta)
+        return self._memo[key]
+
+    def _layout(self, theta) -> tuple:
+        """theta's cells in reverse reading order, as the slot of each
+        cell's right neighbour (read just before it) and of the cell above
+        it, n and n + 1 when missing, and the number of cells below it in
+        its column."""
+        if theta not in self._layouts:
+            cells = [(i, j) for i, (hi, lo) in enumerate(
+                     zip(theta.outer, theta.inner)) for j in range(hi, lo, -1)]
+            n = len(cells)
+            index = {cell: k for k, cell in enumerate(cells)}
+            bottom = {j: i for i, j in cells}
+            self._layouts[theta] = (
+                [index.get((i, j + 1), n) for i, j in cells],
+                [index.get((i - 1, j), n + 1) for i, j in cells],
+                [bottom[j] - i for i, j in cells])
+        return self._layouts[theta]
+
+    def _search(self, lam, theta) -> dict:
+        if len(lam) > self.nvars:  # s_lam is 0 in nvars variables
+            return {}
+        right, above, below = self._layout(theta)
+        n = len(right)
+        if not n:
+            return {lam: 1}
+        # each letter lengthens lam + content by at most one part
+        width = min(self.nvars, len(lam) + n)
+        # a value is at most its right neighbour's (width if none) and
+        # leaves room for the cells below it, and it exceeds the value of
+        # the cell above it (0 if none)
+        cap = [width - b for b in below]
+        vals = [0] * n + [width, 0]
+        part = list(lam) + [0] * (width - len(lam))
+        out = {}
+        visited, limit = self.visited, self.limit
+        # depth first over an explicit stack of values: vals[:k] is the
+        # partial filling and v the next value to try at cell k
+        k, v = 0, 1
+        while k >= 0:
+            hi = vals[right[k]]
+            if hi > cap[k]:
+                hi = cap[k]
+            # v - 1 must stay a longer row than v: equal rows skip v, and
+            # past the last nonempty row no value is left
+            while v <= hi and v > 1 and part[v - 2] == part[v - 1]:
+                v = v + 1 if part[v - 2] else hi + 1
+            if v > hi:
+                k -= 1
+                if k >= 0:
+                    v = vals[k]
+                    part[v - 1] -= 1
+                    v += 1
+                continue
+            visited += 1
+            if visited > limit:
+                raise BudgetExceeded(
+                    f"LRProducts of {theta} on s{list(lam)} in {self.nvars} "
+                    f"variables: more than {limit} partial fillings")
+            vals[k] = v
+            part[v - 1] += 1
+            if k + 1 < n:
+                k += 1
+                v = vals[above[k]] + 1
+            else:
+                nu = tuple(part[:width - part.count(0)])
+                out[nu] = out.get(nu, 0) + 1
+                part[v - 1] -= 1
+                v += 1
+        self.visited = visited
+        return out
+
+    def times(self, p: SchurExpansion, theta: SkewShape) -> SchurExpansion:
+        """p * s_theta in the Schur basis."""
+        if not theta.size:
+            return p
+        out = {}
+        for lam, c in p.coeffs.items():
+            for nu, k in self.fillings(lam, theta).items():
+                out[nu] = out.get(nu, 0) + c * k
+        return SchurExpansion(self.nvars, out)
+
+
+@dataclass
+class ShapeMatrix:
+    """Square matrix of skew Schur functions given by their shapes, a
+    shape being None for the entry 0 (the empty shape is the entry 1).
+    Its products are Schur expansions, formed by one LRProducts, so the
+    fillings are memoized, and charged to the budget, per matrix."""
+
+    ring = SchurExpansion
+
+    n: int
+    nvars: int
+    shapes: list
+    products: LRProducts = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        assert len(self.shapes) == self.n
+        assert all(len(row) == self.n for row in self.shapes)
+        self.products = LRProducts(self.nvars)
+
+    def one(self) -> SchurExpansion:
+        return SchurExpansion(self.nvars, {(): 1})
+
+    def times(self, prod: SchurExpansion, i: int, j: int) -> SchurExpansion:
+        """prod * s_theta for the shape theta of entry (i, j)."""
+        theta = self.shapes[i - 1][j - 1]
+        if theta is None:
+            return SchurExpansion(self.nvars)
+        return self.products.times(prod, theta)
 
 
 def lr_coefficient(lam, mu, nu) -> int:

@@ -288,8 +288,10 @@ def all_matchings(n):
     return list(_basis(n).matchings)
 
 
-def imm_tl(tau: NoncrossingMatching, A: SFMatrix) -> SymPoly:
-    """Temperley-Lieb immanant of A at type tau, by the defining sum.
+def imm_tl(tau: NoncrossingMatching, A):
+    """Temperley-Lieb immanant of A at type tau, by the defining sum, in
+    A's ring: a SymPoly for an SFMatrix, a SchurExpansion for a
+    ShapeMatrix.
 
     Types are drawn with the row points on the left.  The immanant weighs
     the diagonal product of w by the coefficient of tau in theta(w^-1):
@@ -305,15 +307,16 @@ def imm_tl(tau: NoncrossingMatching, A: SFMatrix) -> SymPoly:
               for w, row in _tl_table(tau.n).items() if tau in row}
     terms = ((tau, column[w], p)
              for w, p in diagonal_products(A, column).items())
-    return weighted_sums(terms, A.nvars).get(tau, SymPoly.zero(A.nvars))
+    return weighted_sums(terms, A.nvars, A.ring).get(tau, A.ring(A.nvars))
 
 
-def imm_tl_all(A: SFMatrix) -> dict:
-    """Every Temperley-Lieb immanant of A by type, in one pass; 0 if absent."""
+def imm_tl_all(A) -> dict:
+    """Every Temperley-Lieb immanant of A by type, in one pass and in A's
+    ring; 0 if absent."""
     table = _tl_table(A.n)
     terms = ((tau, c, p) for w, p in diagonal_products(A, table).items()
              for tau, c in table[w].items())
-    return weighted_sums(terms, A.nvars)
+    return weighted_sums(terms, A.nvars, A.ring)
 
 
 def minor(A: SFMatrix, rows, cols) -> SymPoly:

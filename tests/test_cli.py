@@ -245,18 +245,24 @@ def test_out_file_byte_determinism(tmp_path, small_files):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("method", ["shuffle", "crystal", "covers"])
+@pytest.mark.parametrize("method", ["shuffle", "crystal", "covers", "def",
+                                    "kl"])
 def test_imm_over_budget_exits_2(hook_files, method, monkeypatch, capsys):
     # --nvars auto gives the hook 27 variables: about 4.7e29 fillings (and
-    # as many covers), refused from their count before any is built
-    noun = {"shuffle": "fillings", "crystal": "fillings",
-            "covers": "covers"}[method]
+    # as many covers), refused from their count before any is built; the
+    # definition and the KL immanant are refused by their LR filling
+    # search as it passes the budget, after a few seconds
+    lr = (r"LRProducts of SkewShape\(.*\) on s\[.*\] in 27 variables: "
+          r"more than 2000000 partial fillings\n$")
+    refusal = {"shuffle": "more than 2000000 fillings",
+               "crystal": "more than 2000000 fillings",
+               "covers": "more than 2000000 covers", "def": lr, "kl": lr}
     monkeypatch.delenv("RIL_BUDGET", raising=False)
     code = cli.main(["imm", *hook_files, "--method", method,
                      "--type", "2143"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: more than 2000000 {noun}")
+    assert re.match("error: " + refusal[method], err)
     assert "Traceback" not in err
 
 
@@ -297,10 +303,16 @@ COLUMN = {"window_lo": 0, "steps": [], "tail_lo": "B", "tail_hi": "B"}
     *[({"outer": [1] * 500}, COLUMN, ["imm", "--type", "1", "--method",
                                       method], 0, "")
       for method in ("shuffle", "covers", "crystal")],
+    # ... and its LR filling search is a loop over one value per cell
+    ({"outer": [1] * 500}, COLUMN, ["imm", "--type", "1", "--method", "def"],
+     0, ""),
+    ({"outer": [1] * 500}, COLUMN, ["imm", "--method", "kl", "--perm", "1"],
+     0, ""),
 ], ids=["content-500", "1e11-cells", "500-rows", "shuffle-1e6-vars",
         "covers-1e6-vars", "crystal-1e6-vars", "shuffle-30-rows",
         "covers-30-rows", "crystal-30-rows", "shuffle-500-rows",
-        "covers-500-rows", "crystal-500-rows"])
+        "covers-500-rows", "crystal-500-rows", "def-500-rows",
+        "kl-500-rows"])
 def test_far_large_and_deep_inputs(shape, ribbon, argv, code, err, tmp_path,
                                    monkeypatch, capsys):
     monkeypatch.delenv("RIL_BUDGET", raising=False)
@@ -407,6 +419,25 @@ KL7 = "_weyl(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000"
     (["sweep", "--theorem", "conj1.2", "--max-ell", "1000000000"],
      "_weyl(n=1000000000): more than 2^999999999 permutations exceed "
      "RIL_BUDGET=2000000"),
+], ids=[
+    # fixed names, kept from when they were made from the messages, so
+    # that re-pinning a message does not rename its row
+    "argv0-_tl_table(n=8): 100014 entries exceed RIL_BUDGET=100000",
+    "argv1-_weyl(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000",
+    "argv2-_weyl(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000",
+    "argv3-_tl_table(n=8): 100014 entries exceed RIL_BUDGET=100000",
+    "argv4-_tl_table(n=8): 100014 entries exceed RIL_BUDGET=100000",
+    "argv5-_weyl(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000",
+    "argv6-_tl_table(n=1000000000): more than 2^999999999 permutations "
+    "exceed RIL_BUDGET=2000000",
+    "argv7-determinant(n=21): 2^21 column subsets exceed RIL_BUDGET=2000000",
+    "argv8-determinant(n=1000000000): 2^1000000000 column subsets exceed "
+    "RIL_BUDGET=2000000",
+    "argv9-_weyl(n=8): 400065 Bruhat pairs exceed RIL_BUDGET=400000",
+    "argv10-_weyl(n=9): 3265920 permutations and right actions exceed "
+    "RIL_BUDGET=2000000",
+    "argv11-_weyl(n=1000000000): more than 2^999999999 permutations exceed "
+    "RIL_BUDGET=2000000",
 ])
 def test_seven_sections_refused_by_table_size(argv, message, column_files,
                                               cold_tables, monkeypatch,

@@ -229,16 +229,20 @@ def test_dump_format():
 
 
 def test_conjecture_harness_matches_imm_kl(corpus_decs):
-    N = 3
+    # the harness multiplies in the Schur basis, imm_kl here in the
+    # monomial one: truncated (N = 3) and faithful (N = cell count)
     for dec in corpus_decs:
-        rm = ribbonmat.build(dec, N)
-        report = klbase.conjecture12_harness(dec, N)
         perms = list(itertools.permutations(range(1, dec.ell + 1)))
-        assert [tuple(item["perm"]) for item in report["immanants"]] == perms
-        for item in report["immanants"]:
-            w = tuple(item["perm"])
-            assert item["expansion"] == str(
-                expand_schur(klbase.imm_kl(w, rm.matrix))), (dec.abar, w)
+        for N in (3, dec.shape.size):
+            rm = ribbonmat.build(dec, N)
+            report = klbase.conjecture12_harness(dec, N)
+            assert [tuple(item["perm"])
+                    for item in report["immanants"]] == perms
+            for item in report["immanants"]:
+                w = tuple(item["perm"])
+                assert item["expansion"] == str(
+                    expand_schur(klbase.imm_kl(w, rm.matrix))), (
+                        dec.abar, N, w)
 
 
 def test_guards(monkeypatch):

@@ -81,15 +81,17 @@ def test_theorem1_harness_structure():
 
 
 def test_theorem1_harness_matches_imm_tl(corpus_decs):
-    N = 3
+    # the harness multiplies in the Schur basis, imm_tl here in the
+    # monomial one: truncated (N = 3) and faithful (N = cell count)
     for dec in corpus_decs:
-        rm = ribbonmat.build(dec, N)
-        report = ribbonmat.theorem1_harness(dec, N)
-        assert len(report["immanants"]) == CATALAN[dec.ell]
-        for item in report["immanants"]:
-            tau = perm_to_matching(tuple(item["perm"]))
-            assert item["expansion"] == str(
-                expand_schur(imm_tl(tau, rm.matrix))), (dec.abar, tau)
+        for N in (3, dec.shape.size):
+            rm = ribbonmat.build(dec, N)
+            report = ribbonmat.theorem1_harness(dec, N)
+            assert len(report["immanants"]) == CATALAN[dec.ell]
+            for item in report["immanants"]:
+                tau = perm_to_matching(tuple(item["perm"]))
+                assert item["expansion"] == str(
+                    expand_schur(imm_tl(tau, rm.matrix))), (dec.abar, N, tau)
 
 
 def test_remark_matrices_homogeneous():

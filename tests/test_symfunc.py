@@ -3,6 +3,7 @@ import inspect
 import itertools
 import operator
 import random
+import re
 import sys
 from collections import Counter
 
@@ -12,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import is_homogeneous, random_sf_matrix
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.perms import perm_sign
-from ribbonimm.ribbonmat import build, odd_even_split
+from ribbonimm.ribbonmat import build, odd_even_split, section_matrix
 from ribbonimm.shapes import SkewShape, decompose
-from ribbonimm.symfunc import (SFMatrix, SchurExpansion, SymPoly,
-                               _monomial_product, _orbit, determinant,
-                               diagonal_products, e_poly, enumerate_ssyt,
-                               expand_schur, h_poly,
+from ribbonimm.symfunc import (LRProducts, SFMatrix, SchurExpansion,
+                               ShapeMatrix, SymPoly, _monomial_product,
+                               _orbit, determinant, diagonal_products, e_poly,
+                               enumerate_ssyt, expand_schur, h_poly,
                                lr_coefficient, partition_key, schur_poly,
                                skew_schur, ssyt_count, weighted_sums)
 
@@ -246,6 +247,51 @@ def test_expand_schur_of_schur_is_delta():
     assert exp.schur_positive
 
 
+def test_lr_products_match_monomial_products():
+    # every lam with |lam| <= 4 times every skew shape in a 3 x 3 box, in
+    # 1 to 5 variables: the terms with more than N parts drop on both
+    # sides (s_lam itself is 0 when lam has more than N parts)
+    lams = {partition_key(sorted(c, reverse=True))
+            for c in itertools.product(range(5), repeat=4) if sum(c) <= 4}
+    rows = [partition_key(t) for t in itertools.product(range(4), repeat=3)
+            if partition_key(t) is not None]
+    thetas = {SkewShape(o, i) for o in rows for i in rows
+              if len(i) <= len(o) and all(map(operator.ge, o, i))}
+    assert len(lams) == 12 and len(thetas) == 114
+    for N in range(1, 6):
+        products = LRProducts(N)
+        for lam in lams:
+            for theta in thetas:
+                s_lam = schur_poly(lam, N)
+                got = products.times(expand_schur(s_lam), theta)
+                assert got == expand_schur(s_lam * skew_schur(theta, N)), (
+                    N, lam, theta)
+
+
+def test_lr_products_charge_every_partial_filling(monkeypatch):
+    # s_21 from s_empty visits 3 partial fillings, s_1 * s_21 seven more;
+    # the count is kept over the searches of one LRProducts, a repeated
+    # product is read from its memo, and a new LRProducts counts afresh
+    theta = SkewShape((2, 1))
+    one, s1 = SchurExpansion(3, {(): 1}), SchurExpansion(3, {(1,): 1})
+    monkeypatch.setenv("RIL_BUDGET", "9")
+    products = LRProducts(3)
+    assert products.times(one, theta) == SchurExpansion(3, {(2, 1): 1})
+    assert products.times(one, theta) == SchurExpansion(3, {(2, 1): 1})
+    assert products.visited == 3
+    with pytest.raises(BudgetExceeded, match=re.escape(
+            "LRProducts of SkewShape(outer=(2, 1), inner=(0, 0)) on s[1] in "
+            "3 variables: more than 9 partial fillings")):
+        products.times(s1, theta)
+    assert LRProducts(3).times(s1, theta) == SchurExpansion(
+        3, {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1})
+    monkeypatch.setenv("RIL_BUDGET", "10")
+    products = LRProducts(3)
+    products.times(one, theta)
+    products.times(s1, theta)
+    assert products.visited == 10
+
+
 def determinant_naive(M: SFMatrix) -> SymPoly:
     """Signed sum over permutations; small-n oracle for determinant."""
     perms = itertools.permutations(range(1, M.n + 1))
@@ -269,6 +315,10 @@ def test_diagonal_products_are_the_nonzero_row_products(row_ribbon):
     some = perms[::3]
     assert diagonal_products(M, some) == {
         w: p for w, p in nonzero.items() if w in some}
+    # the same walk on the section shapes multiplies in the Schur basis
+    shapes = section_matrix(decompose(SkewShape((2, 2, 1, 1)), row_ribbon), 6)
+    assert diagonal_products(shapes, perms) == {
+        w: expand_schur(p) for w, p in nonzero.items()}
 
 
 def test_determinant_is_budgeted(monkeypatch):
