@@ -13,9 +13,8 @@ from .errors import (EmptySection, IncompatibleShape, NotSkew, RibbonError,
 from .shapes import (BELOW, LEFT, InfiniteRibbon, RibbonDecomposition,
                      SkewShape, decompose, ribbon_section_shape,
                      shape_from_tuples)
-from .symfunc import (LRProducts, SchurExpansion, SFMatrix, ShapeMatrix,
-                      SymPoly, determinant, expand_schur, schur_poly,
-                      skew_schur)
+from .symfunc import (LRProducts, SchurExpansion, ShapeMatrix, SymPoly,
+                      determinant, expand_schur, schur_poly, skew_schur)
 from .tlalgebra import (NoncrossingMatching, enumerate_321_avoiding, imm_tl,
                         is_321_avoiding, perm_to_matching)
 from .ribbonmat import (RibbonMatrix, build, check_determinant,
@@ -38,7 +37,7 @@ __all__ = [
     "RibbonError", "StrandTraceError", "ValidityError",
     "InfiniteRibbon", "RibbonDecomposition", "SkewShape", "decompose",
     "ribbon_section_shape", "shape_from_tuples",
-    "LRProducts", "SchurExpansion", "SFMatrix", "ShapeMatrix", "SymPoly",
+    "LRProducts", "SchurExpansion", "ShapeMatrix", "SymPoly",
     "determinant", "expand_schur", "schur_poly", "skew_schur",
     "NoncrossingMatching", "enumerate_321_avoiding", "imm_tl",
     "is_321_avoiding", "perm_to_matching",

@@ -18,9 +18,9 @@ from multiprocessing import Pool
 
 from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
-from .errors import RibbonError, budget
+from .errors import RibbonError, budget, charge_permutations
 from .shapes import InfiniteRibbon, SkewShape, decompose
-from .symfunc import (SchurExpansion, SymPoly, charge_determinant, determinant,
+from .symfunc import (SchurExpansion, charge_determinant, determinant,
                       expand_schur, skew_schur, weighted_sums)
 
 
@@ -112,7 +112,7 @@ def cmd_decompose(args) -> int:
 def cmd_matrix(args) -> int:
     dec = _decomposition(args)
     N = _resolve_nvars(args.nvars, dec)
-    rm = ribbonmat.build(dec, N)
+    rm = ribbonmat.RibbonMatrix(dec, N, ribbonmat.section_matrix(dec, N))
     if args.minor:
         try:
             I = sorted({int(x) for x in args.minor.split(",")})
@@ -120,17 +120,16 @@ def cmd_matrix(args) -> int:
         except ValueError as exc:
             raise InputError(f"bad --minor {args.minor!r}: {exc}") from exc
         dec = rm.decomposition
-    det = determinant(rm.matrix)
-    target = skew_schur(dec.shape, N)
-    ok = det == target
+    A = rm.matrix
+    det = determinant(A)
+    ok = det.to_poly() == skew_schur(dec.shape, N)
     obj = {
         "a": list(dec.abar),
         "b": list(dec.bbar),
         "nvars": N,
-        "entries": [[str(expand_schur(rm.matrix[i, j]))
-                     for j in range(1, rm.ell + 1)]
-                    for i in range(1, rm.ell + 1)],
-        "det_schur": str(expand_schur(det)),
+        "entries": [[str(A[i, j]) for j in range(1, A.n + 1)]
+                    for i in range(1, A.n + 1)],
+        "det_schur": str(det),
         "det_equals_skew_schur": ok,
     }
     _emit(obj, args, [f"det = {obj['det_schur']}",
@@ -196,24 +195,33 @@ def _sweep_one(packed):
         if not item["ok"]:
             item["certificate"] = report["certificates"]
     elif theorem == "cor3.5":
-        rm = ribbonmat.build(dec, N)
+        A = ribbonmat.section_matrix(dec, N)
         total = weighted_sums(
-            ((None, 1, p) for p in tlalgebra.imm_tl_all(rm.matrix).values()),
-            N).get(None, SymPoly.zero(N))
-        item["ok"] = total == ribbonmat.odd_even_product(dec, N)
+            ((None, 1, p) for p in tlalgebra.imm_tl_all(A).values()),
+            N, SchurExpansion).get(None, SchurExpansion(N))
+        red, blue = ribbonmat.odd_even_split(dec)
+        lr = A.products
+        item["ok"] = total == lr.times(lr.times(A.one(), red), blue)
     else:
         raise InputError(f"unknown theorem {theorem}")
     return item
 
 
 def cmd_sweep(args) -> int:
-    # the largest table first: refused before the corpus, shared by workers
+    # refused by the size of the --max-ell table before the corpus is
+    # built; the table itself is built, and shared by forked workers, for
+    # the most sections an instance of at most --max-cells cells has
+    ell = min(args.max_ell, args.max_cells)
     if args.theorem == "det":
         charge_determinant(args.max_ell)
     elif args.theorem == "conj1.2":
-        klbase.kl_polynomials(args.max_ell)
+        charge_permutations(f"_weyl(n={args.max_ell})", args.max_ell,
+                            args.max_ell, "permutations and right actions")
+        klbase.kl_polynomials(ell)
     else:
-        tlalgebra._tl_table(args.max_ell)
+        charge_permutations(f"_tl_table(n={args.max_ell})", args.max_ell, 1,
+                            "permutations")
+        tlalgebra._tl_table(ell)
     decs = sweep_corpus(args.max_cells, args.max_window,
                         args.max_ell, args.per_bucket)
     if args.limit is not None:

@@ -424,8 +424,9 @@ def _kl_sums(A, ws) -> dict:
 
 def imm_kl(w: tuple, A):
     """Kazhdan-Lusztig immanant at w: a signed, KL-weighted sum of
-    diagonal products, in A's ring (a SymPoly for an SFMatrix, a
-    SchurExpansion for a ShapeMatrix); at w = e it is the determinant.
+    diagonal products, in A's ring (a SchurExpansion, or a SymPoly for a
+    matrix reporting in the monomial basis); at w = e it is the
+    determinant.
 
     At a 321-avoiding w it is the Temperley-Lieb immanant of the
     matching of the inverse: imm_kl(w, A) ==

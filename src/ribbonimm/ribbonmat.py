@@ -6,10 +6,11 @@ convention 1 when a_j = b_i and 0 when a_j > b_i.  The determinant equals
 the skew Schur polynomial of the whole shape, and every principal minor is
 again a matrix of the same kind.
 
-`section_matrix` keeps each entry as its section's shape, and the
-harnesses compute every immanant on it in the Schur basis, by
-Littlewood-Richardson fillings; `build` maps the same grid through
-`skew_schur` to the monomial basis.
+`section_matrix` keeps each entry as its section's shape, and every
+determinant, minor and immanant on it multiplies Schur expansions by
+those shapes through Littlewood-Richardson fillings.  The harnesses
+report in the Schur basis; `build` and the remark fixtures report in the
+monomial basis.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .shapes import (RibbonDecomposition, SkewShape, decompose,
                      odd_even_shapes, ribbon_section_shape, shape_from_tuples)
-from .symfunc import (SchurExpansion, SFMatrix, ShapeMatrix, SymPoly,
+from .symfunc import (LRProducts, SchurExpansion, ShapeMatrix, SymPoly,
                       determinant, skew_schur)
 from . import tlalgebra
 
@@ -29,30 +30,29 @@ from . import tlalgebra
 class RibbonMatrix:
     decomposition: RibbonDecomposition
     nvars: int
-    matrix: SFMatrix
+    matrix: ShapeMatrix
 
     @property
     def ell(self) -> int:
         return self.decomposition.ell
 
 
-def section_matrix(dec: RibbonDecomposition, N: int) -> ShapeMatrix:
+def section_matrix(dec: RibbonDecomposition, N: int,
+                   ring=SchurExpansion) -> ShapeMatrix:
     """The matrix with entry (i, j) the shape of the section [a_j, b_i):
     the empty shape (the entry 1) when a_j = b_i, None (the entry 0) when
-    a_j > b_i."""
+    a_j > b_i.  It reports in ring (see ShapeMatrix)."""
     a, b = dec.abar, dec.bbar
     empty = SkewShape(())
     return ShapeMatrix(dec.ell, N, [
         [ribbon_section_shape(dec.ribbon, aj, bi) if aj < bi else
-         empty if aj == bi else None for aj in a] for bi in b])
+         empty if aj == bi else None for aj in a] for bi in b], ring)
 
 
 def build(dec: RibbonDecomposition, N: int) -> RibbonMatrix:
-    """The matrix in the monomial basis: each section's skew Schur
-    polynomial in N variables."""
-    rows = [[SymPoly.zero(N) if theta is None else skew_schur(theta, N)
-             for theta in row] for row in section_matrix(dec, N).shapes]
-    return RibbonMatrix(dec, N, SFMatrix(dec.ell, N, rows))
+    """The section matrix reporting in the monomial basis, in N
+    variables."""
+    return RibbonMatrix(dec, N, section_matrix(dec, N, SymPoly.from_schur))
 
 
 def check_determinant(rm: RibbonMatrix) -> bool:
@@ -61,20 +61,19 @@ def check_determinant(rm: RibbonMatrix) -> bool:
 
 
 def principal_minor(rm: RibbonMatrix, I) -> RibbonMatrix:
-    """Matrix of the shape whose tuples are the I-indexed subtuples."""
+    """Matrix of the shape whose tuples are the I-indexed subtuples, in
+    rm's ring; its section shapes are those of rm's principal submatrix
+    on I."""
     I = sorted(I)
     dec = rm.decomposition
     if not I or any(k < 1 or k > dec.ell for k in I):
         raise ValueError(f"index set {I} out of range")
     a = [dec.abar[k - 1] for k in I]
     b = [dec.bbar[k - 1] for k in I]
-    sub_shape = shape_from_tuples(dec.ribbon, a, b)
-    sub = build(decompose(sub_shape, dec.ribbon), rm.nvars)
-    expected = rm.matrix.submatrix(I, I)
-    for i in range(1, len(I) + 1):
-        for j in range(1, len(I) + 1):
-            assert sub.matrix[i, j] == expected[i, j], (I, i, j)
-    return sub
+    sub_dec = decompose(shape_from_tuples(dec.ribbon, a, b), dec.ribbon)
+    sub = section_matrix(sub_dec, rm.nvars, rm.matrix.ring)
+    assert sub.shapes == rm.matrix.submatrix(I, I).shapes, I
+    return RibbonMatrix(sub_dec, rm.nvars, sub)
 
 
 def odd_even_split(dec: RibbonDecomposition):
@@ -83,8 +82,10 @@ def odd_even_split(dec: RibbonDecomposition):
 
 
 def odd_even_product(dec: RibbonDecomposition, N: int) -> SymPoly:
+    """s_red * s_blue for the odd/even split, in the monomial basis."""
     red, blue = odd_even_split(dec)
-    return skew_schur(red, N) * skew_schur(blue, N)
+    lr = LRProducts(N)
+    return lr.times(lr.times(SchurExpansion(N, {(): 1}), red), blue).to_poly()
 
 
 def theorem1_harness(dec: RibbonDecomposition, N: int):
@@ -117,21 +118,23 @@ def theorem1_harness(dec: RibbonDecomposition, N: int):
     }
 
 
-def _matrix_from_fixture(obj, N: int) -> SFMatrix:
+def _matrix_from_fixture(obj, N: int) -> ShapeMatrix:
+    """The fixture's shapes, reporting in the monomial basis: a constant
+    1 is the empty shape and a constant 0 is None."""
     n = obj["n"]
-    grid = [[None] * n for _ in range(n)]
+    missing = object()
+    grid = [[missing] * n for _ in range(n)]
     for e in obj["entries"]:
-        i, j = e["row"], e["col"]
         if "const" in e:
-            p = SymPoly.one(N) if e["const"] == 1 else SymPoly.zero(N)
             if e["const"] not in (0, 1):
                 raise ValueError("fixture constants must be 0 or 1")
+            theta = SkewShape(()) if e["const"] else None
         else:
-            p = skew_schur(SkewShape(tuple(e["outer"]), tuple(e["inner"])), N)
-        grid[i - 1][j - 1] = p
-    if any(p is None for row in grid for p in row):
+            theta = SkewShape(tuple(e["outer"]), tuple(e["inner"]))
+        grid[e["row"] - 1][e["col"] - 1] = theta
+    if any(theta is missing for row in grid for theta in row):
         raise ValueError("fixture does not cover the full matrix")
-    return SFMatrix(n, N, grid)
+    return ShapeMatrix(n, N, grid, SymPoly.from_schur)
 
 
 def _load_fixture():
@@ -140,7 +143,8 @@ def _load_fixture():
 
 
 def remark_matrices(N_first=None, N_second=None):
-    """The two hardcoded counterexample matrices, as SFMatrix values.
+    """The two hardcoded counterexample matrices, as ShapeMatrix values
+    reporting in the monomial basis.
 
     N defaults keep positivity verdicts faithful for the relevant immanant
     (degree 13) and minor (degree 14).  A negative Schur coefficient found

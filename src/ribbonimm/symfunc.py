@@ -13,7 +13,14 @@ Symmetric Functions and Hall Polynomials, I.5), which visits only the
 partitions of the degree with at most N parts.  A product is one pass
 over pairs of terms, each weighted by the structure constants of
 m_lambda * m_mu (Macdonald, I.2), which are computed once per pair of
-keys in len(lambda) + len(mu) slots, not in all N.
+keys in len(lambda) + len(mu) slots, not in all N.  It is the reference
+the Schur-basis products are tested against.
+
+A matrix (`ShapeMatrix`) holds each entry as a skew shape, and every
+product of entries -- in a determinant, a minor or an immanant -- is a
+Schur expansion times a skew Schur function, by Littlewood-Richardson
+fillings (`LRProducts`).  A matrix reports its results in its ring: the
+Schur basis, or the monomial basis through `SymPoly.from_schur`.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import itertools
 import math
 import operator
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NotSkew, budget
@@ -140,11 +148,16 @@ class SymPoly:
     def one(cls, nvars):
         return cls(nvars, {(): 1})
 
+    @classmethod
+    def from_schur(cls, nvars, coeffs=None):
+        """The sum of c * s_lam over the (lam, c) in coeffs: a Schur
+        expansion in the monomial basis.  A zero c builds no s_lam."""
+        return weighted_sums(((None, c, schur_poly(lam, nvars))
+                              for lam, c in (coeffs or {}).items() if c),
+                             nvars, cls).get(None, cls(nvars))
+
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {(): 1}
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
@@ -388,86 +401,43 @@ def e_poly(k: int, N: int) -> SymPoly:
     return schur_poly((1,) * k, N) if k > 0 else SymPoly.one(N)
 
 
-@dataclass
-class SFMatrix:
-    """Square matrix of SymPoly entries sharing one variable count."""
-
-    ring = SymPoly
-
-    n: int
-    nvars: int
-    entries: list = field(default_factory=list)
-
-    def __post_init__(self):
-        assert len(self.entries) == self.n
-        for row in self.entries:
-            assert len(row) == self.n
-            for p in row:
-                assert p.nvars == self.nvars
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i - 1][j - 1]
-
-    def submatrix(self, rows, cols) -> "SFMatrix":
-        rows, cols = sorted(rows), sorted(cols)
-        assert len(rows) == len(cols)
-        return SFMatrix(len(rows), self.nvars,
-                        [[self[i, j] for j in cols] for i in rows])
-
-    def one(self) -> SymPoly:
-        return SymPoly.one(self.nvars)
-
-    def times(self, prod: SymPoly, i: int, j: int) -> SymPoly:
-        """prod * self[i, j], where a factor of one is not multiplied by."""
-        entry = self[i, j]
-        if prod.is_one():
-            return entry
-        return prod if entry.is_one() else prod * entry
-
-
 def charge_determinant(n: int) -> None:
-    """Refuse an n x n determinant whose Laplace expansion visits more
-    column subsets (2^n, compared by bit length) than the budget."""
+    """Refuse an n x n determinant whose sums visit more column subsets
+    (2^n, compared by bit length) than the budget."""
     limit = budget()
     if n >= limit.bit_length():
         raise BudgetExceeded(f"determinant(n={n}): 2^{n} column subsets "
                              f"exceed RIL_BUDGET={limit}")
 
 
-def determinant(M: SFMatrix) -> SymPoly:
-    """Exact determinant; Laplace expansion memoized over column subsets."""
+def determinant(M: ShapeMatrix):
+    """Exact determinant, in M's ring, summed from the top row.  D[S],
+    the minor of the first |S| rows on the columns S, adds
+    (-1)^(the columns of S greater than j) * D[S] * M[|S| + 1, j] to
+    D[S + {j}]; every product is one of M's LR products, charged to the
+    budget."""
     charge_determinant(M.n)
     if not M.n:
-        return SymPoly.one(M.nvars)
-    cache = {}
-
-    def minor(row, colmask):
-        # determinant of rows row..n over the columns set in colmask; the
-        # last row's entry is its own 1 x 1 minor
-        if row == M.n:
-            return M[row, colmask.bit_length()]
-        if colmask not in cache:
-            cols = [j for j in range(1, M.n + 1) if colmask >> (j - 1) & 1]
-            terms = ((None, (-1) ** k,
-                      M[row, j] * minor(row + 1, colmask ^ 1 << (j - 1)))
-                     for k, j in enumerate(cols) if not M[row, j].is_zero())
-            cache[colmask] = weighted_sums(terms, M.nvars).get(
-                None, SymPoly.zero(M.nvars))
-        return cache[colmask]
-
-    return minor(1, (1 << M.n) - 1)
+        return M.ring(M.nvars, {(): 1})
+    sums = {0: M.one()}
+    for row in range(1, M.n + 1):
+        terms = ((cols | 1 << j - 1, (-1) ** (cols >> j).bit_count(),
+                  M.times(p, row, j))
+                 for cols, p in sums.items()
+                 for j in range(1, M.n + 1) if not cols >> j - 1 & 1)
+        sums = weighted_sums(terms, M.nvars,
+                             M.ring if row == M.n else SchurExpansion)
+    return sums.get((1 << M.n) - 1, M.ring(M.nvars))
 
 
-def diagonal_products(M, perms) -> dict:
-    """Map w -> M[1, w(1)] ... M[n, w(n)] over the permutations w in perms
-    (one-line tuples of 1..n) whose product is nonzero.
+def diagonal_products(M: ShapeMatrix, perms) -> dict:
+    """Map w -> M[1, w(1)] ... M[n, w(n)], as a Schur expansion, over the
+    permutations w in perms (one-line tuples of 1..n) whose product is
+    nonzero.
 
-    M is an SFMatrix or a ShapeMatrix: the walk reads only M.n, M.one()
-    and M.times, so the products are in M's ring.  The permutations are
-    walked as a prefix tree, so each row-prefix product is formed once,
-    and a prefix whose product is zero prunes every permutation that
-    extends it.
+    The permutations are walked as a prefix tree, so each row-prefix
+    product is formed once, and a prefix whose product is zero prunes
+    every permutation that extends it.
     """
     out = {}
 
@@ -488,10 +458,10 @@ def diagonal_products(M, perms) -> dict:
     return out
 
 
-def weighted_sums(terms, nvars: int, ring=SymPoly) -> dict:
-    """Map key -> sum of c * p over the (key, c, p) in terms, p a SymPoly
-    or, with ring=SchurExpansion, a SchurExpansion in nvars variables;
-    only the keys in terms get an entry."""
+def weighted_sums(terms, nvars: int, ring) -> dict:
+    """Map key -> ring(nvars, coeffs), where coeffs sums c * p.coeffs over
+    the (key, c, p) in terms, each p in one basis; only the keys in terms
+    get an entry."""
     return tally(((key, lam, c * v) for key, c, p in terms
                   for lam, v in p.coeffs.items()), nvars, ring)
 
@@ -523,10 +493,7 @@ class SchurExpansion:
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def to_poly(self) -> SymPoly:
-        return weighted_sums(
-            ((None, c, schur_poly(lam, self.nvars))
-             for lam, c in self.coeffs.items()), self.nvars).get(
-            None, SymPoly.zero(self.nvars))
+        return SymPoly.from_schur(self.nvars, self.coeffs)
 
     def __str__(self):
         if not self.coeffs:
@@ -687,20 +654,36 @@ class LRProducts:
 class ShapeMatrix:
     """Square matrix of skew Schur functions given by their shapes, a
     shape being None for the entry 0 (the empty shape is the entry 1).
-    Its products are Schur expansions, formed by one LRProducts, so the
-    fillings are memoized, and charged to the budget, per matrix."""
 
-    ring = SchurExpansion
+    Every product of entries is a Schur expansion formed by one
+    LRProducts, so the fillings are memoized, and charged to the budget,
+    per matrix.  ring(nvars, coeffs) builds a value from its Schur
+    coefficients: the entries, determinants and immanants of the matrix
+    are reported in it, the Schur basis by default and the monomial
+    basis with SymPoly.from_schur.
+    """
 
     n: int
     nvars: int
     shapes: list
+    ring: Callable = SchurExpansion
     products: LRProducts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert len(self.shapes) == self.n
         assert all(len(row) == self.n for row in self.shapes)
         self.products = LRProducts(self.nvars)
+
+    def __getitem__(self, ij):
+        """Entry ij in the matrix's ring."""
+        return self.ring(self.nvars, self.times(self.one(), *ij).coeffs)
+
+    def submatrix(self, rows, cols) -> "ShapeMatrix":
+        rows, cols = sorted(rows), sorted(cols)
+        assert len(rows) == len(cols)
+        return ShapeMatrix(len(rows), self.nvars, [
+            [self.shapes[i - 1][j - 1] for j in cols] for i in rows],
+            self.ring)
 
     def one(self) -> SchurExpansion:
         return SchurExpansion(self.nvars, {(): 1})

@@ -34,8 +34,7 @@ from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
                     first_right_descent, identity_perm, is_321_avoiding,
                     perm_inverse, perm_length, perm_mul, perm_sign,
                     reduced_word)
-from .symfunc import (SFMatrix, SymPoly, determinant, diagonal_products,
-                      weighted_sums)
+from .symfunc import ShapeMatrix, determinant, diagonal_products, weighted_sums
 
 
 # ------------------------------------------------------------------- matchings
@@ -290,8 +289,8 @@ def all_matchings(n):
 
 def imm_tl(tau: NoncrossingMatching, A):
     """Temperley-Lieb immanant of A at type tau, by the defining sum, in
-    A's ring: a SymPoly for an SFMatrix, a SchurExpansion for a
-    ShapeMatrix.
+    A's ring (a SchurExpansion, or a SymPoly for a matrix reporting in
+    the monomial basis).
 
     Types are drawn with the row points on the left.  The immanant weighs
     the diagonal product of w by the coefficient of tau in theta(w^-1):
@@ -319,6 +318,7 @@ def imm_tl_all(A) -> dict:
     return weighted_sums(terms, A.nvars, A.ring)
 
 
-def minor(A: SFMatrix, rows, cols) -> SymPoly:
-    """Determinant of the submatrix on the given row/column sets."""
+def minor(A: ShapeMatrix, rows, cols):
+    """Determinant of the submatrix on the given row/column sets, in A's
+    ring."""
     return determinant(A.submatrix(rows, cols))

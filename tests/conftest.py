@@ -5,9 +5,9 @@ import pytest
 from ribbonimm import corpus, klbase, tlalgebra
 from ribbonimm.klbase import imm_kl
 from ribbonimm.perms import identity_perm
-from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, decompose,
-                              shape_from_tuples)
-from ribbonimm.symfunc import SFMatrix, SymPoly, determinant
+from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, SkewShape,
+                              decompose, shape_from_tuples)
+from ribbonimm.symfunc import ShapeMatrix, SymPoly, determinant
 from ribbonimm.tlalgebra import all_matchings
 
 
@@ -57,21 +57,23 @@ def row_sections_dec(abar, bbar):
     return decompose(shape_from_tuples(ribbon, abar, bbar), ribbon)
 
 
-def random_sf_matrix(rng: random.Random, n: int, nvars: int,
-                     max_deg: int = 2) -> SFMatrix:
-    """Dense matrix of small random symmetric polynomials."""
-    def rand_poly():
-        coeffs = {}
-        for _ in range(rng.randint(1, 3)):
-            parts = sorted((rng.randint(0, max_deg)
-                            for _ in range(rng.randint(0, nvars))),
-                           reverse=True)
-            key = tuple(p for p in parts if p)
-            coeffs[key] = coeffs.get(key, 0) + rng.randint(-2, 2)
-        return SymPoly(nvars, coeffs)
+def random_shape_matrix(rng: random.Random, n: int, nvars: int,
+                        box: int = 3) -> ShapeMatrix:
+    """Matrix of random skew shapes in a box x box square, with the
+    entries 0 (None) and 1 (the empty shape) among them, reporting in the
+    monomial basis."""
+    def rand_shape():
+        kind = rng.randrange(6)
+        if kind < 2:
+            return (None, SkewShape(()))[kind]
+        outer = sorted((rng.randint(0, box) for _ in range(box)),
+                       reverse=True)
+        inner = sorted((rng.randint(0, box) for _ in range(box)),
+                       reverse=True)
+        return SkewShape(outer, tuple(map(min, outer, inner)))
 
-    grid = [[rand_poly() for _ in range(n)] for _ in range(n)]
-    return SFMatrix(n, nvars, grid)
+    grid = [[rand_shape() for _ in range(n)] for _ in range(n)]
+    return ShapeMatrix(n, nvars, grid, SymPoly.from_schur)
 
 
 def is_homogeneous(p: SymPoly) -> bool:
@@ -88,7 +90,7 @@ def row_interval(shape, i):
     return (shape.inner[i - 1] + 1, shape.outer[i - 1])
 
 
-def imm_det_check(A: SFMatrix) -> bool:
+def imm_det_check(A: ShapeMatrix) -> bool:
     """Imm at the identity equals the determinant."""
     return imm_kl(identity_perm(A.n), A) == determinant(A)
 

@@ -11,7 +11,7 @@ coverage against runtime.
 import itertools
 import random
 
-from conftest import (compatible_types, imm_det_check, random_sf_matrix,
+from conftest import (compatible_types, imm_det_check, random_shape_matrix,
                       row_sections_dec)
 from ribbonimm import corpus as corpus_mod
 from ribbonimm import klbase, network, ribbonmat, shuffle, tlalgebra
@@ -104,7 +104,7 @@ def test_criterion_04_complementary_minor_identity():
     rng = random.Random(2024)
     for trial in range(50):
         n = rng.randint(1, 4)
-        A = random_sf_matrix(rng, n, rng.randint(2, 3))
+        A = random_shape_matrix(rng, n, rng.randint(2, 3))
         total = SymPoly.zero(A.nvars)
         for tau in tlalgebra.all_matchings(n):
             total = total + tlalgebra.imm_tl(tau, A)
@@ -114,7 +114,7 @@ def test_criterion_04_complementary_minor_identity():
             failures.append(("random", trial))
     for trial in range(10):
         n = rng.randint(2, 3)
-        A = random_sf_matrix(rng, n, 2)
+        A = random_shape_matrix(rng, n, 2)
         for k in range(n + 1):
             for I in itertools.combinations(range(1, n + 1), k):
                 for J in itertools.combinations(range(1, n + 1), k):
@@ -295,7 +295,7 @@ def test_criterion_09_kl_gates():
     rng = random.Random(99)
     for trial in range(20):
         n = rng.randint(1, 4)
-        if not imm_det_check(random_sf_matrix(rng, n, 2)):
+        if not imm_det_check(random_shape_matrix(rng, n, 2)):
             failures.append(("det anchor", trial))
     A, _ = ribbonmat.remark_matrices(N_first=5, N_second=2)
     w = (2, 1, 4, 3)

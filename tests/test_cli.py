@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ribbonimm
-from ribbonimm import cli
+from ribbonimm import cli, klbase, tlalgebra
 from ribbonimm.shapes import InfiniteRibbon, SkewShape
 
 
@@ -175,6 +176,28 @@ def test_matrix_minor(hook_files, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["a"] == [0, -3, 3]
     assert blob["det_equals_skew_schur"]
+
+
+@pytest.mark.parametrize("budget, nvars, seconds", [
+    ("2000", ["--nvars", "6"], 5), (None, [], 10)])
+def test_matrix_determinant_is_budgeted(hook_files, budget, nvars, seconds,
+                                        monkeypatch, capsys):
+    # every product of the hook's 4 x 4 determinant is charged as the LR
+    # partial fillings it visits: at a lowered budget and N = 6, and at
+    # the default budget and --nvars auto (N = 27)
+    if budget is None:
+        monkeypatch.delenv("RIL_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RIL_BUDGET", budget)
+    start = time.monotonic()
+    code = cli.main(["matrix", *hook_files, *nvars])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert time.monotonic() - start < seconds
+    assert re.match(r"error: LRProducts of SkewShape\(.*\) on s\[.*\] in "
+                    rf"{nvars[1] if nvars else 27} variables: more than "
+                    rf"{budget or 2000000} partial fillings\n$", err)
+    assert "Traceback" not in err
 
 
 def test_imm_methods_agree(small_files, capsys):
@@ -458,6 +481,33 @@ def test_seven_sections_refused_by_table_size(argv, message, column_files,
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("theorem, module, table", [
+    ("1.1", tlalgebra, "_tl_table"), ("cor3.5", tlalgebra, "_tl_table"),
+    ("conj1.2", klbase, "_weyl")])
+def test_sweep_builds_tables_for_the_sections_cells_allow(
+        theorem, module, table, cold_tables, monkeypatch, capsys):
+    # an instance of at most three cells has at most three sections, so
+    # --max-ell 7 builds no table over S_7 (the S_7 permutations are still
+    # charged first)
+    built = []
+    orig = getattr(module, table)
+
+    def record(n):
+        built.append(n)
+        return orig(n)
+
+    monkeypatch.setattr(module, table, record)
+    code = cli.main(["--json", "sweep", "--theorem", theorem, "--max-ell",
+                     "7", "--max-cells", "3", "--full-report"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert max(built) == 3
+    # the same report as the one --max-ell 3 gives
+    assert cli.main(["--json", "sweep", "--theorem", theorem, "--max-ell",
+                     "3", "--max-cells", "3", "--full-report"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_conj12_sweep_takes_six_sections(capsys):

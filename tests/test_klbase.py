@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from conftest import imm_det_check, random_sf_matrix, row_sections_dec
+from conftest import imm_det_check, random_shape_matrix, row_sections_dec
 from ribbonimm import klbase, ribbonmat, tlalgebra
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.perms import apply_s, perm_inverse
 from ribbonimm.shapes import SkewShape, decompose
-from ribbonimm.symfunc import (SFMatrix, SymPoly, determinant, expand_schur,
+from ribbonimm.symfunc import (ShapeMatrix, determinant, expand_schur,
                                skew_schur)
 from ribbonimm.tlalgebra import identity_perm, perm_length
 
@@ -49,12 +49,14 @@ def kl_weights(table, w) -> dict:
             for x, pid in table.rows[top].items()}
 
 
-def perm_matrix(v) -> SFMatrix:
-    """The 0/1 matrix of v in one variable: the diagonal product of v is 1
-    and every other one is 0."""
-    one, zero = SymPoly.one(1), SymPoly.zero(1)
-    return SFMatrix(len(v), 1, [[one if j == k else zero
-                                 for j in range(1, len(v) + 1)] for k in v])
+def perm_matrix(v) -> ShapeMatrix:
+    """The 0/1 matrix of v in one variable, the empty shape for 1 and
+    None for 0: the diagonal product of v is 1 and every other one is
+    0."""
+    one = SkewShape(())
+    return ShapeMatrix(len(v), 1, [[one if j == k else None
+                                    for j in range(1, len(v) + 1)]
+                                   for k in v])
 
 
 def test_bruhat_matches_prefix_criterion():
@@ -229,8 +231,9 @@ def test_dump_format():
 
 
 def test_conjecture_harness_matches_imm_kl(corpus_decs):
-    # the harness multiplies in the Schur basis, imm_kl here in the
-    # monomial one: truncated (N = 3) and faithful (N = cell count)
+    # the harness reports in the Schur basis, imm_kl here on a matrix
+    # reporting in the monomial one, peeled back: truncated (N = 3) and
+    # faithful (N = cell count)
     for dec in corpus_decs:
         perms = list(itertools.permutations(range(1, dec.ell + 1)))
         for N in (3, dec.shape.size):
@@ -268,7 +271,7 @@ def test_identity_immanant_is_determinant():
     rng = random.Random(17)
     for _ in range(5):
         n = rng.randint(1, 4)
-        A = random_sf_matrix(rng, n, 2)
+        A = random_shape_matrix(rng, n, 2)
         assert imm_det_check(A)
         assert klbase.imm_kl(identity_perm(n), A) == determinant(A)
 
@@ -334,7 +337,7 @@ def test_kl_immanant_expands_in_tl_immanants():
     # diagonal products; cross-check the full S_3 family sums to the
     # permanent-free identity sum_w Imm_w = product of diagonal entries
     rng = random.Random(23)
-    A = random_sf_matrix(rng, 3, 2)
+    A = random_shape_matrix(rng, 3, 2)
     total = None
     for w in itertools.permutations(range(1, 4)):
         value = klbase.imm_kl(w, A)

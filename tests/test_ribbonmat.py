@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import is_homogeneous, row_sections_dec
 from ribbonimm import ribbonmat
 from ribbonimm.shapes import (SkewShape, decompose, ribbon_section_shape,
@@ -81,8 +83,9 @@ def test_theorem1_harness_structure():
 
 
 def test_theorem1_harness_matches_imm_tl(corpus_decs):
-    # the harness multiplies in the Schur basis, imm_tl here in the
-    # monomial one: truncated (N = 3) and faithful (N = cell count)
+    # the harness reports in the Schur basis, imm_tl here on a matrix
+    # reporting in the monomial one, peeled back: truncated (N = 3) and
+    # faithful (N = cell count)
     for dec in corpus_decs:
         for N in (3, dec.shape.size):
             rm = ribbonmat.build(dec, N)
@@ -113,6 +116,24 @@ def test_remark_matrices_homogeneous():
         degs = [Abad[i, j].degree() for i, j in zip(rows, sigma)]
         if None not in degs:
             assert sum(degs) == 14, sigma
+
+
+def test_fixture_must_cover_the_matrix_with_0_1_constants():
+    entries = [{"row": 1, "col": 1, "const": 1},
+               {"row": 1, "col": 2, "const": 0},
+               {"row": 2, "col": 1, "outer": [2], "inner": []},
+               {"row": 2, "col": 2, "const": 1}]
+    full = ribbonmat._matrix_from_fixture({"n": 2, "entries": entries}, 3)
+    one = SkewShape(())
+    assert full.shapes == [[one, None], [SkewShape((2,)), one]]
+    # None is the entry 0, so a missing entry is told apart from it
+    with pytest.raises(ValueError, match="^fixture does not cover the full "
+                       "matrix$"):
+        ribbonmat._matrix_from_fixture({"n": 2, "entries": entries[:3]}, 3)
+    with pytest.raises(ValueError, match="^fixture constants must be 0 or "
+                       "1$"):
+        ribbonmat._matrix_from_fixture({"n": 2, "entries": [
+            *entries[:3], {"row": 2, "col": 2, "const": 2}]}, 3)
 
 
 def test_remark_bad_minor_is_negative_already_at_four_vars():

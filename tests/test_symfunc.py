@@ -10,17 +10,19 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import is_homogeneous, random_sf_matrix
+from conftest import is_homogeneous, random_shape_matrix
+from ribbonimm import symfunc
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.perms import perm_sign
-from ribbonimm.ribbonmat import build, odd_even_split, section_matrix
+from ribbonimm.ribbonmat import build, odd_even_split
 from ribbonimm.shapes import SkewShape, decompose
-from ribbonimm.symfunc import (LRProducts, SFMatrix, SchurExpansion,
-                               ShapeMatrix, SymPoly, _monomial_product,
-                               _orbit, determinant, diagonal_products, e_poly,
+from ribbonimm.symfunc import (LRProducts, SchurExpansion, ShapeMatrix,
+                               SymPoly, _monomial_product, _orbit,
+                               determinant, diagonal_products, e_poly,
                                enumerate_ssyt, expand_schur, h_poly,
                                lr_coefficient, partition_key, schur_poly,
                                skew_schur, ssyt_count, weighted_sums)
+from ribbonimm.tlalgebra import imm_tl_all, minor
 
 partitions = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
@@ -241,6 +243,18 @@ def test_expand_schur_roundtrip():
         assert expand_schur(exp.to_poly()) == exp
 
 
+def test_from_schur_builds_no_cancelled_term(monkeypatch):
+    # a determinant's Schur terms cancel in its sums, and tally keeps the
+    # cancelled keys at 0: none of them may cost a Kostka walk
+    built = []
+    orig = symfunc.schur_poly
+    monkeypatch.setattr(symfunc, "schur_poly",
+                        lambda lam, N: built.append(lam) or orig(lam, N))
+    assert SymPoly.from_schur(3, {(2, 1): 0, (1,): 2}) == SymPoly(
+        3, {(1,): 2})
+    assert built == [(1,)]
+
+
 def test_expand_schur_of_schur_is_delta():
     exp = expand_schur(schur_poly((3, 1), 3))
     assert exp.coeffs == {(3, 1): 1}
@@ -292,22 +306,25 @@ def test_lr_products_charge_every_partial_filling(monkeypatch):
     assert products.visited == 10
 
 
-def determinant_naive(M: SFMatrix) -> SymPoly:
+def determinant_naive(M: ShapeMatrix):
     """Signed sum over permutations; small-n oracle for determinant."""
     perms = itertools.permutations(range(1, M.n + 1))
     terms = (("det", perm_sign(w), p)
              for w, p in diagonal_products(M, perms).items())
-    return weighted_sums(terms, M.nvars).get("det", SymPoly.zero(M.nvars))
+    return weighted_sums(terms, M.nvars, M.ring).get("det", M.ring(M.nvars))
 
 
 def test_diagonal_products_are_the_nonzero_row_products(row_ribbon):
-    # a Jacobi-Trudi matrix h_{lambda_i - i + j}: zero below the subdiagonal
+    # a Jacobi-Trudi matrix h_{lambda_i - i + j}: zero below the
+    # subdiagonal; its entries multiplied as monomial polynomials are the
+    # reference for the Schur expansions of the walk
     M = build(decompose(SkewShape((2, 2, 1, 1)), row_ribbon), 6).matrix
     perms = list(itertools.permutations(range(1, M.n + 1)))
     naive = {w: functools.reduce(operator.mul, (M[i, j] for i, j in
                                                 enumerate(w, 1)))
              for w in perms}
-    nonzero = {w: p for w, p in naive.items() if not p.is_zero()}
+    nonzero = {w: expand_schur(p) for w, p in naive.items()
+               if not p.is_zero()}
     # the zero entries make some products vanish, but not all
     assert 0 < len(nonzero) < len(perms)
     assert diagonal_products(M, perms) == nonzero
@@ -315,28 +332,40 @@ def test_diagonal_products_are_the_nonzero_row_products(row_ribbon):
     some = perms[::3]
     assert diagonal_products(M, some) == {
         w: p for w, p in nonzero.items() if w in some}
-    # the same walk on the section shapes multiplies in the Schur basis
-    shapes = section_matrix(decompose(SkewShape((2, 2, 1, 1)), row_ribbon), 6)
-    assert diagonal_products(shapes, perms) == {
-        w: expand_schur(p) for w, p in nonzero.items()}
 
 
 def test_determinant_is_budgeted(monkeypatch):
-    # a 4 x 4 Laplace expansion visits 2^4 = 16 column subsets
-    M = random_sf_matrix(random.Random(5), 4, 2)
+    # a 4 x 4 determinant visits 2^4 = 16 column subsets, refused before
+    # any product is formed; then every product is charged as the LR
+    # partial fillings it visits, over the matrix's own LRProducts
+    def matrix():
+        return random_shape_matrix(random.Random(5), 4, 2)
+
     monkeypatch.setenv("RIL_BUDGET", "15")
     with pytest.raises(BudgetExceeded, match=r"^determinant\(n=4\): 2\^4 "
                        r"column subsets exceed RIL_BUDGET=15$"):
-        determinant(M)
-    monkeypatch.setenv("RIL_BUDGET", "16")
-    assert determinant(M) == determinant_naive(M)
+        determinant(matrix())
+    monkeypatch.delenv("RIL_BUDGET")
+    want = determinant_naive(matrix())
+    # the 16 subsets pass a budget of 31, the 32 fillings do not
+    monkeypatch.setenv("RIL_BUDGET", "31")
+    with pytest.raises(BudgetExceeded, match=r"^LRProducts of .* in 2 "
+                       r"variables: more than 31 partial fillings$"):
+        determinant(matrix())
+    monkeypatch.setenv("RIL_BUDGET", "32")
+    M = matrix()
+    assert determinant(M) == want
+    assert M.products.visited == 32
 
 
 def test_determinant_matches_naive(hook_dec):
     rng = random.Random(11)
-    for n in (1, 2, 3):
-        M = random_sf_matrix(rng, n, 2)
+    for n in (1, 2, 3, 4):
+        M = random_shape_matrix(rng, n, 3)
         assert determinant(M) == determinant_naive(M)
+        # the same matrix reporting in the Schur basis
+        S = ShapeMatrix(n, 3, M.shapes)
+        assert determinant(S) == expand_schur(determinant(M))
     # the hook from N = 3 on: all 24 diagonal products are nonzero (at
     # N = 2 they all vanish, and the comparison would be 0 == 0).  The
     # hook has a column of four cells, so at N = 3 they cancel to 0.
@@ -349,24 +378,34 @@ def test_determinant_matches_naive(hook_dec):
 
 
 def test_determinant_of_the_empty_matrix_is_one():
-    assert determinant(SFMatrix(0, 3, [])) == SymPoly.one(3)
+    assert determinant(ShapeMatrix(0, 3, [])) == SchurExpansion(3, {(): 1})
+    assert determinant(ShapeMatrix(0, 3, [], SymPoly.from_schur)) == \
+        SymPoly.one(3)
 
 
-def test_first_row_entries_are_not_multiplied_by_one():
-    # a 1 x 1 determinant is its entry, and a diagonal product starts from
-    # the first row's entry: neither forms a monomial product
-    p = schur_poly((2, 1), 3)
-    M = SFMatrix(1, 3, [[p]])
+def test_matrix_products_form_no_monomial_product():
+    # determinants, minors and immanants multiply section shapes by LR
+    # fillings, also on a matrix reporting in the monomial basis
+    M = random_shape_matrix(random.Random(3), 3, 3)
     calls = sum(_monomial_product.cache_info()[:2])
-    assert determinant(M) == p
-    assert diagonal_products(M, [(1,)]) == {(1,): p}
+    det = determinant(M)
+    imms = imm_tl_all(M)
+    minors = [minor(M, (1, 2), (2, 3)), minor(M, (3,), (1,))]
     assert sum(_monomial_product.cache_info()[:2]) == calls
+    assert det == determinant_naive(M) and not det.is_zero()
+    assert len(imms) == 5
+    assert all(isinstance(p, SymPoly) for p in [*imms.values(), *minors])
 
 
-def test_sfmatrix_indexing():
-    M = SFMatrix(2, 2, [[SymPoly.one(2), SymPoly.zero(2)],
-                        [SymPoly.zero(2), SymPoly.one(2)]])
-    assert M[1, 1] == SymPoly.one(2)
+def test_shape_matrix_indexing():
+    one, theta = SkewShape(()), SkewShape((2, 1), (1,))
+    M = ShapeMatrix(2, 2, [[one, None], [theta, one]], SymPoly.from_schur)
+    assert M[1, 1] == SymPoly.one(2) and M[1, 2] == SymPoly.zero(2)
+    assert M[2, 1] == skew_schur(theta, 2)
     assert determinant(M) == SymPoly.one(2)
-    sub = M.submatrix((2,), (2,))
-    assert sub.n == 1 and sub[1, 1] == SymPoly.one(2)
+    sub = M.submatrix((2,), (1,))
+    assert sub.n == 1 and sub.ring == M.ring
+    assert sub[1, 1] == skew_schur(theta, 2)
+    # the default ring is the Schur basis
+    assert ShapeMatrix(2, 2, M.shapes)[2, 1] == SchurExpansion(
+        2, {(2,): 1, (1, 1): 1})

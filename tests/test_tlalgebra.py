@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import compatible, compatible_types, random_sf_matrix
+from conftest import compatible, compatible_types, random_shape_matrix
 from ribbonimm import tlalgebra
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.symfunc import SymPoly, determinant
@@ -191,7 +191,7 @@ def test_theta_matches_brute_force_expansion():
 
 def test_imm_1x1():
     rng = random.Random(3)
-    A = random_sf_matrix(rng, 1, 2)
+    A = random_shape_matrix(rng, 1, 2)
     assert imm_tl(identity_matching(1), A) == A[1, 1]
 
 
@@ -200,7 +200,7 @@ def test_complementary_minor_sum():
     # minors on the odd/even index sets, for arbitrary matrices
     rng = random.Random(5)
     for n in (2, 3, 5):
-        A = random_sf_matrix(rng, n, 2)
+        A = random_shape_matrix(rng, n, 2)
         total = SymPoly.zero(2)
         for m in all_matchings(n):
             total = total + imm_tl(m, A)
@@ -212,7 +212,7 @@ def test_complementary_minor_sum():
 def test_general_complementary_minor_identity():
     rng = random.Random(9)
     for n in (2, 3):
-        A = random_sf_matrix(rng, n, 2)
+        A = random_shape_matrix(rng, n, 2)
         for k in range(n + 1):
             for I in itertools.combinations(range(1, n + 1), k):
                 for J in itertools.combinations(range(1, n + 1), k):
@@ -232,7 +232,7 @@ def test_compatible_identity_matching():
 
 def test_minor_matches_determinant():
     rng = random.Random(1)
-    A = random_sf_matrix(rng, 3, 2)
+    A = random_shape_matrix(rng, 3, 2)
     assert minor(A, (1, 2), (2, 3)) == determinant(
         A.submatrix((1, 2), (2, 3)))
     assert minor(A, (), ()) == SymPoly.one(2)
