@@ -20,8 +20,8 @@ from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
 from .errors import RibbonError, budget, charge_permutations
 from .shapes import InfiniteRibbon, SkewShape, decompose
-from .symfunc import (SchurExpansion, charge_determinant, determinant,
-                      expand_schur, skew_schur, weighted_sums)
+from .symfunc import (SchurExpansion, ShapeMatrix, charge_determinant,
+                      determinant, expand_schur, skew_schur, weighted_sums)
 
 
 class InputError(Exception):
@@ -246,15 +246,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_remarks(args) -> int:
     N1 = 5 if args.nvars == "auto" else args.nvars
-    A, Abad = ribbonmat.remark_matrices(N_first=N1, N_second=N1)
+    A, Abad = (ShapeMatrix(M.n, M.nvars, M.shapes) for M in
+               ribbonmat.remark_matrices(N_first=N1, N_second=N1))
     tau = tlalgebra.perm_to_matching((2, 1, 4, 3))
-    exp1 = expand_schur(tlalgebra.imm_tl(tau, A))
+    exp1 = tlalgebra.imm_tl(tau, A)
     rows, cols = ribbonmat.remark_bad_minor_indices()
-    bad = tlalgebra.minor(Abad, rows, cols)
-    exp2 = expand_schur(bad)
+    exp2 = tlalgebra.minor(Abad, rows, cols)
     comp_rows = tuple(sorted(set(range(1, 5)) - set(rows)))
     comp_cols = tuple(sorted(set(range(1, 5)) - set(cols)))
-    exp3 = expand_schur(bad * tlalgebra.minor(Abad, comp_rows, comp_cols))
+    exp3 = exp2 * tlalgebra.minor(Abad, comp_rows, comp_cols)
     ok = (not exp1.schur_positive) and (not exp2.schur_positive) \
         and exp3.schur_positive
     obj = {

@@ -331,10 +331,8 @@ def _hecke_mul_s(elem, i, n):
     out = {}
     for x, c in elem.items():
         xs = apply_s(x, i)
-        if perm_length(xs) > perm_length(x):
-            out[xs] = _ladd(out.get(xs, {}), c)
-        else:
-            out[xs] = _ladd(out.get(xs, {}), c)
+        out[xs] = _ladd(out.get(xs, {}), c)
+        if perm_length(xs) < perm_length(x):
             out[x] = _ladd(out.get(x, {}), _lmul(c, {-1: 1, 1: -1}))
     return {x: c for x, c in out.items() if c}
 

@@ -13,14 +13,13 @@ Symmetric Functions and Hall Polynomials, I.5), which visits only the
 partitions of the degree with at most N parts.  A product is one pass
 over pairs of terms, each weighted by the structure constants of
 m_lambda * m_mu (Macdonald, I.2), which are computed once per pair of
-keys in len(lambda) + len(mu) slots, not in all N.  It is the reference
-the Schur-basis products are tested against.
+keys in len(lambda) + len(mu) slots, not in all N.
 
-A matrix (`ShapeMatrix`) holds each entry as a skew shape, and every
-product of entries -- in a determinant, a minor or an immanant -- is a
-Schur expansion times a skew Schur function, by Littlewood-Richardson
-fillings (`LRProducts`).  A matrix reports its results in its ring: the
-Schur basis, or the monomial basis through `SymPoly.from_schur`.
+A matrix (`ShapeMatrix`) holds each entry as a skew shape.  Every product
+of entries, in a determinant, a minor or an immanant, and every product
+of two Schur expansions goes through Littlewood-Richardson fillings
+(`LRProducts`).  A matrix reports its results in its ring: the Schur
+basis, or the monomial basis through `SymPoly.from_schur`.
 """
 
 from __future__ import annotations
@@ -483,7 +482,9 @@ class SchurExpansion:
         return all(c >= 0 for c in self.coeffs.values())
 
     def negative_part(self):
-        return {k: c for k, c in self.coeffs.items() if c < 0}
+        """The negative terms, lex-greatest partition first."""
+        return {k: c for k, c in sorted(self.coeffs.items(), reverse=True)
+                if c < 0}
 
     def __eq__(self, other):
         return (isinstance(other, SchurExpansion) and self.nvars == other.nvars
@@ -491,6 +492,17 @@ class SchurExpansion:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.coeffs.items())))
+
+    def __mul__(self, other):
+        """The sum of c * self * s_mu over the terms c * s_mu of other,
+        by one LRProducts, charged to the budget."""
+        if self.nvars != other.nvars:
+            raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
+        products = LRProducts(self.nvars)
+        return weighted_sums(
+            ((None, c, products.times(self, SkewShape(mu)))
+             for mu, c in other.coeffs.items()),
+            self.nvars, SchurExpansion).get(None, SchurExpansion(self.nvars))
 
     def to_poly(self) -> SymPoly:
         return SymPoly.from_schur(self.nvars, self.coeffs)

@@ -39,14 +39,6 @@ from .symfunc import ShapeMatrix, determinant, diagonal_products, weighted_sums
 
 # ------------------------------------------------------------------- matchings
 
-def _pt_L(i):
-    return ("L", i)
-
-
-def _pt_R(j):
-    return ("R", j)
-
-
 @dataclass(frozen=True)
 class NoncrossingMatching:
     """Perfect matching on L_1..L_n, R_1..R_n; noncrossing on the circle.
@@ -60,8 +52,8 @@ class NoncrossingMatching:
     def __init__(self, n, pairs):
         pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
         pts = [p for pair in pairs for p in pair]
-        expected = {_pt_L(i) for i in range(1, n + 1)} | {
-            _pt_R(j) for j in range(1, n + 1)}
+        expected = {("L", i) for i in range(1, n + 1)} | {
+            ("R", j) for j in range(1, n + 1)}
         if len(pts) != len(set(pts)) or set(pts) != expected:
             raise ValueError("not a perfect matching on the 2n points")
         if _crosses(n, pairs):
@@ -82,9 +74,6 @@ class NoncrossingMatching:
         def fmt(p):
             return f"{p[0]}{p[1]}"
         return "".join(f"({fmt(a)}-{fmt(b)})" for a, b in self.pairs)
-
-    def to_json(self):
-        return [[f"{a[0]}{a[1]}", f"{b[0]}{b[1]}"] for a, b in self.pairs]
 
 
 def _circle_pos(n, point):
@@ -115,14 +104,14 @@ def matching(n, pairs) -> NoncrossingMatching:
 
 
 def identity_matching(n) -> NoncrossingMatching:
-    return matching(n, [(_pt_L(k), _pt_R(k)) for k in range(1, n + 1)])
+    return matching(n, [(("L", k), ("R", k)) for k in range(1, n + 1)])
 
 
 def generator(n, i) -> NoncrossingMatching:
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    pairs = [(_pt_L(i), _pt_L(i + 1)), (_pt_R(i), _pt_R(i + 1))]
-    pairs += [(_pt_L(k), _pt_R(k)) for k in range(1, n + 1) if k not in (i, i + 1)]
+    pairs = [(("L", i), ("L", i + 1)), (("R", i), ("R", i + 1))]
+    pairs += [(("L", k), ("R", k)) for k in range(1, n + 1) if k not in (i, i + 1)]
     return matching(n, pairs)
 
 
@@ -185,8 +174,8 @@ def diagram_mul(m1: NoncrossingMatching, m2: NoncrossingMatching):
     for k in range(1, n + 1):
         link(("A", "R", k), ("B", "L", k))
 
-    boundary = {("A", "L", k): _pt_L(k) for k in range(1, n + 1)}
-    boundary.update({("B", "R", k): _pt_R(k) for k in range(1, n + 1)})
+    boundary = {("A", "L", k): ("L", k) for k in range(1, n + 1)}
+    boundary.update({("B", "R", k): ("R", k) for k in range(1, n + 1)})
     pairs, loops = trace_strands(adj, boundary)
     return NoncrossingMatching(n, pairs), loops
 

@@ -14,8 +14,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ribbonimm
-from ribbonimm import cli, klbase, tlalgebra
+from ribbonimm import cli, klbase, symfunc, tlalgebra
 from ribbonimm.shapes import InfiniteRibbon, SkewShape
+from ribbonimm.symfunc import SymPoly
 
 
 @pytest.fixture()
@@ -251,6 +252,38 @@ def test_remarks(capsys):
     assert not blob["first_immanant"]["schur_positive"]
     assert not blob["bad_minor"]["schur_positive"]
     assert blob["complementary_product"]["schur_positive"]
+
+
+@pytest.mark.parametrize("nvars, digest", [
+    ("5", "f705ebc364dd1acee1879518d0a8f622f166b10b58488758268c9b0b7b85f221"),
+    ("13", "277ab274fd4fdb4e75bf74255ce2f058d9e86bcbc293713f27d47a0d1f15ee82"),
+])
+def test_remarks_json_is_pinned(capsys, nvars, digest):
+    # the output of the monomial-basis computation, byte for byte
+    assert cli.main(["--json", "remarks", "--nvars", nvars]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_remarks_forms_no_monomial_product(monkeypatch, capsys):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SymPoly, "__mul__",
+                        spy("SymPoly.__mul__", SymPoly.__mul__))
+    monkeypatch.setattr(SymPoly, "from_schur", classmethod(
+        spy("SymPoly.from_schur", SymPoly.from_schur.__func__)))
+    for module in (symfunc, cli):
+        monkeypatch.setattr(module, "expand_schur",
+                            spy("expand_schur", symfunc.expand_schur))
+    assert cli.main(["remarks", "--nvars", "5"]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 def test_kl_table(capsys):

@@ -118,6 +118,39 @@ def test_product_is_truncation_of_wider_product(N, data):
                                 if len(k) <= N})
 
 
+def schur_expansions(nvars):
+    small = st.lists(st.integers(1, 2), max_size=3).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+    return st.dictionaries(small, st.integers(-3, 3), max_size=3).map(
+        lambda d: SchurExpansion(nvars, {k: v for k, v in d.items()
+                                         if len(k) <= nvars}))
+
+
+@given(st.integers(1, 4), st.data())
+def test_schur_product_ring_laws(N, data):
+    # the LR product is commutative and associative, is the product in
+    # N + 2 variables with the longer partitions dropped, and multiplies
+    # the polynomials the expansions stand for
+    p, q, r = (data.draw(schur_expansions(N)) for _ in range(3))
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+    wide = SchurExpansion(N + 2, p.coeffs) * SchurExpansion(N + 2, q.coeffs)
+    assert p * q == SchurExpansion(N, {k: c for k, c in wide.coeffs.items()
+                                       if len(k) <= N})
+    assert (p * q).to_poly() == _brute_product(p.to_poly(), q.to_poly())
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        p * SchurExpansion(N + 1)
+
+
+def test_negative_part_is_lex_descending():
+    # the same expansion built in two insertion orders
+    terms = [((2, 1), -1), ((3,), 2), ((1, 1, 1), -2), ((2, 2), -3)]
+    for exp in (SchurExpansion(3, dict(terms)),
+                SchurExpansion(3, dict(reversed(terms)))):
+        assert list(exp.negative_part().items()) == [
+            ((2, 2), -3), ((2, 1), -1), ((1, 1, 1), -2)]
+
+
 def test_orbit_is_the_distinct_permutations():
     for n in range(8):
         for k in range(n + 1):
@@ -261,10 +294,12 @@ def test_expand_schur_of_schur_is_delta():
     assert exp.schur_positive
 
 
-def test_lr_products_match_monomial_products():
+def test_lr_products_match_disjoint_union_walks():
     # every lam with |lam| <= 4 times every skew shape in a 3 x 3 box, in
-    # 1 to 5 variables: the terms with more than N parts drop on both
-    # sides (s_lam itself is 0 when lam has more than N parts)
+    # 1 to 5 variables, against the Kostka walk of the disjoint union of
+    # lam (shifted right past theta) and theta, which is s_lam * s_theta:
+    # the terms with more than N parts drop on both sides (s_lam itself is
+    # 0 when lam has more than N parts)
     lams = {partition_key(sorted(c, reverse=True))
             for c in itertools.product(range(5), repeat=4) if sum(c) <= 4}
     rows = [partition_key(t) for t in itertools.product(range(4), repeat=3)
@@ -276,9 +311,13 @@ def test_lr_products_match_monomial_products():
         products = LRProducts(N)
         for lam in lams:
             for theta in thetas:
-                s_lam = schur_poly(lam, N)
-                got = products.times(expand_schur(s_lam), theta)
-                assert got == expand_schur(s_lam * skew_schur(theta, N)), (
+                w = theta.outer[0] if theta.outer else 0
+                union = SkewShape(
+                    tuple(part + w for part in lam) + theta.outer,
+                    (w,) * len(lam) + theta.inner)
+                s_lam = expand_schur(schur_poly(lam, N))
+                got = products.times(s_lam, theta)
+                assert got == expand_schur(skew_schur(union, N)), (
                     N, lam, theta)
 
 
