@@ -55,9 +55,15 @@ def build(dec: RibbonDecomposition, N: int) -> RibbonMatrix:
     return RibbonMatrix(dec, N, section_matrix(dec, N, SymPoly.from_schur))
 
 
-def check_determinant(rm: RibbonMatrix) -> bool:
-    """det == skew Schur polynomial of the decomposed shape, exactly."""
-    return determinant(rm.matrix) == skew_schur(rm.decomposition.shape, rm.nvars)
+def check_determinant(rm: RibbonMatrix, det=None) -> bool:
+    """det == skew Schur polynomial of the decomposed shape, exactly, in
+    the monomial basis; det is the determinant of rm's matrix, in its
+    ring, computed here if not given."""
+    if det is None:
+        det = determinant(rm.matrix)
+    if isinstance(det, SchurExpansion):
+        det = det.to_poly()
+    return det == skew_schur(rm.decomposition.shape, rm.nvars)
 
 
 def principal_minor(rm: RibbonMatrix, I) -> RibbonMatrix:

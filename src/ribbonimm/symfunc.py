@@ -15,11 +15,12 @@ over pairs of terms, each weighted by the structure constants of
 m_lambda * m_mu (Macdonald, I.2), which are computed once per pair of
 keys in len(lambda) + len(mu) slots, not in all N.
 
-A matrix (`ShapeMatrix`) holds each entry as a skew shape.  Every product
-of entries, in a determinant, a minor or an immanant, and every product
-of two Schur expansions goes through Littlewood-Richardson fillings
-(`LRProducts`).  A matrix reports its results in its ring: the Schur
-basis, or the monomial basis through `SymPoly.from_schur`.
+Schur expansions (`SchurExpansion`) hold the same kind of map in the
+Schur basis.  A matrix (`ShapeMatrix`) holds each entry as a skew shape.
+Every product of entries, in a determinant, a minor or an immanant, and
+every product of two Schur expansions goes through Littlewood-Richardson
+fillings (`LRProducts`).  A matrix reports its results in its ring: the
+Schur basis, or the monomial basis through `SymPoly.from_schur`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, NotSkew, budget
+from .errors import BudgetExceeded, budget
 from .shapes import SkewShape, normalize_partition
 
 
@@ -123,21 +124,38 @@ def _monomial_product(lam: tuple, mu: tuple, nvars: int) -> dict:
     return {nu: h * size // _orbit_size(nu, width) for nu, h in hits.items()}
 
 
-class SymPoly:
-    """Symmetric polynomial in x_1..x_nvars with exact integer coefficients."""
+class _Terms:
+    """Exact integer coefficients over the partitions with at most nvars
+    parts, in the basis of the subclass; zero coefficients are dropped."""
 
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs=None):
         self.nvars = nvars
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if c:
-                    key = tuple(key)
-                    if len(key) > nvars:
-                        raise ValueError(f"{key} has more than {nvars} parts")
-                    self.coeffs[key] = c
+        self.coeffs = {tuple(k): c for k, c in (coeffs or {}).items() if c}
+        if self.coeffs and max(map(len, self.coeffs)) > nvars:
+            key = next(k for k in self.coeffs if len(k) > nvars)
+            raise ValueError(f"{key} has more than {nvars} parts")
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.nvars == other.nvars
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.coeffs.items())))
+
+
+class SymPoly(_Terms):
+    """Symmetric polynomial in x_1..x_nvars, in the monomial basis."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls, nvars):
@@ -155,23 +173,9 @@ class SymPoly:
                               for lam, c in (coeffs or {}).items() if c),
                              nvars, cls).get(None, cls(nvars))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self):
         """Total degree, or None for the zero polynomial."""
         return max((sum(k) for k in self.coeffs), default=None)
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
-
-    def __eq__(self, other):
-        return (isinstance(other, SymPoly) and self.nvars == other.nvars
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
         self._check(other)
@@ -392,14 +396,6 @@ def schur_poly(lam, N: int) -> SymPoly:
     return skew_schur(SkewShape(lam), N)
 
 
-def h_poly(k: int, N: int) -> SymPoly:
-    return schur_poly((k,), N) if k > 0 else SymPoly.one(N)
-
-
-def e_poly(k: int, N: int) -> SymPoly:
-    return schur_poly((1,) * k, N) if k > 0 else SymPoly.one(N)
-
-
 def charge_determinant(n: int) -> None:
     """Refuse an n x n determinant whose sums visit more column subsets
     (2^n, compared by bit length) than the budget."""
@@ -465,17 +461,10 @@ def weighted_sums(terms, nvars: int, ring) -> dict:
                   for lam, v in p.coeffs.items()), nvars, ring)
 
 
-class SchurExpansion:
-    """Integer coefficient map over partitions, in the Schur basis."""
+class SchurExpansion(_Terms):
+    """Symmetric polynomial in x_1..x_nvars, in the Schur basis."""
 
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs=None):
-        self.nvars = nvars
-        self.coeffs = {tuple(k): c for k, c in (coeffs or {}).items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    __slots__ = ()
 
     @property
     def schur_positive(self) -> bool:
@@ -486,18 +475,10 @@ class SchurExpansion:
         return {k: c for k, c in sorted(self.coeffs.items(), reverse=True)
                 if c < 0}
 
-    def __eq__(self, other):
-        return (isinstance(other, SchurExpansion) and self.nvars == other.nvars
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
     def __mul__(self, other):
         """The sum of c * self * s_mu over the terms c * s_mu of other,
         by one LRProducts, charged to the budget."""
-        if self.nvars != other.nvars:
-            raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
+        self._check(other)
         products = LRProducts(self.nvars)
         return weighted_sums(
             ((None, c, products.times(self, SkewShape(mu)))
@@ -706,17 +687,3 @@ class ShapeMatrix:
         if theta is None:
             return SchurExpansion(self.nvars)
         return self.products.times(prod, theta)
-
-
-def lr_coefficient(lam, mu, nu) -> int:
-    """Littlewood-Richardson coefficient c^lam_{mu,nu}, read off the
-    Schur expansion of s_{lam/mu} in |lam| variables."""
-    lam, mu, nu = map(normalize_partition, (lam, mu, nu))
-    if sum(lam) != sum(mu) + sum(nu):
-        return 0
-    try:
-        shape = SkewShape(lam, mu)
-    except NotSkew:
-        return 0
-    N = max(sum(lam), 1)
-    return expand_schur(skew_schur(shape, N)).coeffs.get(nu, 0)

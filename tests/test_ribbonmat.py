@@ -4,7 +4,8 @@ from conftest import is_homogeneous, row_sections_dec
 from ribbonimm import ribbonmat
 from ribbonimm.shapes import (SkewShape, decompose, ribbon_section_shape,
                               shape_from_tuples)
-from ribbonimm.symfunc import (SymPoly, determinant, expand_schur, h_poly,
+from ribbonimm.symfunc import (SchurExpansion, ShapeMatrix, SymPoly,
+                               determinant, expand_schur, schur_poly,
                                skew_schur)
 from ribbonimm.tlalgebra import imm_tl, minor, perm_to_matching
 
@@ -33,7 +34,7 @@ def test_row_sections_give_h_entries():
     a, b = dec.abar, dec.bbar
     for i in range(1, 4):
         for j in range(1, 4):
-            assert rm.matrix[i, j] == h_poly(b[i - 1] - a[j - 1], 3)
+            assert rm.matrix[i, j] == schur_poly((b[i - 1] - a[j - 1],), 3)
 
 
 def test_determinant_identity(hook_dec):
@@ -47,6 +48,25 @@ def test_determinant_identity_single_section(row_ribbon):
     dec = decompose(SkewShape((4,)), row_ribbon)
     rm = ribbonmat.build(dec, 2)
     assert ribbonmat.check_determinant(rm)
+
+
+def test_check_determinant_in_either_basis(corpus_decs):
+    # the check holds on the section matrix in the Schur basis and in the
+    # monomial one, with the determinant computed or given, and fails
+    # when row 1 repeats row 2: that determinant is 0, the skew Schur
+    # polynomial at N = cells is not
+    for dec in corpus_decs:
+        N = dec.shape.size
+        for ring in (SchurExpansion, SymPoly.from_schur):
+            A = ribbonmat.section_matrix(dec, N, ring)
+            rm = ribbonmat.RibbonMatrix(dec, N, A)
+            assert ribbonmat.check_determinant(rm), (dec.abar, ring)
+            assert ribbonmat.check_determinant(rm, determinant(A))
+            wrong = ShapeMatrix(A.n, N, [A.shapes[1], *A.shapes[1:]], ring)
+            assert determinant(wrong).is_zero()
+            assert not skew_schur(dec.shape, N).is_zero()
+            assert not ribbonmat.check_determinant(
+                ribbonmat.RibbonMatrix(dec, N, wrong)), (dec.abar, ring)
 
 
 def test_principal_minor_roundtrip(hook_dec):
