@@ -32,7 +32,6 @@ def enumerate_ribbons(max_window: int):
                     yield InfiniteRibbon(0, steps, tail_lo, tail_hi)
 
 
-@functools.lru_cache(maxsize=None)
 def sweep_corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
                  per_bucket: int = 16) -> tuple:
     """The first per_bucket decompositions of every (section count, cell

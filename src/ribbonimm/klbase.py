@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import budget, charge, charge_permutations
-from .perms import apply_s, first_right_descent, identity_perm, perm_length
+from .perms import apply_s, first_right_descent, perm_length
 from .ribbonmat import section_matrix
 from .symfunc import SchurExpansion, diagonal_products, weighted_sums
 
@@ -106,6 +106,7 @@ def _bits(mask: int, positions: tuple) -> list:
     return list(itertools.compress(positions, flags))
 
 
+# cached: kl_polynomials and _kl_sums read it again per instance
 @functools.lru_cache(maxsize=None)
 def _weyl(n: int) -> _Weyl:
     """S_n indexed; charged n! * n entries first, then its Bruhat pairs."""
@@ -219,6 +220,7 @@ class _Pool:
         return pid
 
 
+# cached: _kl_sums reads it again for every instance of a conj1.2 sweep
 @functools.lru_cache(maxsize=None)
 def kl_polynomials(n: int) -> KLTable:
     """All P_{x,w} by the classical recursion, one entry per Bruhat pair."""
@@ -324,7 +326,7 @@ def _lbar(a):
     return {-k: c for k, c in a.items()}
 
 
-def _hecke_mul_s(elem, i, n):
+def _hecke_mul_s(elem, i):
     """Right multiplication of sum(c_x H_x) by H_{s_i}, in the
     normalization H_x H_s = H_{xs} for xs > x and H_{xs} + (v^-1 - v) H_x
     otherwise."""
@@ -337,22 +339,6 @@ def _hecke_mul_s(elem, i, n):
     return {x: c for x, c in out.items() if c}
 
 
-@functools.lru_cache(maxsize=None)
-def _bar_H(w: tuple):
-    """bar(H_w) in the standard basis: bar(H_s) = H_s + (v - v^-1) H_e."""
-    n = len(w)
-    e = identity_perm(n)
-    if w == e:
-        return {e: {0: 1}}
-    i = first_right_descent(w)
-    v = apply_s(w, i)
-    prev = _bar_H(v)
-    out = _hecke_mul_s(prev, i, n)  # ... H_s
-    for x, c in prev.items():       # ... plus (v - v^-1) H_x
-        out[x] = _ladd(out.get(x, {}), _lmul(c, {1: 1, -1: -1}))
-    return {x: c for x, c in out.items() if c}
-
-
 def kl_polynomials_hecke(n: int) -> KLTable:
     """Independent KL computation: solve bar(b_w) = b_w triangularly.
 
@@ -361,6 +347,17 @@ def kl_polynomials_hecke(n: int) -> KLTable:
     """
     W = _weyl(n)
     charge(f"kl_polynomials_hecke(n={n})", len(W.perms) ** 2, "(x, w) visits")
+    # bar(H_w) in the standard basis, for every w in (length, lex) order:
+    # bar(H_w) = bar(H_{ws}) bar(H_s) at the first right descent s of w,
+    # with bar(H_s) = H_s + (v - v^-1) H_e
+    bars = {W.perms[0]: {W.perms[0]: {0: 1}}}
+    for w in W.perms[1:]:
+        i = first_right_descent(w)
+        prev = bars[apply_s(w, i)]
+        out = _hecke_mul_s(prev, i)  # ... H_s
+        for x, c in prev.items():    # ... plus (v - v^-1) H_x
+            out[x] = _ladd(out.get(x, {}), _lmul(c, {1: 1, -1: -1}))
+        bars[w] = {x: c for x, c in out.items() if c}
     perms = sorted(W.perms, key=lambda p: (-perm_length(p), p))
     pool = _Pool()
     rows = []
@@ -372,7 +369,7 @@ def kl_polynomials_hecke(n: int) -> KLTable:
             # defect at x of the current bar image
             gamma = {}
             for y, c in coeffs.items():
-                gamma = _ladd(gamma, _lmul(_lbar(c), _bar_H(y).get(x, {})))
+                gamma = _ladd(gamma, _lmul(_lbar(c), bars[y].get(x, {})))
             alpha = _ladd(gamma, {k: -c for k, c in coeffs.get(x, {}).items()})
             # alpha is bar-antiinvariant; cancel it with h - bar(h), h in vZ[v]
             assert _ladd(alpha, _lbar(alpha)) == {}, (x, w, alpha)

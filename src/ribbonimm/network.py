@@ -47,8 +47,6 @@ class RibbonNetwork:
     """
 
     ribbon: InfiniteRibbon
-    c_lo: int
-    c_hi: int
     N: int
     starts: tuple  # P_k vertices, k = 1..ell
     ends: tuple    # Q_k vertices
@@ -68,13 +66,12 @@ class RibbonNetwork:
 def build_network(dec: RibbonDecomposition, N: int) -> RibbonNetwork:
     R = dec.ribbon
     a, b = dec.abar, dec.bbar
-    c_lo, c_hi = min(a) - 1, max(b) + 1
     top = N + 1
     starts, ends = [], []
     for k in range(dec.ell):
         starts.append((b[k], 1 if R.step(b[k]) == BELOW else top))
         ends.append((a[k], 1 if R.step(a[k]) == LEFT else top))
-    return RibbonNetwork(R, c_lo, c_hi, N, tuple(starts), tuple(ends))
+    return RibbonNetwork(R, N, tuple(starts), tuple(ends))
 
 
 def _paths_between(net: RibbonNetwork, start, end):

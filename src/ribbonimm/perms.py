@@ -3,7 +3,6 @@ products, inversions, signs, descents, reduced words and 321-avoidance."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 
@@ -49,19 +48,24 @@ def first_right_descent(u: tuple):
     return None
 
 
-@functools.lru_cache(maxsize=None)
 def reduced_word(u: tuple) -> tuple:
-    """Lexicographically smallest reduced word of u."""
-    if perm_length(u) == 0:
-        return ()
-    # greedy smallest left descent gives the lex-smallest word
-    best = None
-    for i in range(1, len(u)):
-        su = tuple(i + 1 if x == i else i if x == i + 1 else x for x in u)
-        if perm_length(su) < perm_length(u):
-            best = (i,) + reduced_word(su)
-            break
-    return best
+    """Lexicographically smallest reduced word of u.
+
+    Greedy: the smallest left descent i (value i + 1 stands before value
+    i) comes first, then the word of s_i u, made by swapping the
+    positions of the two values.  Only the descent at i - 1 can be new
+    after the swap, so the search resumes there.
+    """
+    pos = list(perm_inverse(u))  # pos[v - 1]: the position of value v
+    word, i = [], 1
+    while i < len(pos):
+        if pos[i] < pos[i - 1]:
+            word.append(i)
+            pos[i - 1], pos[i] = pos[i], pos[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(word)
 
 
 def is_321_avoiding(u: tuple) -> bool:

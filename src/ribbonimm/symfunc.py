@@ -12,8 +12,8 @@ the horizontal-strip recursion for skew Kostka numbers (Macdonald,
 Symmetric Functions and Hall Polynomials, I.5), which visits only the
 partitions of the degree with at most N parts.  A product is one pass
 over pairs of terms, each weighted by the structure constants of
-m_lambda * m_mu (Macdonald, I.2), which are computed once per pair of
-keys in len(lambda) + len(mu) slots, not in all N.
+m_lambda * m_mu (Macdonald, I.2), which are computed for each pair of
+terms in len(lambda) + len(mu) slots, not in all N.
 
 Schur expansions (`SchurExpansion`) hold the same kind of map in the
 Schur basis.  A matrix (`ShapeMatrix`) holds each entry as a skew shape.
@@ -76,7 +76,6 @@ def _sorted_key(vec) -> tuple:
     return tuple(vec[:len(vec) - vec.count(0)])
 
 
-@functools.lru_cache(maxsize=None)
 def _orbit(key: tuple, nvars: int) -> tuple:
     """All distinct length-nvars exponent vectors with sorted form key,
     in increasing lexicographic order."""
@@ -93,7 +92,6 @@ def _orbit(key: tuple, nvars: int) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
 def _orbit_size(key: tuple, nvars: int) -> int:
     """len(_orbit(key, nvars)), by the multinomial formula."""
     out = math.factorial(nvars)
@@ -102,10 +100,8 @@ def _orbit_size(key: tuple, nvars: int) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _monomial_product(lam: tuple, mu: tuple, nvars: int) -> dict:
-    """m_lam * m_mu in nvars variables, as {nu: coefficient}; the caller
-    must not modify the returned map.
+    """m_lam * m_mu in nvars variables, as {nu: coefficient}.
 
     With lam's exponent vector fixed, count the beta in the orbit of mu
     whose sum with it sorts to nu.  Each vector of lam's orbit meets nu's
@@ -338,6 +334,7 @@ def _horizontal_strips(nu, lam, size) -> list:
     return out
 
 
+# cached: check_determinant reads each s_lam again, through from_schur
 @functools.lru_cache(maxsize=None)
 def skew_schur(shape: SkewShape, N: int) -> SymPoly:
     """Weight generating function of the SSYT of shape, in N variables."""

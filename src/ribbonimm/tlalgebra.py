@@ -9,12 +9,12 @@ those canonical pairs, validated the first time they are seen.  A
 generator acts by `cap`: t_i m (side "L") or m t_i (side "R") joins two
 adjacent boundary points of m, in O(n), with no strand tracing
 (Rhoades-Skandera, "Temperley-Lieb immanants", 2005, for the matching
-model).  The basis of TL_n is built once per n (`_basis`): the Catalan(n)
-matchings, as the closure of the identity under the generators, and the
-table of the left actions m -> (t_i m, loops).  `perm_to_matching` folds
-the right action over a reduced word.  `diagram_mul` is the general
-product by tracing the glued diagram; the tests use it as the oracle of
-both actions.
+model).  The basis of TL_n (`_basis`) is the Catalan(n) matchings, as
+the closure of the identity under the generators, and the table of the
+left actions m -> (t_i m, loops); `_tl_table` builds it once per n.
+`perm_to_matching` folds the right action over a reduced word.
+`diagram_mul` is the general product by tracing the glued diagram; the
+tests use it as the oracle of both actions.
 
 The definitional immanants read one coefficient table over S_n: the
 algebra map theta sending s_i to t_i - 1, taken at w^-1 and expanded in
@@ -206,10 +206,10 @@ class _Basis:
     left: tuple       # left[i][m] = (t_i m, loops); left[0] unused
 
 
-@functools.lru_cache(maxsize=None)
 def _basis(n: int) -> _Basis:
     """The Catalan(n) matchings, as the closure of the identity under the
-    generators, with t_i m for each.  Not charged to the budget: _tl_table
+    generators, with t_i m for each.  Built anew on each call; _tl_table,
+    cached, builds it once per n.  Not charged to the budget: _tl_table
     first charges n! >= Catalan(n) permutations."""
     matchings = [identity_matching(n)]
     seen = set(matchings)
@@ -225,6 +225,7 @@ def _basis(n: int) -> _Basis:
     return _Basis(tuple(matchings), tuple(left))
 
 
+# cached: theorem1_harness reads each type again for every instance
 @functools.lru_cache(maxsize=None)
 def perm_to_matching(u: tuple) -> NoncrossingMatching:
     """Basis matching of the product of generators over a reduced word,
@@ -243,6 +244,7 @@ def perm_to_matching(u: tuple) -> NoncrossingMatching:
     return m
 
 
+# cached: imm_tl and imm_tl_all read it again for every instance of a sweep
 @functools.lru_cache(maxsize=None)
 def _tl_table(n: int) -> dict:
     """Map w -> {matching: coefficient} of theta(w^-1) over S_n.

@@ -119,16 +119,17 @@ def test_pair_rule_matches_the_whole_shape_rule():
 
 
 def test_corpus_search_is_budgeted(monkeypatch):
-    # the cache would return an earlier result instead of searching again
+    # a lowered budget refuses even a corpus built earlier in the process:
+    # every call searches again
+    pool = corpus.sweep_corpus(8, 5, 4, 2)
     monkeypatch.setenv("RIL_BUDGET", "100")
     with pytest.raises(BudgetExceeded, match=r"sweep_corpus\(max_cells=8, "
                        r"max_window=5, max_ell=4, per_bucket=2\): more "
                        r"than 100 search nodes"):
-        corpus.sweep_corpus.__wrapped__(8, 5, 4, 2)
+        corpus.sweep_corpus(8, 5, 4, 2)
     # the benchmark pool takes 329 search nodes
     monkeypatch.setenv("RIL_BUDGET", "329")
-    assert corpus.sweep_corpus.__wrapped__(8, 5, 4, 2) == \
-        corpus.sweep_corpus(8, 5, 4, 2)
+    assert corpus.sweep_corpus(8, 5, 4, 2) == pool
     monkeypatch.setenv("RIL_BUDGET", "328")
     with pytest.raises(BudgetExceeded):
-        corpus.sweep_corpus.__wrapped__(8, 5, 4, 2)
+        corpus.sweep_corpus(8, 5, 4, 2)

@@ -21,8 +21,7 @@ def test_endpoints(hook_dec):
     net = network.build_network(hook_dec, 2)
     assert net.ell == 4
     assert len(net.starts) == len(net.ends) == 4
-    for (c, h) in net.starts + net.ends:
-        assert net.c_lo <= c <= net.c_hi
+    for _, h in net.starts + net.ends:
         assert h in (1, net.top)
 
 

@@ -43,6 +43,18 @@ def test_perm_utilities():
     assert u == w
 
 
+def test_long_permutation_has_a_reduced_word():
+    # (34, ..., 66, 1, ..., 33) avoids 321 and has length 33 * 33
+    u = tuple(range(34, 67)) + tuple(range(1, 34))
+    word = reduced_word(u)
+    assert len(word) == perm_length(u) == 1089
+    v = identity_perm(66)
+    for i in word:
+        v = apply_s(v, i)
+    assert v == u
+    assert perm_to_matching(u).n == 66
+
+
 def test_321_avoiding_catalan():
     for n in range(1, 7):
         count = sum(1 for _ in enumerate_321_avoiding(n))
