@@ -18,10 +18,11 @@ from multiprocessing import Pool
 
 from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
-from .errors import RibbonError, budget, charge_permutations
+from .errors import (BudgetExceeded, RibbonError, budget, charge_determinant,
+                     charge_permutations)
 from .shapes import InfiniteRibbon, SkewShape, decompose
-from .symfunc import (SchurExpansion, ShapeMatrix, charge_determinant,
-                      determinant, expand_schur, weighted_sums)
+from .symfunc import (SchurExpansion, ShapeMatrix, determinant, expand_schur,
+                      weighted_sums)
 
 
 class InputError(Exception):
@@ -180,30 +181,33 @@ def _sweep_one(packed):
     N = _resolve_nvars(nvars, dec)
     item = {"a": list(dec.abar), "b": list(dec.bbar),
             "ribbon": dec.ribbon.to_json(), "nvars": N}
-    if theorem == "det":
-        item["ok"] = ribbonmat.check_determinant(ribbonmat.RibbonMatrix(
-            dec, N, ribbonmat.section_matrix(dec, N)))
-    elif theorem == "1.1":
-        report = ribbonmat.theorem1_harness(dec, N)
-        item["ok"] = report["overall_positive"]
-        if not item["ok"]:
-            item["certificate"] = [t for t in report["immanants"]
-                                   if not t["schur_positive"]]
-    elif theorem == "conj1.2":
-        report = klbase.conjecture12_harness(dec, N)
-        item["ok"] = report["all_positive"]
-        if not item["ok"]:
-            item["certificate"] = report["certificates"]
-    elif theorem == "cor3.5":
-        A = ribbonmat.section_matrix(dec, N)
-        total = weighted_sums(
-            ((None, 1, p) for p in tlalgebra.imm_tl_all(A).values()),
-            N, SchurExpansion).get(None, SchurExpansion(N))
-        red, blue = ribbonmat.odd_even_split(dec)
-        lr = A.products
-        item["ok"] = total == lr.times(lr.times(A.one(), red), blue)
-    else:
-        raise InputError(f"unknown theorem {theorem}")
+    try:
+        if theorem == "det":
+            item["ok"] = ribbonmat.check_determinant(ribbonmat.RibbonMatrix(
+                dec, N, ribbonmat.section_matrix(dec, N)))
+        elif theorem == "1.1":
+            report = ribbonmat.theorem1_harness(dec, N)
+            item["ok"] = report["overall_positive"]
+            if not item["ok"]:
+                item["certificate"] = [t for t in report["immanants"]
+                                       if not t["schur_positive"]]
+        elif theorem == "conj1.2":
+            report = klbase.conjecture12_harness(dec, N)
+            item["ok"] = report["all_positive"]
+            if not item["ok"]:
+                item["certificate"] = report["certificates"]
+        else:  # cor3.5
+            A = ribbonmat.section_matrix(dec, N)
+            total = weighted_sums(
+                ((None, 1, p) for p in tlalgebra.imm_tl_all(A).values()),
+                N, SchurExpansion).get(None, SchurExpansion(N))
+            red, blue = ribbonmat.odd_even_split(dec)
+            lr = A.products
+            item["ok"] = total == lr.times(lr.times(A.one(), red), blue)
+    except BudgetExceeded as exc:
+        exc.args = (f"instance a={item['a']} b={item['b']} ribbon="
+                    f"{json.dumps(item['ribbon'], sort_keys=True)}: {exc}",)
+        raise
     return item
 
 
@@ -234,14 +238,12 @@ def cmd_sweep(args) -> int:
             items = pool.map(_sweep_one, jobs)
     else:
         items = [_sweep_one(j) for j in jobs]
-    n_bad = sum(1 for it in items if not it["ok"])
-    obj = {"theorem": args.theorem, "count": len(items),
-           "failures": n_bad,
-           "items": items if args.full_report else
-           [it for it in items if not it["ok"]]}
+    bad = [it for it in items if not it["ok"]]
+    obj = {"theorem": args.theorem, "count": len(items), "failures": len(bad),
+           "items": items if args.full_report else bad}
     _emit(obj, args, [f"theorem {args.theorem}: {len(items)} instances, "
-                      f"{n_bad} failures"])
-    return 0 if n_bad == 0 else 1
+                      f"{len(bad)} failures"])
+    return 1 if bad else 0
 
 
 def cmd_remarks(args) -> int:
@@ -344,8 +346,7 @@ def main(argv=None) -> int:
     try:
         budget()  # a malformed RIL_BUDGET is bad input to every command
         return args.func(args)
-    except (InputError, RibbonError, RecursionError) as exc:
-        # a RecursionError is an input deeper than a recursive walk reaches
+    except (InputError, RibbonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import BudgetExceeded, NotSkew, budget, charge
+from .errors import NotSkew, budget, charge
 from .shapes import BELOW, LEFT, InfiniteRibbon, decompose, shape_from_tuples
 
 
@@ -84,27 +84,29 @@ def sweep_corpus(max_cells: int = 8, max_window: int = 5, max_ell: int = 4,
                     out.append((a, b))
             return out
 
-        def rec(sections, used):
-            nonlocal nodes
-            for a, b in follows(*sections[-1]) if sections else pairs:
-                if used + (b - a) > max_cells:
-                    continue
-                nodes += 1
-                if nodes > limit:
-                    raise BudgetExceeded(
-                        f"{name}: more than {limit} search nodes")
-                sections.append((a, b))
-                key = (len(sections), used + (b - a))
-                if key in open_:
-                    abar, bbar = zip(*sections)
-                    dec = decompose(shape_from_tuples(R, abar, bbar), R)
-                    assert dec.abar == abar and dec.bbar == bbar
-                    buckets[key].append(dec)
-                    if len(buckets[key]) == per_bucket:
-                        open_.discard(key)
-                if reachable(*key):
-                    rec(sections, key[1])
-                sections.pop()
-
-        rec([], 0)
+        # depth first: stack[k] holds the placements of section k + 1 not
+        # yet tried and the cells of the sections placed before it
+        sections, stack = [], [(iter(pairs), 0)]
+        while stack:
+            options, used = stack[-1]
+            for a, b in options:
+                if used + (b - a) <= max_cells:
+                    break
+            else:
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > limit:
+                charge(name, nodes, "search nodes")
+            sections[len(stack) - 1:] = [(a, b)]
+            key = (len(sections), used + (b - a))
+            if key in open_:
+                abar, bbar = zip(*sections)
+                dec = decompose(shape_from_tuples(R, abar, bbar), R)
+                assert dec.abar == abar and dec.bbar == bbar
+                buckets[key].append(dec)
+                if len(buckets[key]) == per_bucket:
+                    open_.discard(key)
+            if reachable(*key):
+                stack.append((iter(follows(a, b)), key[1]))
     return tuple(dec for key in sorted(buckets) for dec in buckets[key])

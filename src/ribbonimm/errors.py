@@ -60,5 +60,14 @@ def charge_permutations(layer: str, n: int, per: int, unit: str) -> None:
     charge(layer, math.factorial(n) * per, unit)
 
 
+def charge_determinant(n: int) -> None:
+    """Refuse an n x n determinant whose sums visit more column subsets
+    (2^n, compared by bit length) than the budget."""
+    limit = budget()
+    if n >= limit.bit_length():
+        raise BudgetExceeded(f"determinant(n={n}): 2^{n} column subsets "
+                             f"exceed RIL_BUDGET={limit}")
+
+
 class ValidityError(RibbonError):
     """A tableau operation produced an invalid filling (internal error)."""

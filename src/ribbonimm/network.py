@@ -106,21 +106,22 @@ def _paths_between(net: RibbonNetwork, start, end):
         step = 1 if j_to >= j_from else -1
         return [(content, j) for j in range(j_from, j_to + step, step)]
 
-    results = []
-
-    def walk(content, height, vertices, wt):
+    # depth first over an explicit stack, the lowest crossing height first
+    results, stack = [], [(c_start, b, [], [0] * N)]
+    while stack:
+        content, height, vertices, wt = stack.pop()
         if content == c_end:
             results.append((tuple(vertices + run(content, height, a)),
                             tuple(wt)))
-            return
+            continue
         jlo, jhi, d = leave[content]
-        for j in (range(max(height, jlo), jhi + 1) if net.vertical_up(content)
-                  else range(jlo, min(height, jhi) + 1)):
+        for j in reversed(range(max(height, jlo), jhi + 1)
+                          if net.vertical_up(content)
+                          else range(jlo, min(height, jhi) + 1)):
             wt2 = list(wt)
             wt2[j - 1] += 1
-            walk(content - 1, j + d, vertices + run(content, height, j), wt2)
-
-    walk(c_start, b, [], [0] * N)
+            stack.append((content - 1, j + d,
+                          vertices + run(content, height, j), wt2))
     return results
 
 
@@ -138,31 +139,30 @@ def _all_paths(net: RibbonNetwork, i: int, j: int):
 
 def _disjoint_families(net: RibbonNetwork, indices):
     """Vertex-disjoint path families (pi_k: P_k -> Q_k, k in indices)."""
-    options = {k: _all_paths(net, k, k) for k in indices}
-
-    def rec(pos, used, chosen):
-        if pos == len(indices):
+    options = [_all_paths(net, k, k) for k in indices]
+    if not indices:
+        yield ()
+        return
+    # depth first: stack[pos] = (untried paths of indices[pos], used vertices)
+    chosen, stack = [], [(iter(options[0]), set())]
+    while stack:
+        paths, used = stack[-1]
+        for verts, wt in paths:
+            if used.isdisjoint(verts):
+                break
+        else:
+            stack.pop()
+            continue
+        chosen[len(stack) - 1:] = [(indices[len(stack) - 1], verts, wt)]
+        if len(stack) == len(indices):
             yield tuple(chosen)
-            return
-        k = indices[pos]
-        for verts, wt in options[k]:
-            vs = set(verts)
-            if vs & used:
-                continue
-            chosen.append((k, verts, wt))
-            yield from rec(pos + 1, used | vs, chosen)
-            chosen.pop()
-
-    yield from rec(0, set(), [])
+        else:
+            stack.append((iter(options[len(stack)]), used.union(verts)))
 
 
 def _family_weight(fam, N: int) -> tuple:
     """Summed weight exponents of the paths of a family."""
-    wt = [0] * N
-    for _, _, w in fam:
-        for idx, e in enumerate(w):
-            wt[idx] += e
-    return tuple(wt)
+    return tuple(map(sum, zip([0] * N, *(w for _, _, w in fam))))
 
 
 def _colour_families(net: RibbonNetwork):

@@ -33,7 +33,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, budget
+from .errors import budget, charge, charge_determinant
 from .shapes import SkewShape, normalize_partition
 
 
@@ -293,11 +293,8 @@ def charge_budget(what: str, N: int, shapes: dict) -> bool:
     halves, which may be far larger than the budget.
     """
     counts = {label: ssyt_count(shape, N) for label, shape in shapes.items()}
-    limit = budget()
-    if math.prod(counts.values()) > limit:
-        raise BudgetExceeded(
-            f"more than {limit} {what} in {N} variables: "
-            + " times ".join(f"{n} {label}" for label, n in counts.items()))
+    charge(" times ".join(f"{n} {label}" for label, n in counts.items())
+           + f" in {N} variables", math.prod(counts.values()), what)
     return all(counts.values())
 
 
@@ -354,9 +351,8 @@ def skew_schur(shape: SkewShape, N: int) -> SymPoly:
             key = (nu, size)
             if key not in strips:
                 if len(strips) >= limit:
-                    raise BudgetExceeded(
-                        f"skew_schur of {shape} in {N} variables: more than "
-                        f"{limit} Kostka states")
+                    charge(f"skew_schur of {shape} in {N} variables",
+                           len(strips) + 1, "Kostka states")
                 strips[key] = _horizontal_strips(nu, lam, size)
             for kappa in strips[key]:
                 out[kappa] = out.get(kappa, 0) + count
@@ -369,9 +365,8 @@ def skew_schur(shape: SkewShape, N: int) -> SymPoly:
         alpha, left, ends = stack.pop()
         nodes += 1
         if nodes > limit:
-            raise BudgetExceeded(
-                f"skew_schur of {shape} in {N} variables: more than "
-                f"{limit} Kostka walk nodes")
+            charge(f"skew_schur of {shape} in {N} variables", nodes,
+                   "Kostka walk nodes")
         if not left:
             coeffs[alpha] = ends[lam]
             continue
@@ -391,15 +386,6 @@ def schur_poly(lam, N: int) -> SymPoly:
     if len(lam) > N:
         return SymPoly.zero(N)
     return skew_schur(SkewShape(lam), N)
-
-
-def charge_determinant(n: int) -> None:
-    """Refuse an n x n determinant whose sums visit more column subsets
-    (2^n, compared by bit length) than the budget."""
-    limit = budget()
-    if n >= limit.bit_length():
-        raise BudgetExceeded(f"determinant(n={n}): 2^{n} column subsets "
-                             f"exceed RIL_BUDGET={limit}")
 
 
 def determinant(M: ShapeMatrix):
@@ -427,26 +413,28 @@ def diagonal_products(M: ShapeMatrix, perms) -> dict:
     permutations w in perms (one-line tuples of 1..n) whose product is
     nonzero.
 
-    The permutations are walked as a prefix tree, so each row-prefix
-    product is formed once, and a prefix whose product is zero prunes
-    every permutation that extends it.
+    The permutations are walked as a prefix tree, depth first over an
+    explicit stack, so each row-prefix product is formed once, and a
+    prefix whose product is zero prunes every permutation that extends it.
     """
     out = {}
-
-    def walk(row, prod, perms):
-        if row > M.n:
-            for w in perms:
-                out[w] = prod
-            return
+    # (row, j, prod, ws): prod * M[row, j] is the prefix of ws; 0 is the root
+    stack = [(0, None, M.one(), list(perms))]
+    while stack:
+        row, j, prod, ws = stack.pop()
+        if row:
+            prod = M.times(prod, row, j)
+            if prod.is_zero():
+                continue
+        if row == M.n:
+            out.update(dict.fromkeys(ws, prod))
+            continue
         by_col = {}
-        for w in perms:
-            by_col.setdefault(w[row - 1], []).append(w)
-        for j, ws in by_col.items():
-            nxt = M.times(prod, row, j)
-            if not nxt.is_zero():
-                walk(row + 1, nxt, ws)
-
-    walk(1, M.one(), list(perms))
+        for w in ws:
+            by_col.setdefault(w[row], []).append(w)
+        # the first column seen is popped, and multiplied, first
+        stack.extend((row + 1, j, prod, ws)
+                     for j, ws in reversed(by_col.items()))
     return out
 
 
@@ -613,9 +601,8 @@ class LRProducts:
                 continue
             visited += 1
             if visited > limit:
-                raise BudgetExceeded(
-                    f"LRProducts of {theta} on s{list(lam)} in {self.nvars} "
-                    f"variables: more than {limit} partial fillings")
+                charge(f"LRProducts of {theta} on s{list(lam)} in "
+                       f"{self.nvars} variables", visited, "partial fillings")
             vals[k] = v
             part[v - 1] += 1
             if k + 1 < n:

@@ -149,7 +149,25 @@ def test_corpus_search_over_budget_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == ("error: sweep_corpus(max_cells=40, max_window=40, "
-                   "max_ell=1, per_bucket=1): more than 1000 search nodes\n")
+                   "max_ell=1, per_bucket=1): 1001 search nodes exceed "
+                   "RIL_BUDGET=1000\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_refusal_names_its_instance(jobs, monkeypatch, capsys):
+    # at N = cells the default corpus's largest instance needs 17,007 LR
+    # partial fillings; building the corpus takes 3,895 search nodes
+    monkeypatch.setenv("RIL_BUDGET", "10000")
+    code = cli.main(["sweep", "--theorem", "1.1", "--nvars", "auto",
+                     "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.match(r'error: instance a=\[[-, 0-9]+\] b=\[[-, 0-9]+\] '
+                    r'ribbon=\{"steps": \[.*\], "tail_hi": "[BL]", '
+                    r'"tail_lo": "[BL]", "window_lo": 0\}: LRProducts of '
+                    r'SkewShape\(.*\) on s\[.*\] in \d+ variables: 10001 '
+                    r'partial fillings exceed RIL_BUDGET=10000\n$', err)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("method, needed", [
@@ -195,9 +213,10 @@ def test_matrix_determinant_is_budgeted(hook_files, budget, nvars, seconds,
     err = capsys.readouterr().err
     assert code == 2
     assert time.monotonic() - start < seconds
+    cap = int(budget or 2000000)
     assert re.match(r"error: LRProducts of SkewShape\(.*\) on s\[.*\] in "
-                    rf"{nvars[1] if nvars else 27} variables: more than "
-                    rf"{budget or 2000000} partial fillings\n$", err)
+                    rf"{nvars[1] if nvars else 27} variables: {cap + 1} "
+                    rf"partial fillings exceed RIL_BUDGET={cap}\n$", err)
     assert "Traceback" not in err
 
 
@@ -309,10 +328,12 @@ def test_imm_over_budget_exits_2(hook_files, method, monkeypatch, capsys):
     # definition and the KL immanant are refused by their LR filling
     # search as it passes the budget, after a few seconds
     lr = (r"LRProducts of SkewShape\(.*\) on s\[.*\] in 27 variables: "
-          r"more than 2000000 partial fillings\n$")
-    refusal = {"shuffle": "more than 2000000 fillings",
-               "crystal": "more than 2000000 fillings",
-               "covers": "more than 2000000 covers", "def": lr, "kl": lr}
+          r"2000001 partial fillings exceed RIL_BUDGET=2000000\n$")
+    counted = (r"\d+ red times \d+ blue in 27 variables: \d+ {} exceed "
+               r"RIL_BUDGET=2000000\n$")
+    refusal = {"shuffle": counted.format("fillings"),
+               "crystal": counted.format("fillings"),
+               "covers": counted.format("covers"), "def": lr, "kl": lr}
     monkeypatch.delenv("RIL_BUDGET", raising=False)
     code = cli.main(["imm", *hook_files, "--method", method,
                      "--type", "2143"])
@@ -364,11 +385,17 @@ COLUMN = {"window_lo": 0, "steps": [], "tail_lo": "B", "tail_hi": "B"}
      0, ""),
     ({"outer": [1] * 500}, COLUMN, ["imm", "--method", "kl", "--perm", "1"],
      0, ""),
+    # the path and cover-family walks are loops: a path crossing 1,500
+    # contents, and one climbing 1,500 heights in 1,500 variables
+    ({"outer": [1500]}, ROW, ["imm", "--nvars", "1", "--type", "1",
+                              "--method", "covers"], 0, ""),
+    ({"outer": [1] * 1500}, COLUMN, ["imm", "--type", "1", "--method",
+                                     "covers"], 0, ""),
 ], ids=["content-500", "1e11-cells", "500-rows", "shuffle-1e6-vars",
         "covers-1e6-vars", "crystal-1e6-vars", "shuffle-30-rows",
         "covers-30-rows", "crystal-30-rows", "shuffle-500-rows",
         "covers-500-rows", "crystal-500-rows", "def-500-rows",
-        "kl-500-rows"])
+        "kl-500-rows", "covers-1500-cells", "covers-1500-rows"])
 def test_far_large_and_deep_inputs(shape, ribbon, argv, code, err, tmp_path,
                                    monkeypatch, capsys):
     monkeypatch.delenv("RIL_BUDGET", raising=False)
@@ -377,7 +404,12 @@ def test_far_large_and_deep_inputs(shape, ribbon, argv, code, err, tmp_path,
         files.append(tmp_path / name)
         files[-1].write_text(json.dumps(obj))
     assert cli.main([argv[0], *map(str, files), *argv[1:]]) == code
-    assert capsys.readouterr().err.startswith(err)
+    out, got = capsys.readouterr()
+    assert got.startswith(err)
+    if "covers" in argv:  # the covers print what the definition prints
+        argv = [a if a != "covers" else "def" for a in argv]
+        assert cli.main([argv[0], *map(str, files), *argv[1:]]) == 0
+        assert capsys.readouterr().out == out.replace("covers", "def")
 
 
 def test_sweep_buckets_are_charged_before_they_are_made(monkeypatch, capsys):

@@ -124,8 +124,8 @@ def test_corpus_search_is_budgeted(monkeypatch):
     pool = corpus.sweep_corpus(8, 5, 4, 2)
     monkeypatch.setenv("RIL_BUDGET", "100")
     with pytest.raises(BudgetExceeded, match=r"sweep_corpus\(max_cells=8, "
-                       r"max_window=5, max_ell=4, per_bucket=2\): more "
-                       r"than 100 search nodes"):
+                       r"max_window=5, max_ell=4, per_bucket=2\): 101 "
+                       r"search nodes exceed RIL_BUDGET=100$"):
         corpus.sweep_corpus(8, 5, 4, 2)
     # the benchmark pool takes 329 search nodes
     monkeypatch.setenv("RIL_BUDGET", "329")

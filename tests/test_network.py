@@ -118,5 +118,6 @@ def test_section_paths_are_counted_before_listing(hook_dec, monkeypatch):
 
     monkeypatch.setattr(network, "_paths_between", refuse)
     with pytest.raises(BudgetExceeded,
-                       match=r"more than 100 paths in 3 variables: 360 P_3"):
+                       match=r"^360 P_3 -> Q_3 in 3 variables: 360 paths "
+                       r"exceed RIL_BUDGET=100$"):
         path_weight_sum(net, 3, 3)
