@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the enumeration budget."""
+"""Exception types, the enumeration budget and the tables kept under it."""
 
+import functools
 import math
 import os
 
@@ -71,3 +72,23 @@ def charge_determinant(n: int) -> None:
 
 class ValidityError(RibbonError):
     """A tableau operation produced an invalid filling (internal error)."""
+
+
+_TABLES = {}  # (function, args) -> the value kept for the process
+_built_under = [None]  # the RIL_BUDGET text the kept values were built under
+
+
+def table(fn):
+    """Keep fn's value per argument tuple while RIL_BUDGET reads as when it
+    was built, so that a warm call is refused exactly as a cold one."""
+    @functools.wraps(fn)
+    def kept(*args):
+        text = os.environ.get("RIL_BUDGET")
+        if text != _built_under[0]:
+            budget()  # a malformed text is refused before any value goes
+            _TABLES.clear()
+            _built_under[0] = text
+        if (fn, args) not in _TABLES:
+            _TABLES[fn, args] = fn(*args)
+        return _TABLES[fn, args]
+    return kept

@@ -33,7 +33,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import budget, charge, charge_permutations
+from .errors import budget, charge, charge_permutations, table
 from .perms import apply_s, first_right_descent, perm_length
 from .ribbonmat import section_matrix
 from .symfunc import SchurExpansion, diagonal_products, weighted_sums
@@ -106,8 +106,8 @@ def _bits(mask: int, positions: tuple) -> list:
     return list(itertools.compress(positions, flags))
 
 
-# cached: kl_polynomials and _kl_sums read it again per instance
-@functools.lru_cache(maxsize=None)
+# kept: kl_polynomials and _kl_sums read it again per instance
+@table
 def _weyl(n: int) -> _Weyl:
     """S_n indexed; charged n! * n entries first, then its Bruhat pairs."""
     layer = f"_weyl(n={n})"
@@ -220,8 +220,8 @@ class _Pool:
         return pid
 
 
-# cached: _kl_sums reads it again for every instance of a conj1.2 sweep
-@functools.lru_cache(maxsize=None)
+# kept: _kl_sums reads it again for every instance of a conj1.2 sweep
+@table
 def kl_polynomials(n: int) -> KLTable:
     """All P_{x,w} by the classical recursion, one entry per Bruhat pair."""
     W = _weyl(n)

@@ -25,7 +25,6 @@ Schur basis, or the monomial basis through `SymPoly.from_schur`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -33,7 +32,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import budget, charge, charge_determinant
+from .errors import budget, charge, charge_determinant, table
 from .shapes import SkewShape, normalize_partition
 
 
@@ -312,27 +311,27 @@ def _horizontal_strips(nu, lam, size) -> list:
     """Every kappa with nu <= kappa <= lam such that kappa/nu is a
     horizontal strip of the given size; nu and kappa have len(lam) parts,
     listed in increasing lexicographic order."""
-    n = len(lam)
     room = [(lam[i] if i == 0 else min(lam[i], nu[i - 1])) - nu[i]
-            for i in range(n)]
-    rest = list(itertools.accumulate(reversed(room), initial=0))[::-1]
-    out, stack = [], [((), size)]
+            for i in range(len(lam))]
+    rows = [i for i, r in enumerate(room) if r]  # only these can grow
+    below = list(itertools.accumulate(reversed(room[1:]), initial=0))[::-1]
+    out, stack = [], [((), size)] if size <= sum(room) else []
     while stack:
-        kappa, left = stack.pop()
-        i = len(kappa)
-        if i == n:
-            out.append(kappa)
+        adds, left = stack.pop()
+        if len(adds) + 1 >= len(rows):  # the last row takes what is left
+            kappa = list(nu)
+            for i, add in zip(rows, adds + (left,)):
+                kappa[i] += add
+            out.append(tuple(kappa))
             continue
-        # row i takes at least what the rows below it have no room for, so
-        # every prefix completes
-        for add in range(min(room[i], left), max(0, left - rest[i + 1]) - 1,
-                         -1):
-            stack.append((kappa + (nu[i] + add,), left - add))
+        i = rows[len(adds)]  # at least what the rows below have no room for
+        for add in range(min(room[i], left), max(0, left - below[i]) - 1, -1):
+            stack.append((adds + (add,), left - add))
     return out
 
 
-# cached: check_determinant reads each s_lam again, through from_schur
-@functools.lru_cache(maxsize=None)
+# kept: check_determinant reads each s_lam again, through from_schur
+@table
 def skew_schur(shape: SkewShape, N: int) -> SymPoly:
     """Weight generating function of the SSYT of shape, in N variables."""
     # The coefficient of m_alpha counts the chains inner = nu^0 <= nu^1

@@ -24,12 +24,12 @@ along right descents, in length order, reading the left action.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import StrandTraceError, budget, charge, charge_permutations
+from .errors import (StrandTraceError, budget, charge, charge_permutations,
+                     table)
 from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
                     first_right_descent, identity_perm, is_321_avoiding,
                     perm_inverse, perm_length, perm_mul, perm_sign,
@@ -209,7 +209,7 @@ class _Basis:
 def _basis(n: int) -> _Basis:
     """The Catalan(n) matchings, as the closure of the identity under the
     generators, with t_i m for each.  Built anew on each call; _tl_table,
-    cached, builds it once per n.  Not charged to the budget: _tl_table
+    kept, builds it once per n.  Not charged to the budget: _tl_table
     first charges n! >= Catalan(n) permutations."""
     matchings = [identity_matching(n)]
     seen = set(matchings)
@@ -225,8 +225,8 @@ def _basis(n: int) -> _Basis:
     return _Basis(tuple(matchings), tuple(left))
 
 
-# cached: theorem1_harness reads each type again for every instance
-@functools.lru_cache(maxsize=None)
+# kept: theorem1_harness reads each type again for every instance
+@table
 def perm_to_matching(u: tuple) -> NoncrossingMatching:
     """Basis matching of the product of generators over a reduced word,
     folded one right action m -> m t_i at a time.
@@ -244,8 +244,8 @@ def perm_to_matching(u: tuple) -> NoncrossingMatching:
     return m
 
 
-# cached: imm_tl and imm_tl_all read it again for every instance of a sweep
-@functools.lru_cache(maxsize=None)
+# kept: imm_tl and imm_tl_all read it again for every instance of a sweep
+@table
 def _tl_table(n: int) -> dict:
     """Map w -> {matching: coefficient} of theta(w^-1) over S_n.
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ribbonimm import corpus, klbase, tlalgebra
+from ribbonimm import corpus
 from ribbonimm.klbase import imm_kl
 from ribbonimm.perms import identity_perm
 from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, SkewShape,
@@ -40,14 +40,6 @@ def row_ribbon():
 @pytest.fixture(scope="session")
 def column_ribbon():
     return InfiniteRibbon(tail_lo=BELOW, tail_hi=BELOW)
-
-
-@pytest.fixture()
-def cold_tables():
-    """Drop the cached S_n index and tables, so that a refusal is met by
-    the layer that builds first, whatever ran before."""
-    for cache in (klbase._weyl, klbase.kl_polynomials, tlalgebra._tl_table):
-        cache.cache_clear()
 
 
 def row_sections_dec(abar, bbar):

@@ -528,8 +528,7 @@ KL7 = "_weyl(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000"
     "RIL_BUDGET=2000000",
 ])
 def test_seven_sections_refused_by_table_size(argv, message, column_files,
-                                              cold_tables, monkeypatch,
-                                              capsys):
+                                              monkeypatch, capsys):
     # each row runs at the budget its message names, the default unset
     limit = message.rpartition("RIL_BUDGET=")[2]
     if limit == "2000000":
@@ -552,7 +551,7 @@ def test_seven_sections_refused_by_table_size(argv, message, column_files,
     ("1.1", tlalgebra, "_tl_table"), ("cor3.5", tlalgebra, "_tl_table"),
     ("conj1.2", klbase, "_weyl")])
 def test_sweep_builds_tables_for_the_sections_cells_allow(
-        theorem, module, table, cold_tables, monkeypatch, capsys):
+        theorem, module, table, monkeypatch, capsys):
     # an instance of at most three cells has at most three sections, so
     # --max-ell 7 builds no table over S_7 (the S_7 permutations are still
     # charged first)

@@ -28,15 +28,14 @@ def ehresmann_leq(x, w):
 
 @pytest.fixture(scope="module")
 def kl7():
-    """kl_polynomials(7), built once at a raised budget (3,550,919 Bruhat
-    pairs) for the tests of this module that read S_7, and dropped after
-    them with the index of S_7: its rows hold about 155 MB."""
+    """Build kl_polynomials(7) at the raised budget (3,550,919 Bruhat
+    pairs) that the tests of this module reading S_7 set; they run one
+    after another, so they share it.  The table and the index of S_7 are
+    dropped at the next table read under another budget: its rows hold
+    about 155 MB."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("RIL_BUDGET", "4000000")
-        table = klbase.kl_polynomials(7)
-    yield table
-    klbase.kl_polynomials.cache_clear()
-    klbase._weyl.cache_clear()
+        klbase.kl_polynomials(7)
 
 
 def kl_weights(table, w) -> dict:
@@ -112,7 +111,7 @@ def test_kl_table_s6_pinned():
         "7162a3dc3142c109c162c7ba9ffc5ab6144f2461908e1643e3e06a194478c253")
 
 
-def test_kl_table_budget_guard(cold_tables, monkeypatch):
+def test_kl_table_budget_guard(monkeypatch):
     # the index of S_4 holds 4! * 4 = 96 permutations and right actions,
     # then counts its 213 Bruhat pairs as it builds them
     monkeypatch.setenv("RIL_BUDGET", "95")
@@ -123,13 +122,13 @@ def test_kl_table_budget_guard(cold_tables, monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=4\): 109 Bruhat "
                        r"pairs exceed RIL_BUDGET=100$"):
         klbase.kl_polynomials(4)
-    # an index built under a larger budget: the table is still charged
-    # its one entry per Bruhat pair
+    # an index built under a larger budget is not read under a smaller one:
+    # the index of S_4 is built again, and refused as a cold call is
     monkeypatch.setenv("RIL_BUDGET", "213")
     klbase._weyl(4)
     monkeypatch.setenv("RIL_BUDGET", "212")
-    with pytest.raises(BudgetExceeded, match=r"^kl_polynomials\(n=4\): 213 "
-                       r"Bruhat pairs exceed RIL_BUDGET=212$"):
+    with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=4\): 213 Bruhat "
+                       r"pairs exceed RIL_BUDGET=212$"):
         klbase.kl_polynomials(4)
     # the default budget refuses S_7 while its Bruhat pairs are counted,
     # and S_9 from its permutations alone
@@ -202,21 +201,6 @@ def test_polys_is_a_read_only_view():
         table.polys[((1, 2, 3, 4), (1, 2, 3, 4))] = (1,)
 
 
-def test_tl_is_kl_at_321_avoiding(kl7, monkeypatch):
-    # Theorem 1.1 is the 321-avoiding case of Conjecture 1.2: the KL
-    # weight of v at a 321-avoiding w is the TL coefficient of v at the
-    # matching of w^-1 (Rhoades-Skandera, "Temperley-Lieb immanants").
-    # n = 7 needs a raised budget for the KL table: 3,550,919 Bruhat pairs.
-    monkeypatch.setenv("RIL_BUDGET", "4000000")
-    for n in range(1, 8):
-        tl = tlalgebra._tl_table.__wrapped__(n)
-        kl = klbase.kl_polynomials(n)
-        for w in tlalgebra.enumerate_321_avoiding(n):
-            tau = tlalgebra.perm_to_matching(perm_inverse(w))
-            by_tl = {v: row[tau] for v, row in tl.items() if tau in row}
-            assert kl_weights(kl, w) == by_tl, w
-
-
 def test_mu_values():
     table = klbase.kl_polynomials(3)
     # adjacent pairs always have mu = 1
@@ -255,15 +239,6 @@ def test_guards(monkeypatch):
     with pytest.raises(BudgetExceeded):
         klbase.kl_polynomials(8)
     with pytest.raises(BudgetExceeded):
-        klbase.kl_polynomials_hecke(7)
-
-
-def test_hecke_oracle_charges_its_visits(kl7, monkeypatch):
-    # n!^2 (x, w) visits, charged once S_n is indexed: 518,400 at n = 6
-    # fit the default budget, and 25,401,600 at n = 7 pass a raised one
-    monkeypatch.setenv("RIL_BUDGET", "4000000")
-    with pytest.raises(BudgetExceeded, match=r"^kl_polynomials_hecke\(n=7\): "
-                       r"25401600 \(x, w\) visits exceed RIL_BUDGET=4000000$"):
         klbase.kl_polynomials_hecke(7)
 
 
@@ -322,6 +297,30 @@ def assert_jacobi_trudi_positive(shape, row_ribbon, ell):
 def test_conjecture_harness_jacobi_trudi_six_sections(outer, inner,
                                                       row_ribbon):
     assert_jacobi_trudi_positive(SkewShape(outer, inner), row_ribbon, 6)
+
+
+def test_tl_is_kl_at_321_avoiding(kl7, monkeypatch):
+    # Theorem 1.1 is the 321-avoiding case of Conjecture 1.2: the KL
+    # weight of v at a 321-avoiding w is the TL coefficient of v at the
+    # matching of w^-1 (Rhoades-Skandera, "Temperley-Lieb immanants").
+    # n = 7 needs a raised budget for the KL table: 3,550,919 Bruhat pairs.
+    monkeypatch.setenv("RIL_BUDGET", "4000000")
+    for n in range(1, 8):
+        tl = tlalgebra._tl_table.__wrapped__(n)
+        kl = klbase.kl_polynomials(n)
+        for w in tlalgebra.enumerate_321_avoiding(n):
+            tau = tlalgebra.perm_to_matching(perm_inverse(w))
+            by_tl = {v: row[tau] for v, row in tl.items() if tau in row}
+            assert kl_weights(kl, w) == by_tl, w
+
+
+def test_hecke_oracle_charges_its_visits(kl7, monkeypatch):
+    # n!^2 (x, w) visits, charged once S_n is indexed: 518,400 at n = 6
+    # fit the default budget, and 25,401,600 at n = 7 pass a raised one
+    monkeypatch.setenv("RIL_BUDGET", "4000000")
+    with pytest.raises(BudgetExceeded, match=r"^kl_polynomials_hecke\(n=7\): "
+                       r"25401600 \(x, w\) visits exceed RIL_BUDGET=4000000$"):
+        klbase.kl_polynomials_hecke(7)
 
 
 def test_conjecture_harness_jacobi_trudi_seven_sections(kl7, row_ribbon,

@@ -221,7 +221,6 @@ def test_skew_schur_matches_ssyt_weights(corpus_decs):
 
 
 def test_skew_schur_budget_guard(monkeypatch):
-    skew_schur.cache_clear()
     monkeypatch.setenv("RIL_BUDGET", "3")
     with pytest.raises(BudgetExceeded, match=r"skew_schur.*\(3, 2\)"):
         skew_schur(SkewShape((3, 2), (1,)), 3)
@@ -232,13 +231,11 @@ def test_skew_schur_charges_every_walk_node(monkeypatch):
     # needs only 40 strip lists: the nodes, not the lists, meet the budget
     row = SkewShape((40,))
     monkeypatch.setenv("RIL_BUDGET", "215307")
-    skew_schur.cache_clear()
     with pytest.raises(BudgetExceeded, match="215308 Kostka walk nodes "
                        "exceed RIL_BUDGET=215307"):
         skew_schur(row, 40)
     monkeypatch.setenv("RIL_BUDGET", "215308")
     assert len(skew_schur(row, 40).coeffs) == 37338     # p(40)
-    skew_schur.cache_clear()
 
 
 def test_deep_column_walks_loop_instead_of_recursing():
@@ -246,7 +243,6 @@ def test_deep_column_walks_loop_instead_of_recursing():
     # both walks run under a recursion limit a few dozen frames above the
     # test's own depth, far below one frame per row
     column = SkewShape((1,) * 300)
-    skew_schur.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
@@ -256,7 +252,6 @@ def test_deep_column_walks_loop_instead_of_recursing():
         sys.setrecursionlimit(limit)
     assert poly == SymPoly(300, {(1,) * 300: 1})
     assert fillings == [{(i, 1): i for i in range(1, 301)}]
-    skew_schur.cache_clear()
 
 
 def test_skew_schur_lr_expansion():
