@@ -19,12 +19,9 @@ from .tlalgebra import (NoncrossingMatching, enumerate_321_avoiding, imm_tl,
                         is_321_avoiding, perm_to_matching)
 from .ribbonmat import (RibbonMatrix, build, check_determinant,
                         principal_minor, section_matrix)
-from .network import (build_network, count_covers, covers_by_type,
-                      enumerate_covers, imm_by_covers, uncross_type)
-from .shuffle import (ShuffleDiagram, ShuffleTableau, build_diagram,
-                      crystal_E, crystal_F, enumerate_shuffle_tableaux,
-                      imm_by_shuffle, is_yamanouchi, reading_word,
-                      schur_expand_by_crystal, tableau_from_cover,
+from .network import build_network, covers_by_type, uncross_type
+from .shuffle import (ShuffleDiagram, ShuffleTableau, crystal_E, crystal_F,
+                      is_yamanouchi, reading_word, schur_expand_by_crystal,
                       tableaux_by_type, tl_type)
 from .klbase import (KLTable, bruhat_leq, conjecture12_harness, imm_kl,
                      kl_polynomials, kl_polynomials_hecke)
@@ -43,12 +40,10 @@ __all__ = [
     "is_321_avoiding", "perm_to_matching",
     "RibbonMatrix", "build", "check_determinant", "principal_minor",
     "section_matrix",
-    "build_network", "count_covers", "covers_by_type", "enumerate_covers",
-    "imm_by_covers", "uncross_type",
-    "ShuffleDiagram", "ShuffleTableau", "build_diagram", "crystal_E",
-    "crystal_F", "enumerate_shuffle_tableaux", "imm_by_shuffle",
+    "build_network", "covers_by_type", "uncross_type",
+    "ShuffleDiagram", "ShuffleTableau", "crystal_E", "crystal_F",
     "is_yamanouchi", "reading_word", "schur_expand_by_crystal",
-    "tableau_from_cover", "tableaux_by_type", "tl_type",
+    "tableaux_by_type", "tl_type",
     "KLTable", "bruhat_leq", "conjecture12_harness", "imm_kl",
     "kl_polynomials", "kl_polynomials_hecke",
     "sweep_corpus",

@@ -20,9 +20,9 @@ from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
 from .errors import (BudgetExceeded, RibbonError, budget, charge_determinant,
                      charge_permutations)
-from .shapes import InfiniteRibbon, SkewShape, decompose
-from .symfunc import (SchurExpansion, ShapeMatrix, determinant, expand_schur,
-                      weighted_sums)
+from .shapes import InfiniteRibbon, SkewShape, decompose, odd_even_shapes
+from .symfunc import (SchurExpansion, ShapeMatrix, SymPoly, determinant,
+                      expand_schur, weighted_sums)
 
 
 class InputError(Exception):
@@ -163,9 +163,11 @@ def cmd_imm(args) -> int:
         if args.method == "def":
             exp = tlalgebra.imm_tl(tau, ribbonmat.section_matrix(dec, N))
         elif args.method == "shuffle":
-            exp = expand_schur(shuffle.imm_by_shuffle(dec, N, tau))
+            exp = expand_schur(shuffle.tableaux_by_type(dec, N).get(
+                tau, SymPoly(N)))
         elif args.method == "covers":
-            exp = expand_schur(network.imm_by_covers(dec, N, tau))
+            exp = expand_schur(network.covers_by_type(dec, N).get(
+                tau, SymPoly(N)))
         else:  # crystal: the sources give the expansion itself
             exp = shuffle.schur_expand_by_crystal(dec, N).get(
                 tau, SchurExpansion(N))
@@ -201,7 +203,7 @@ def _sweep_one(packed):
             total = weighted_sums(
                 ((None, 1, p) for p in tlalgebra.imm_tl_all(A).values()),
                 N, SchurExpansion).get(None, SchurExpansion(N))
-            red, blue = ribbonmat.odd_even_split(dec)
+            red, blue = odd_even_shapes(dec.ribbon, dec.abar, dec.bbar)
             lr = A.products
             item["ok"] = total == lr.times(lr.times(A.one(), red), blue)
     except BudgetExceeded as exc:

@@ -186,18 +186,6 @@ class KLTable:
         """(x, w) -> coefficient tuple, read from the rows."""
         return _Polys(self)
 
-    def P(self, x, w):
-        return self.polys.get((x, w), ())
-
-    def mu(self, x, w) -> int:
-        """Coefficient of q^{(l(w)-l(x)-1)/2} in P_{x,w}."""
-        d = perm_length(w) - perm_length(x)
-        if d <= 0 or d % 2 == 0:
-            return 0
-        p = self.P(x, w)
-        k = (d - 1) // 2
-        return p[k] if k < len(p) else 0
-
     def dump(self):
         """Lines `x w : polynomial`, in (length, lex) order."""
         names = ["".join(map(str, u)) for u in _weyl(self.n).perms]

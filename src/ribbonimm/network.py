@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .errors import StrandTraceError
 from .shapes import (BELOW, LEFT, InfiniteRibbon, RibbonDecomposition,
                      odd_even_shapes, ribbon_section_shape)
-from .symfunc import SymPoly, charge_budget, pair_by_weight, tally
+from .symfunc import charge_budget, pair_by_weight, tally
 from .tlalgebra import NoncrossingMatching, matching
 
 
@@ -178,22 +178,6 @@ def _colour_families(net: RibbonNetwork):
             _disjoint_families(net, tuple(range(2, net.ell + 1, 2))))
 
 
-def enumerate_covers(net: RibbonNetwork):
-    """Colored covers: (red vertex-disjoint family, blue one), as a list
-    of (index, vertices, weight) sorted by index, plus the total weight."""
-    reds, blues = _colour_families(net)
-    blues = list(blues)
-    for red in reds:
-        for blue in blues:
-            fam = sorted(red + blue)
-            yield fam, _family_weight(fam, net.N)
-
-
-def count_covers(net: RibbonNetwork) -> int:
-    reds, blues = _colour_families(net)
-    return sum(1 for _ in reds) * sum(1 for _ in blues)
-
-
 def uncross_type(family) -> NoncrossingMatching:
     """Temperley-Lieb type of a colored cover, by walking its strands.
 
@@ -263,6 +247,3 @@ def covers_by_type(dec: RibbonDecomposition, N: int):
     return tally(((uncross_type(sorted(red + blue)), key, 1)
                   for red, blue, key in pairs), N)
 
-
-def imm_by_covers(dec: RibbonDecomposition, N: int, tau: NoncrossingMatching) -> SymPoly:
-    return covers_by_type(dec, N).get(tau, SymPoly.zero(N))

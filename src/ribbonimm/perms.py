@@ -1,18 +1,9 @@
 """Permutations of 1..n in one-line notation (tuples with values 1..n):
-products, inversions, signs, descents, reduced words and 321-avoidance."""
+inverses, inversions, descents, reduced words and 321-avoidance."""
 
 from __future__ import annotations
 
 import itertools
-
-
-def identity_perm(n) -> tuple:
-    return tuple(range(1, n + 1))
-
-
-def perm_mul(u: tuple, v: tuple) -> tuple:
-    """Composition (u*v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(u)))
 
 
 def perm_inverse(u: tuple) -> tuple:
@@ -26,10 +17,6 @@ def perm_length(u: tuple) -> int:
     """Number of inversions."""
     n = len(u)
     return sum(1 for a in range(n) for b in range(a + 1, n) if u[a] > u[b])
-
-
-def perm_sign(u: tuple) -> int:
-    return -1 if perm_length(u) % 2 else 1
 
 
 def apply_s(u: tuple, i: int) -> tuple:

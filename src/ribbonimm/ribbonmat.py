@@ -82,14 +82,9 @@ def principal_minor(rm: RibbonMatrix, I) -> RibbonMatrix:
     return RibbonMatrix(sub_dec, rm.nvars, sub)
 
 
-def odd_even_split(dec: RibbonDecomposition):
-    """Shapes built from the odd-indexed and even-indexed tuples."""
-    return odd_even_shapes(dec.ribbon, dec.abar, dec.bbar)
-
-
 def odd_even_product(dec: RibbonDecomposition, N: int) -> SymPoly:
     """s_red * s_blue for the odd/even split, in the monomial basis."""
-    red, blue = odd_even_split(dec)
+    red, blue = odd_even_shapes(dec.ribbon, dec.abar, dec.bbar)
     lr = LRProducts(N)
     return lr.times(lr.times(SchurExpansion(N, {(): 1}), red), blue).to_poly()
 

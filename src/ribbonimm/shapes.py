@@ -113,33 +113,6 @@ class SkewShape:
             return False
         return self.inner[i - 1] < j <= self.outer[i - 1]
 
-    def is_connected(self) -> bool:
-        cells = self.cell_set()
-        if not cells:
-            return False
-        seen = set()
-        stack = [next(iter(cells))]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            i, j = c
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in cells and nb not in seen:
-                    stack.append(nb)
-        return seen == cells
-
-    def is_ribbon(self) -> bool:
-        """Connected with no 2x2 block."""
-        cells = self.cell_set()
-        if not cells or not self.is_connected():
-            return False
-        for i, j in cells:
-            if (i + 1, j) in cells and (i, j + 1) in cells and (i + 1, j + 1) in cells:
-                return False
-        return True
-
     @classmethod
     def from_cells(cls, cells):
         """SkewShape with exactly the given (row, col) cells, kept at their

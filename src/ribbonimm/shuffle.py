@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import StrandTraceError, ValidityError
 from .shapes import BELOW, RibbonDecomposition, SkewShape
-from .symfunc import (SchurExpansion, SymPoly, charge_budget, enumerate_ssyt,
+from .symfunc import (SchurExpansion, charge_budget, enumerate_ssyt,
                       pair_by_weight, tally)
 from .tlalgebra import NoncrossingMatching, matching, trace_strands
 
@@ -47,8 +47,8 @@ class ShuffleDiagram:
     per section.
     """
 
-    __slots__ = ("decomposition", "red_shape", "blue_shape", "cells",
-                 "coord_of", "P", "Q", "row_off", "col_off", "_picture")
+    __slots__ = ("decomposition", "red_shape", "blue_shape", "cells", "P",
+                 "Q", "row_off", "col_off", "_picture")
 
     def __init__(self, dec: RibbonDecomposition):
         self.decomposition = dec
@@ -81,14 +81,13 @@ class ShuffleDiagram:
         col_off += dc + dc % 2
         self.row_off, self.col_off = row_off, col_off
 
-        self.cells, self.coord_of = {}, {}
+        self.cells = {}
         for k in range(1, dec.ell + 1):
             for c in range(dec.abar[k - 1], dec.bbar[k - 1]):
                 pos = embed(k, c)
                 assert pos not in self.cells
                 assert pos[0] % 2 == pos[1] % 2 == k % 2
                 self.cells[pos] = (k, c)
-                self.coord_of[(k, c)] = pos
         self.P, self.Q = [], []
         for k in range(1, dec.ell + 1):
             pk, qk = nodes(k)
@@ -117,10 +116,6 @@ class ShuffleDiagram:
         if self._picture is None:
             self._picture = _compile_picture(self)
         return self._picture
-
-
-def build_diagram(dec: RibbonDecomposition) -> ShuffleDiagram:
-    return ShuffleDiagram(dec)
 
 
 class ShuffleTableau:
@@ -165,25 +160,6 @@ class ShuffleTableau:
     def weight(self, N: int) -> tuple:
         return _weight(self.entries.values(), N)
 
-    def component_fillings(self):
-        """The red and blue SSYT, keyed by red_shape/blue_shape cells."""
-        red, blue = {}, {}
-        for (r, c), v in self.entries.items():
-            if r % 2:
-                red[((r + 1) // 2, (c + 1) // 2)] = v
-            else:
-                blue[(r // 2, c // 2)] = v
-        return red, blue
-
-    def to_json(self):
-        red, blue = self.component_fillings()
-        return {
-            "red": {"shape": self.diagram.red_shape.to_json(),
-                    "entries": [[i, j, v] for (i, j), v in sorted(red.items())]},
-            "blue": {"shape": self.diagram.blue_shape.to_json(),
-                     "entries": [[i, j, v] for (i, j), v in sorted(blue.items())]},
-        }
-
 
 def _weight(entries, N: int) -> tuple:
     """How many of the entries equal 1, 2, ..., N."""
@@ -205,16 +181,6 @@ def _halves(d: ShuffleDiagram, N: int):
     blues = ({(2 * i, 2 * j): v for (i, j), v in t.items()}
              for t in enumerate_ssyt(d.blue_shape, N))
     return reds, blues
-
-
-def enumerate_shuffle_tableaux(d: ShuffleDiagram, N: int):
-    """All fillings with entries in [1, N]: the product of the two SSYT
-    streams."""
-    reds, blues = _halves(d, N)
-    blues = list(blues)
-    for red in reds:
-        for blue in blues:
-            yield ShuffleTableau(d, {**red, **blue})
 
 
 # -------------------------------------------------------------- type reading
@@ -328,22 +294,6 @@ def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
 
     pairs, _ = trace_strands(adj, node_label)
     return matching(d.ell, pairs)
-
-
-# -------------------------------------------------- covers to shuffle fillings
-
-def tableau_from_cover(d: ShuffleDiagram, family) -> ShuffleTableau:
-    """Filling read off a colored cover: the crossing of a path into a
-    content records its source height at that content's cell."""
-    entries = {}
-    for k, verts, _ in family:
-        for (c1, h1), (c2, _) in zip(verts, verts[1:]):
-            if c2 == c1 - 1:
-                entries[d.coord_of[(k, c2)]] = h1
-    T = ShuffleTableau(d, entries)
-    if not T.is_valid():
-        raise ValidityError("cover does not read as a valid filling")
-    return T
 
 
 # ------------------------------------------------------ reading word, crystal
@@ -461,12 +411,7 @@ def tableaux_by_type(dec: RibbonDecomposition, N: int):
     Only partition (sorted) weights are recorded, the polynomials being
     symmetric, and only those fillings are enumerated and typed."""
     return tally(((tl_type(T), key, 1)
-                  for T, key in _fillings(build_diagram(dec), N)), N)
-
-
-def imm_by_shuffle(dec: RibbonDecomposition, N: int,
-                   tau: NoncrossingMatching) -> SymPoly:
-    return tableaux_by_type(dec, N).get(tau, SymPoly.zero(N))
+                  for T, key in _fillings(ShuffleDiagram(dec), N)), N)
 
 
 def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):
@@ -479,5 +424,5 @@ def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):
     are visited.  Coefficients are nonnegative by construction.
     """
     return tally(((tl_type(T), key, 1)
-                  for T, key in _fillings(build_diagram(dec), N)
+                  for T, key in _fillings(ShuffleDiagram(dec), N)
                   if is_yamanouchi(T)), N, SchurExpansion)

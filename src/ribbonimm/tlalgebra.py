@@ -12,9 +12,9 @@ adjacent boundary points of m, in O(n), with no strand tracing
 model).  The basis of TL_n (`_basis`) is the Catalan(n) matchings, as
 the closure of the identity under the generators, and the table of the
 left actions m -> (t_i m, loops); `_tl_table` builds it once per n.
-`perm_to_matching` folds the right action over a reduced word.
-`diagram_mul` is the general product by tracing the glued diagram; the
-tests use it as the oracle of both actions.
+`perm_to_matching` folds the right action over a reduced word.  The
+tests check both actions against the general product, which traces the
+strands of the glued diagram.
 
 The definitional immanants read one coefficient table over S_n: the
 algebra map theta sending s_i to t_i - 1, taken at w^-1 and expanded in
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from .errors import (StrandTraceError, budget, charge, charge_permutations,
                      table)
 from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
-                    first_right_descent, identity_perm, is_321_avoiding,
-                    perm_inverse, perm_length, perm_mul, perm_sign,
+                    first_right_descent, is_321_avoiding, perm_length,
                     reduced_word)
 from .symfunc import ShapeMatrix, determinant, diagonal_products, weighted_sums
 
@@ -107,14 +106,6 @@ def identity_matching(n) -> NoncrossingMatching:
     return matching(n, [(("L", k), ("R", k)) for k in range(1, n + 1)])
 
 
-def generator(n, i) -> NoncrossingMatching:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    pairs = [(("L", i), ("L", i + 1)), (("R", i), ("R", i + 1))]
-    pairs += [(("L", k), ("R", k)) for k in range(1, n + 1) if k not in (i, i + 1)]
-    return matching(n, pairs)
-
-
 def trace_strands(adj, ends):
     """Follow the strands of a picture in which no position has degree > 2.
 
@@ -152,32 +143,6 @@ def trace_strands(adj, ends):
                     seen.add(cur)
                     todo.extend(adj[cur])
     return pairs, loops
-
-
-def diagram_mul(m1: NoncrossingMatching, m2: NoncrossingMatching):
-    """Concatenate m1 (left) with m2 (right): returns (matching, loops)."""
-    if m1.n != m2.n:
-        raise ValueError("size mismatch")
-    n = m1.n
-    # points of the glued diagram: ("A", side, k) from m1, ("B", side, k)
-    # from m2; m1's R-side is identified with m2's L-side
-    adj = {}
-
-    def link(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    for a, b in m1.pairs:
-        link(("A",) + a, ("A",) + b)
-    for a, b in m2.pairs:
-        link(("B",) + a, ("B",) + b)
-    for k in range(1, n + 1):
-        link(("A", "R", k), ("B", "L", k))
-
-    boundary = {("A", "L", k): ("L", k) for k in range(1, n + 1)}
-    boundary.update({("B", "R", k): ("R", k) for k in range(1, n + 1)})
-    pairs, loops = trace_strands(adj, boundary)
-    return NoncrossingMatching(n, pairs), loops
 
 
 # ------------------------------------------------------------------ the basis
@@ -271,11 +236,6 @@ def _tl_table(n: int) -> dict:
         if stored > limit:
             charge(layer, stored, "entries")
     return table
-
-
-def all_matchings(n):
-    """All noncrossing matchings on 2n points: the basis of TL_n."""
-    return list(_basis(n).matchings)
 
 
 def imm_tl(tau: NoncrossingMatching, A):

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
+from oracles import all_matchings, identity_perm
 from ribbonimm import corpus
 from ribbonimm.klbase import imm_kl
-from ribbonimm.perms import identity_perm
 from ribbonimm.shapes import (BELOW, LEFT, InfiniteRibbon, SkewShape,
                               decompose, shape_from_tuples)
 from ribbonimm.symfunc import ShapeMatrix, SymPoly, determinant
-from ribbonimm.tlalgebra import all_matchings
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,9 @@ import random
 
 from conftest import (compatible_types, imm_det_check, random_shape_matrix,
                       row_sections_dec)
+from oracles import (all_matchings, count_covers, diagram_mul,
+                     enumerate_covers, enumerate_shuffle_tableaux, generator,
+                     tableau_from_cover)
 from ribbonimm import corpus as corpus_mod
 from ribbonimm import klbase, network, ribbonmat, shuffle, tlalgebra
 from ribbonimm.shapes import (InfiniteRibbon, decompose, shape_from_tuples)
@@ -97,7 +100,7 @@ def test_criterion_04_complementary_minor_identity():
         N = _nontrivial_nvars(dec, 4)
         rm = ribbonmat.build(dec, N)
         total = SymPoly.zero(N)
-        for tau in tlalgebra.all_matchings(dec.ell):
+        for tau in all_matchings(dec.ell):
             total = total + tlalgebra.imm_tl(tau, rm.matrix)
         if total != ribbonmat.odd_even_product(dec, N):
             failures.append(("corpus", dec.abar, dec.bbar))
@@ -106,7 +109,7 @@ def test_criterion_04_complementary_minor_identity():
         n = rng.randint(1, 4)
         A = random_shape_matrix(rng, n, rng.randint(2, 3))
         total = SymPoly.zero(A.nvars)
-        for tau in tlalgebra.all_matchings(n):
+        for tau in all_matchings(n):
             total = total + tlalgebra.imm_tl(tau, A)
         I = tuple(range(1, n + 1, 2))
         J = tuple(range(2, n + 1, 2))
@@ -177,7 +180,7 @@ def test_criterion_06_negative_controls():
 def test_criterion_07_reading_word_and_type_pins():
     failures = []
     dec = row_sections_dec((2, 1, 0, -1, -2), (7, 6, 5, 2, 0))
-    d = shuffle.build_diagram(dec)
+    d = shuffle.ShuffleDiagram(dec)
     per_row = [[1, 1, 1, 1, 2], [1, 2, 3, 3, 3], [1, 2, 2, 2, 3],
                [2, 2, 3], [2, 2]]
     entries = {}
@@ -192,21 +195,20 @@ def test_criterion_07_reading_word_and_type_pins():
         failures.append(("word 2", shuffle.reading_word(T, 2).word))
 
     from test_shuffle import BLUE_ROWS, RED_ROWS, _fill
-    dh = shuffle.build_diagram(HOOK_DEC)
+    dh = shuffle.ShuffleDiagram(HOOK_DEC)
     pinned = {(2 * i - 1, 2 * j - 1): v
               for (i, j), v in _fill(dh.red_shape, RED_ROWS).items()}
     pinned.update({(2 * i, 2 * j): v
                    for (i, j), v in _fill(dh.blue_shape, BLUE_ROWS).items()})
     Tp = shuffle.ShuffleTableau(dh, pinned)
     tau = shuffle.tl_type(Tp)
-    expected, _ = tlalgebra.diagram_mul(tlalgebra.generator(4, 3),
-                                        tlalgebra.generator(4, 2))
+    expected, _ = diagram_mul(generator(4, 3), generator(4, 2))
     if tau != expected:
         failures.append(("pinned type", str(tau)))
     # cover-side agreement on an exhaustively enumerable instance
     net = network.build_network(HOOK_DEC, 3)
-    for fam, _ in network.enumerate_covers(net):
-        if shuffle.tl_type(shuffle.tableau_from_cover(dh, fam)) != \
+    for fam, _ in enumerate_covers(net):
+        if shuffle.tl_type(tableau_from_cover(dh, fam)) != \
                 network.uncross_type(fam):
             failures.append(("cover type mismatch",))
             break
@@ -227,8 +229,8 @@ def test_criterion_08_crystal_properties(monkeypatch):
     monkeypatch.setattr(shuffle, "_build_reading_word", counted)
     for dec in corpus_mod.sweep_corpus(8, 5, 4, per_bucket=2):
         N = _nontrivial_nvars(dec, 4)
-        d = shuffle.build_diagram(dec)
-        tableaux = list(shuffle.enumerate_shuffle_tableaux(d, N))
+        d = shuffle.ShuffleDiagram(dec)
+        tableaux = list(enumerate_shuffle_tableaux(d, N))
         index = {T: t for t, T in enumerate(tableaux)}
         types = [shuffle.tl_type(T) for T in tableaux]
         parent = list(range(len(tableaux)))
@@ -323,10 +325,10 @@ def test_criterion_10_combinatorial_counts():
         if sum(1 for _ in tlalgebra.enumerate_321_avoiding(n)) != catalan[n]:
             failures.append(("catalan", n))
     for dec in corpus_mod.sweep_corpus(8, 5, 3, per_bucket=16):
-        d = shuffle.build_diagram(dec)
+        d = shuffle.ShuffleDiagram(dec)
         for N in (1, 2, 3):
             n_tab = ssyt_count(d.red_shape, N) * ssyt_count(d.blue_shape, N)
-            n_cov = network.count_covers(network.build_network(dec, N))
+            n_cov = count_covers(network.build_network(dec, N))
             if n_tab != n_cov:
                 failures.append((dec.abar, dec.bbar, N, n_tab, n_cov))
     _report(10, "Catalan counts and cover-filling bijection", failures)

@@ -1,15 +1,26 @@
 import ast
+import re
 from pathlib import Path
 
 import ribbonimm
 
 SOURCES = sorted(Path(ribbonimm.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 # Only the monomial orbit listing still calls itself: it serves only
 # SymPoly.__mul__ and evaluate, on no command path, and goes with the
-# monomial product (ROADMAP item 3).  Every other walk is a loop, so an
+# monomial product (ROADMAP item 4).  Every other walk is a loop, so an
 # input is refused by the budget alone, never by the recursion limit.
 RECURSIVE = {"symfunc._orbit"}
+
+# Public names that nothing in the package, the benchmark workloads or
+# the README tour reads: the crystal operators are the laws is_yamanouchi
+# relies on, and criterion 8 tests them.
+UNCALLED = {"crystal_E", "crystal_F", "__version__"}
+
+# (module, name) imported and not used there: perfbench/workloads.py reads
+# tlalgebra.enumerate_321_avoiding.
+UNUSED_IMPORTS = {("tlalgebra", "enumerate_321_avoiding")}
 
 
 def _functions(tree, prefix):
@@ -61,3 +72,63 @@ def test_budget_refusals_are_raised_in_errors_only():
                     and node.func.id == "BudgetExceeded"):
                 found.add(path.stem)
     assert found == {"errors"}
+
+
+def _reads(tree, attributes=True) -> set:
+    """The names read in tree, and with attributes the attribute names
+    read off any object."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif (attributes and isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            out.add(node.attr)
+    return out
+
+
+def _library_tour() -> str:
+    """The python block under the README's "## Library tour" heading."""
+    text = (ROOT / "README.md").read_text()
+    tour = text.split("\n## Library tour\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+
+
+def test_every_public_name_has_a_caller():
+    # a read inside the name's own definition, or the package's
+    # re-export, is not a caller
+    read = set()
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            names = _reads(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+            read |= names
+    read |= _reads(ast.parse((ROOT / "perfbench/workloads.py").read_text()))
+    read |= _reads(ast.parse(_library_tour()))
+    assert set(ribbonimm.__all__) - read == UNCALLED
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__ imports only to re-export
+    unused = set()
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _reads(tree, attributes=False)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.add((path.stem, name))
+    assert unused == UNUSED_IMPORTS
+
+
+def test_the_readme_library_tour_runs():
+    # a tour that names a deleted function fails here
+    exec(compile(_library_tour(), "README.md", "exec"), {})

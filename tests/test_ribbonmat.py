@@ -2,8 +2,8 @@ import pytest
 
 from conftest import is_homogeneous, row_sections_dec
 from ribbonimm import ribbonmat
-from ribbonimm.shapes import (SkewShape, decompose, ribbon_section_shape,
-                              shape_from_tuples)
+from ribbonimm.shapes import (SkewShape, decompose, odd_even_shapes,
+                              ribbon_section_shape, shape_from_tuples)
 from ribbonimm.symfunc import (SchurExpansion, ShapeMatrix, SymPoly,
                                determinant, expand_schur, schur_poly,
                                skew_schur)
@@ -80,7 +80,7 @@ def test_principal_minor_roundtrip(hook_dec):
 
 
 def test_odd_even_split(hook_dec):
-    odd, even = ribbonmat.odd_even_split(hook_dec)
+    odd, even = odd_even_shapes(hook_dec.ribbon, hook_dec.abar, hook_dec.bbar)
     sizes = [b - a for a, b in zip(hook_dec.abar, hook_dec.bbar)]
     assert odd.size == sizes[0] + sizes[2]
     assert even.size == sizes[1] + sizes[3]

@@ -3,6 +3,9 @@ from collections import Counter
 import pytest
 
 from conftest import row_interval, row_sections_dec
+from oracles import (count_covers, diagram_mul, enumerate_covers,
+                     enumerate_shuffle_tableaux, generator,
+                     tableau_from_cover)
 from test_acceptance import _nontrivial_nvars
 from ribbonimm import corpus, network, ribbonmat, shuffle, tlalgebra
 from ribbonimm.errors import BudgetExceeded, ValidityError
@@ -31,7 +34,7 @@ def _fill(shape, rows):
 
 @pytest.fixture(scope="module")
 def pinned_tableau(hook_dec):
-    d = shuffle.build_diagram(hook_dec)
+    d = shuffle.ShuffleDiagram(hook_dec)
     entries = {(2 * i - 1, 2 * j - 1): v
                for (i, j), v in _fill(d.red_shape, RED_ROWS).items()}
     entries.update({(2 * i, 2 * j): v
@@ -40,7 +43,7 @@ def pinned_tableau(hook_dec):
 
 
 def test_diagram_shapes(hook_dec):
-    d = shuffle.build_diagram(hook_dec)
+    d = shuffle.ShuffleDiagram(hook_dec)
     red_rows = [d.red_shape.outer[i] - d.red_shape.inner[i]
                 for i in range(d.red_shape.n_rows)
                 if d.red_shape.outer[i] > d.red_shape.inner[i]]
@@ -52,7 +55,7 @@ def test_diagram_shapes(hook_dec):
 
 
 def test_nodes_are_corners(hook_dec):
-    d = shuffle.build_diagram(hook_dec)
+    d = shuffle.ShuffleDiagram(hook_dec)
     for pos in d.P + d.Q:
         assert sum(pos) % 2 == 1
         assert pos not in d.cells
@@ -65,8 +68,7 @@ def test_pinned_type(pinned_tableau):
 
 
 def test_pinned_type_is_generator_product(pinned_tableau):
-    expected, loops = tlalgebra.diagram_mul(tlalgebra.generator(4, 3),
-                                            tlalgebra.generator(4, 2))
+    expected, loops = diagram_mul(generator(4, 3), generator(4, 2))
     assert loops == 0
     assert shuffle.tl_type(pinned_tableau) == expected
 
@@ -76,6 +78,7 @@ def test_pinned_type_matches_cover_side(hook_dec, pinned_tableau):
     N = max(pinned_tableau.entries.values())
     net = network.build_network(hook_dec, N)
     d = pinned_tableau.diagram
+    pos_of = {kc: pos for pos, kc in d.cells.items()}
     R = hook_dec.ribbon
 
     def vertical_run(content, j_from, j_to):
@@ -93,7 +96,7 @@ def test_pinned_type_matches_cover_side(hook_dec, pinned_tableau):
         wt = [0] * N
         height = net.starts[k - 1][1]
         for c in range(b, a, -1):
-            j = pinned_tableau.entries[d.coord_of[(k, c - 1)]]
+            j = pinned_tableau.entries[pos_of[(k, c - 1)]]
             verts.extend(vertical_run(c, height, j))
             wt[j - 1] += 1
             height = j + 1 if R.step(c - 1) == "B" else j
@@ -103,12 +106,12 @@ def test_pinned_type_matches_cover_side(hook_dec, pinned_tableau):
     for i, j in ((0, 2), (1, 3)):
         assert not set(family[i][1]) & set(family[j][1])
     assert network.uncross_type(family) == shuffle.tl_type(pinned_tableau)
-    assert shuffle.tableau_from_cover(d, family) == pinned_tableau
+    assert tableau_from_cover(d, family) == pinned_tableau
 
 
 def test_reading_word_pins():
     ribbon_dec = row_sections_dec((2, 1, 0, -1, -2), (7, 6, 5, 2, 0))
-    d = shuffle.build_diagram(ribbon_dec)
+    d = shuffle.ShuffleDiagram(ribbon_dec)
     per_row = [[1, 1, 1, 1, 2], [1, 2, 3, 3, 3], [1, 2, 2, 2, 3],
                [2, 2, 3], [2, 2]]
     entries = {}
@@ -136,8 +139,8 @@ def test_single_section_types(row_ribbon, column_ribbon):
     for ribbon, shape in ((row_ribbon, SkewShape((4,))),
                           (column_ribbon, SkewShape((1, 1, 1, 1)))):
         dec = decompose(shape, ribbon)
-        d = shuffle.build_diagram(dec)
-        for T in shuffle.enumerate_shuffle_tableaux(d, 2):
+        d = shuffle.ShuffleDiagram(dec)
+        for T in enumerate_shuffle_tableaux(d, 2):
             assert str(shuffle.tl_type(T)) == "(L1-R1)"
 
 
@@ -166,23 +169,23 @@ def test_cover_bijection(hook_dec, corpus_decs):
     cases = [(dec, 2), (dec, 3), (hook_dec, 2)] + [(d, 3) for d in corpus_decs]
     for tdec, N in cases:
         net = network.build_network(tdec, N)
-        d = shuffle.build_diagram(tdec)
+        d = shuffle.ShuffleDiagram(tdec)
         fillings = set()
-        for fam, wt in network.enumerate_covers(net):
-            T = shuffle.tableau_from_cover(d, fam)
+        for fam, wt in enumerate_covers(net):
+            T = tableau_from_cover(d, fam)
             assert T.weight(N) == wt
             assert shuffle.tl_type(T) == network.uncross_type(fam)
             fillings.add(T)
-        assert len(fillings) == network.count_covers(net)
-        assert fillings == set(shuffle.enumerate_shuffle_tableaux(d, N))
+        assert len(fillings) == count_covers(net)
+        assert fillings == set(enumerate_shuffle_tableaux(d, N))
 
 
 def test_crystal_operators():
     dec = row_sections_dec((0, -2, -4), (3, 2, 1))
     N = 3
-    d = shuffle.build_diagram(dec)
+    d = shuffle.ShuffleDiagram(dec)
     moves = 0
-    for T in shuffle.enumerate_shuffle_tableaux(d, N):
+    for T in enumerate_shuffle_tableaux(d, N):
         for i in range(1, N):
             E = shuffle.crystal_E(T, i)
             F = shuffle.crystal_F(T, i)
@@ -207,8 +210,8 @@ def test_crystal_expansion_matches_schur_expansion(hook_dec):
 
 
 def test_invalid_filling_rejected(hook_dec):
-    d = shuffle.build_diagram(hook_dec)
-    T = next(iter(shuffle.enumerate_shuffle_tableaux(d, 3)))
+    d = shuffle.ShuffleDiagram(hook_dec)
+    T = next(iter(enumerate_shuffle_tableaux(d, 3)))
     entries = dict(T.entries)
     del entries[next(iter(entries))]
     with pytest.raises(ValidityError):
@@ -221,11 +224,6 @@ def test_budget_guard(hook_dec, monkeypatch):
         shuffle.tableaux_by_type(hook_dec, 3)
 
 
-def test_tableau_json(pinned_tableau):
-    blob = pinned_tableau.to_json()
-    assert set(blob) >= {"red", "blue"}
-
-
 def test_sources_have_partition_weight():
     # If no raising operator applies, every i+1 of a reading word is
     # bracketed by an i, so wt_i >= wt_{i+1}: a source always has a
@@ -233,8 +231,8 @@ def test_sources_have_partition_weight():
     N = 4
     unsorted = 0
     for dec in corpus.sweep_corpus(8, 5, 4, per_bucket=4):
-        d = shuffle.build_diagram(dec)
-        for T in shuffle.enumerate_shuffle_tableaux(d, N):
+        d = shuffle.ShuffleDiagram(dec)
+        for T in enumerate_shuffle_tableaux(d, N):
             if partition_key(T.weight(N)) is None:
                 unsorted += 1
                 assert not shuffle.is_yamanouchi(T), T.entries
@@ -245,13 +243,13 @@ def _unfiltered_models(dec, N):
     """Type maps of every filling and every cover, weight or not, reduced
     to the partition weights afterwards."""
     by_shuffle, by_covers, by_crystal = {}, {}, {}
-    for T in shuffle.enumerate_shuffle_tableaux(shuffle.build_diagram(dec), N):
+    for T in enumerate_shuffle_tableaux(shuffle.ShuffleDiagram(dec), N):
         tau, key = shuffle.tl_type(T), partition_key(T.weight(N))
         if key is not None:
             by_shuffle.setdefault(tau, Counter())[key] += 1
         if shuffle.is_yamanouchi(T):
             by_crystal.setdefault(tau, Counter())[key] += 1
-    for fam, wt in network.enumerate_covers(network.build_network(dec, N)):
+    for fam, wt in enumerate_covers(network.build_network(dec, N)):
         key = partition_key(wt)
         if key is not None:
             by_covers.setdefault(network.uncross_type(fam), Counter())[key] += 1
@@ -273,7 +271,7 @@ def test_budget_is_checked_before_enumerating(hook_dec, monkeypatch):
     # the hook has 40,622,400 fillings, and as many covers, in 4 variables,
     # over the default budget; counting them is enough to refuse
     monkeypatch.delenv("RIL_BUDGET", raising=False)
-    d = shuffle.build_diagram(hook_dec)
+    d = shuffle.ShuffleDiagram(hook_dec)
     counts = [skew_schur(half, 4).evaluate((1,) * 4)
               for half in (d.red_shape, d.blue_shape)]
     assert counts[0] * counts[1] == 40622400
@@ -289,11 +287,11 @@ def test_budget_is_checked_before_enumerating(hook_dec, monkeypatch):
         with pytest.raises(BudgetExceeded, match=refusal.format("fillings")):
             model(hook_dec, 4)
     with pytest.raises(BudgetExceeded, match=refusal.format("fillings")):
-        next(shuffle.enumerate_shuffle_tableaux(d, 4))
+        next(enumerate_shuffle_tableaux(d, 4))
     net = network.build_network(hook_dec, 4)
     for run in (lambda: network.covers_by_type(hook_dec, 4),
-                lambda: next(network.enumerate_covers(net)),
-                lambda: network.count_covers(net)):
+                lambda: next(enumerate_covers(net)),
+                lambda: count_covers(net)):
         with pytest.raises(BudgetExceeded, match=refusal.format("covers")):
             run()
 

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import is_homogeneous, random_shape_matrix
+from oracles import is_connected, perm_sign
 from ribbonimm import symfunc
 from ribbonimm.errors import BudgetExceeded
-from ribbonimm.perms import perm_sign
-from ribbonimm.ribbonmat import build, odd_even_split
-from ribbonimm.shapes import SkewShape, decompose
+from ribbonimm.ribbonmat import build
+from ribbonimm.shapes import SkewShape, decompose, odd_even_shapes
 from ribbonimm.symfunc import (LRProducts, SchurExpansion, ShapeMatrix,
                                SymPoly, _orbit, determinant,
                                diagonal_products, enumerate_ssyt,
@@ -201,8 +201,9 @@ def test_skew_schur_matches_ssyt_weights(corpus_decs):
     box = list(itertools.combinations_with_replacement(range(4, -1, -1), 4))
     shapes = {SkewShape(lam, mu) for lam in box for mu in box
               if all(m <= l for m, l in zip(mu, lam))}
-    halves = {h for dec in corpus_decs for h in odd_even_split(dec)}
-    assert any(h.size and not h.is_connected() for h in halves)
+    halves = {h for dec in corpus_decs
+              for h in odd_even_shapes(dec.ribbon, dec.abar, dec.bbar)}
+    assert any(h.size and not is_connected(h) for h in halves)
     assert SkewShape(()) in shapes
     for shape in shapes | halves:
         weights = Counter()

@@ -5,15 +5,15 @@ import random
 import pytest
 
 from conftest import compatible, compatible_types, random_shape_matrix
+from oracles import (all_matchings, diagram_mul, generator, identity_perm,
+                     perm_mul, perm_sign)
 from ribbonimm import tlalgebra
 from ribbonimm.errors import BudgetExceeded
+from ribbonimm.perms import (apply_s, enumerate_321_avoiding, is_321_avoiding,
+                             perm_inverse, perm_length, reduced_word)
 from ribbonimm.symfunc import SymPoly, determinant
-from ribbonimm.tlalgebra import (NoncrossingMatching, all_matchings, apply_s,
-                                 cap, diagram_mul, enumerate_321_avoiding,
-                                 generator, identity_matching, identity_perm,
-                                 imm_tl, is_321_avoiding, matching, minor,
-                                 perm_inverse, perm_length, perm_mul,
-                                 perm_sign, perm_to_matching, reduced_word)
+from ribbonimm.tlalgebra import (NoncrossingMatching, cap, identity_matching,
+                                 imm_tl, matching, minor, perm_to_matching)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
