@@ -32,10 +32,6 @@ class RibbonMatrix:
     nvars: int
     matrix: ShapeMatrix
 
-    @property
-    def ell(self) -> int:
-        return self.decomposition.ell
-
 
 def section_matrix(dec: RibbonDecomposition, N: int,
                    ring=SchurExpansion) -> ShapeMatrix:

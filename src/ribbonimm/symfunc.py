@@ -2,25 +2,21 @@
 
 Polynomials are stored in the monomial symmetric basis: a map from
 partitions (at most N parts) to exact integers.  Symmetry is therefore
-structural.  The coefficient of the single monomial x^gamma equals the
-stored coefficient at the sorted exponent vector, which is what the
-multiplication routine exploits.
+structural.
 
 N is only a truncation: it drops the partitions with more than N parts
 and is never a loop bound of its own.  Skew Schur polynomials come from
 the horizontal-strip recursion for skew Kostka numbers (Macdonald,
 Symmetric Functions and Hall Polynomials, I.5), which visits only the
-partitions of the degree with at most N parts.  A product is one pass
-over pairs of terms, each weighted by the structure constants of
-m_lambda * m_mu (Macdonald, I.2), which are computed for each pair of
-terms in len(lambda) + len(mu) slots, not in all N.
+partitions of the degree with at most N parts.
 
 Schur expansions (`SchurExpansion`) hold the same kind of map in the
 Schur basis.  A matrix (`ShapeMatrix`) holds each entry as a skew shape.
 Every product of entries, in a determinant, a minor or an immanant, and
 every product of two Schur expansions goes through Littlewood-Richardson
-fillings (`LRProducts`).  A matrix reports its results in its ring: the
-Schur basis, or the monomial basis through `SymPoly.from_schur`.
+fillings (`LRProducts`).  `SymPoly *` is that product too, through the
+Schur basis.  A matrix reports its results in its ring: the Schur basis,
+or the monomial basis through `SymPoly.from_schur`.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -67,56 +62,6 @@ def pair_by_weight(reds, blues, weight):
                 for red in red_group:
                     for blue in blue_group:
                         yield red, blue, key
-
-
-def _sorted_key(vec) -> tuple:
-    """The nonnegative exponent vector vec as a partition."""
-    vec = sorted(vec, reverse=True)
-    return tuple(vec[:len(vec) - vec.count(0)])
-
-
-def _orbit(key: tuple, nvars: int) -> tuple:
-    """All distinct length-nvars exponent vectors with sorted form key,
-    in increasing lexicographic order."""
-    if not nvars:
-        return ((),)
-    out = []
-    if len(key) < nvars:
-        out += [(0,) + tail for tail in _orbit(key, nvars - 1)]
-    # the first entry takes each distinct part once, smallest first
-    for i in reversed(range(len(key))):
-        if not i or key[i] != key[i - 1]:
-            rest = key[:i] + key[i + 1:]
-            out += [(key[i],) + tail for tail in _orbit(rest, nvars - 1)]
-    return tuple(out)
-
-
-def _orbit_size(key: tuple, nvars: int) -> int:
-    """len(_orbit(key, nvars)), by the multinomial formula."""
-    out = math.factorial(nvars)
-    for m in Counter(key + (0,) * (nvars - len(key))).values():
-        out //= math.factorial(m)
-    return out
-
-
-def _monomial_product(lam: tuple, mu: tuple, nvars: int) -> dict:
-    """m_lam * m_mu in nvars variables, as {nu: coefficient}.
-
-    With lam's exponent vector fixed, count the beta in the orbit of mu
-    whose sum with it sorts to nu.  Each vector of lam's orbit meets nu's
-    orbit equally often, so counting the pairs (alpha, beta) with
-    alpha + beta in the orbit of nu both ways gives
-    hits * |O(lam)| = coefficient * |O(nu)|, an exact division.
-    """
-    # every nu has at most len(lam) + len(mu) parts
-    width = min(nvars, len(lam) + len(mu))
-    if _orbit_size(mu, width) > _orbit_size(lam, width):
-        lam, mu = mu, lam
-    lvec = lam + (0,) * (width - len(lam))
-    hits = Counter(_sorted_key(map(operator.add, lvec, beta))
-                   for beta in _orbit(mu, width))
-    size = _orbit_size(lam, width)
-    return {nu: h * size // _orbit_size(nu, width) for nu, h in hits.items()}
 
 
 class _Terms:
@@ -168,10 +113,6 @@ class SymPoly(_Terms):
                               for lam, c in (coeffs or {}).items() if c),
                              nvars, cls).get(None, cls(nvars))
 
-    def degree(self):
-        """Total degree, or None for the zero polynomial."""
-        return max((sum(k) for k in self.coeffs), default=None)
-
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
@@ -184,26 +125,9 @@ class SymPoly(_Terms):
         return SymPoly(self.nvars, out)
 
     def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for lam, a in self.coeffs.items():
-            for mu, b in other.coeffs.items():
-                ab = a * b
-                for nu, c in _monomial_product(lam, mu, self.nvars).items():
-                    out[nu] = out.get(nu, 0) + ab * c
-        return SymPoly(self.nvars, out)
-
-    def evaluate(self, point) -> int:
-        """Exact evaluation at an integer point of length nvars."""
-        assert len(point) == self.nvars
-        total = 0
-        for key, c in self.coeffs.items():
-            for alpha in _orbit(key, self.nvars):
-                term = 1
-                for x, e in zip(point, alpha):
-                    term *= x ** e
-                total += c * term
-        return total
+        """The LR product of the two Schur expansions, charged to the
+        budget."""
+        return (expand_schur(self) * expand_schur(other)).to_poly()
 
     def __repr__(self):
         items = ", ".join(f"m{list(k)}: {c}" for k, c in sorted(

@@ -71,6 +71,11 @@ def is_homogeneous(p: SymPoly) -> bool:
     return len({sum(k) for k in p.coeffs}) <= 1
 
 
+def degree(p: SymPoly):
+    """Total degree, or None for the zero polynomial."""
+    return max((sum(k) for k in p.coeffs), default=None)
+
+
 def row_interval(shape, i):
     """Half-open column interval (inner_i, outer_i] of row i of a skew
     shape, or None."""

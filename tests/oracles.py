@@ -5,11 +5,15 @@ The brute-force enumerators list every shuffle filling and every colored
 cover, whatever its weight, through the library's budget-charged halves
 (shuffle._halves, network._colour_families), so an over-budget instance
 is refused before anything is listed.  The cover-to-filling bijection,
-the general product of Temperley-Lieb diagrams and the permutation and
-shape helpers check the library's own shortcuts.
+the noncrossing matchings listed by their first strand, the general
+product of Temperley-Lieb diagrams, the evaluation of a symmetric
+polynomial over its explicit monomials and the permutation and shape
+helpers check the library's own shortcuts.
 """
 
-from ribbonimm import network, shuffle, tlalgebra
+import itertools
+
+from ribbonimm import network, shuffle
 from ribbonimm.errors import ValidityError
 from ribbonimm.perms import perm_length
 from ribbonimm.tlalgebra import NoncrossingMatching, matching, trace_strands
@@ -61,8 +65,25 @@ def tableau_from_cover(d: shuffle.ShuffleDiagram, family):
 # ------------------------------------------------------------- TL diagrams
 
 def all_matchings(n):
-    """All noncrossing matchings on 2n points: the basis of TL_n."""
-    return list(tlalgebra._basis(n).matchings)
+    """All noncrossing matchings on 2n points: the basis of TL_n.
+
+    The points are listed around the circle, L_1..L_n then R_n..R_1.
+    The first one is paired with each point that leaves an even number of
+    points on both sides of the strand, and the two sides are matched on
+    their own.
+    """
+    def arcs(points):
+        if not points:
+            yield []
+            return
+        for k in range(1, len(points), 2):
+            for inside in arcs(points[1:k]):
+                for outside in arcs(points[k + 1:]):
+                    yield [(points[0], points[k])] + inside + outside
+
+    circle = ([("L", k) for k in range(1, n + 1)]
+              + [("R", k) for k in range(n, 0, -1)])
+    return [matching(n, pairs) for pairs in arcs(circle)]
 
 
 def generator(n, i) -> NoncrossingMatching:
@@ -98,6 +119,32 @@ def diagram_mul(m1: NoncrossingMatching, m2: NoncrossingMatching):
     boundary.update({("B", "R", k): ("R", k) for k in range(1, n + 1)})
     pairs, loops = trace_strands(adj, boundary)
     return NoncrossingMatching(n, pairs), loops
+
+
+# ------------------------------------------------------------- polynomials
+
+def explicit_monomials(p) -> dict:
+    """The SymPoly p as {exponent vector: coefficient}, over every vector
+    of each monomial orbit."""
+    out = {}
+    for key, c in p.coeffs.items():
+        vec = key + (0,) * (p.nvars - len(key))
+        for alpha in set(itertools.permutations(vec)):
+            out[alpha] = out.get(alpha, 0) + c
+    return out
+
+
+def evaluate(p, point) -> int:
+    """Exact value of the SymPoly p at an integer point of length
+    p.nvars."""
+    assert len(point) == p.nvars
+    total = 0
+    for alpha, c in explicit_monomials(p).items():
+        term = 1
+        for x, e in zip(point, alpha):
+            term *= x ** e
+        total += c * term
+    return total
 
 
 # ------------------------------------------------- permutations and shapes

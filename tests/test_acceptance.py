@@ -19,8 +19,7 @@ from oracles import (all_matchings, count_covers, diagram_mul,
 from ribbonimm import corpus as corpus_mod
 from ribbonimm import klbase, network, ribbonmat, shuffle, tlalgebra
 from ribbonimm.shapes import (InfiniteRibbon, decompose, shape_from_tuples)
-from ribbonimm.symfunc import (SymPoly, determinant, expand_schur,
-                               schur_poly, skew_schur, ssyt_count)
+from ribbonimm.symfunc import SymPoly, expand_schur, schur_poly, ssyt_count
 
 HOOK_RIBBON = InfiniteRibbon(-3, ("B", "L", "L", "L", "B", "B", "L", "B"),
                              tail_lo="B", tail_hi="L")

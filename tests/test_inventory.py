@@ -6,12 +6,11 @@ import ribbonimm
 
 SOURCES = sorted(Path(ribbonimm.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-# Only the monomial orbit listing still calls itself: it serves only
-# SymPoly.__mul__ and evaluate, on no command path, and goes with the
-# monomial product (ROADMAP item 4).  Every other walk is a loop, so an
-# input is refused by the budget alone, never by the recursion limit.
-RECURSIVE = {"symfunc._orbit"}
+# Every walk is a loop, so an input is refused by the budget alone, never
+# by the recursion limit: no function calls itself.
+RECURSIVE = set()
 
 # Public names that nothing in the package, the benchmark workloads or
 # the README tour reads: the crystal operators are the laws is_yamanouchi
@@ -50,7 +49,7 @@ def _calls_itself(node) -> bool:
     return False
 
 
-def test_only_the_orbit_listing_recurses():
+def test_no_function_calls_itself():
     found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -112,9 +111,10 @@ def test_every_public_name_has_a_caller():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    # the package's __init__ imports only to re-export
+    # the package's __init__ imports only to re-export; the test modules
+    # are held to the same rule
     unused = set()
-    for path in SOURCES:
+    for path in SOURCES + TESTS:
         if path.stem == "__init__":
             continue
         tree = ast.parse(path.read_text())

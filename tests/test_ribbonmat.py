@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import is_homogeneous, row_sections_dec
+from conftest import degree, is_homogeneous, row_sections_dec
 from ribbonimm import ribbonmat
 from ribbonimm.shapes import (SkewShape, decompose, odd_even_shapes,
                               ribbon_section_shape, shape_from_tuples)
@@ -127,13 +127,13 @@ def test_remark_matrices_homogeneous():
     # every nonvanishing permutation diagonal of the first matrix has
     # total degree 13, so its immanants are homogeneous
     for perm in itertools.permutations(range(1, 5)):
-        degs = [A[i, j].degree() for i, j in enumerate(perm, start=1)]
+        degs = [degree(A[i, j]) for i, j in enumerate(perm, start=1)]
         if None not in degs:
             assert sum(degs) == 13, perm
     # the flagged 3x3 minor of the second matrix is homogeneous of degree 14
     rows, cols = ribbonmat.remark_bad_minor_indices()
     for sigma in itertools.permutations(cols):
-        degs = [Abad[i, j].degree() for i, j in zip(rows, sigma)]
+        degs = [degree(Abad[i, j]) for i, j in zip(rows, sigma)]
         if None not in degs:
             assert sum(degs) == 14, sigma
 

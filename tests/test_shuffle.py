@@ -4,7 +4,7 @@ import pytest
 
 from conftest import row_interval, row_sections_dec
 from oracles import (count_covers, diagram_mul, enumerate_covers,
-                     enumerate_shuffle_tableaux, generator,
+                     enumerate_shuffle_tableaux, evaluate, generator,
                      tableau_from_cover)
 from test_acceptance import _nontrivial_nvars
 from ribbonimm import corpus, network, ribbonmat, shuffle, tlalgebra
@@ -272,7 +272,7 @@ def test_budget_is_checked_before_enumerating(hook_dec, monkeypatch):
     # over the default budget; counting them is enough to refuse
     monkeypatch.delenv("RIL_BUDGET", raising=False)
     d = shuffle.ShuffleDiagram(hook_dec)
-    counts = [skew_schur(half, 4).evaluate((1,) * 4)
+    counts = [evaluate(skew_schur(half, 4), (1,) * 4)
               for half in (d.red_shape, d.blue_shape)]
     assert counts[0] * counts[1] == 40622400
 

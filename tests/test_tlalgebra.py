@@ -69,8 +69,9 @@ def test_is_321_avoiding():
 
 def test_perm_to_matching_bijective():
     # the basis (the closure of the identity under the generators) against
-    # the 321-avoiding bijection and, for n <= 5, against every perfect
-    # matching of the 2n points that the constructor accepts
+    # the 321-avoiding bijection, the matchings listed by their first
+    # strand and, for n <= 5, every perfect matching of the 2n points that
+    # the constructor accepts
     def perfect_matchings(points):
         if not points:
             yield []
@@ -84,8 +85,10 @@ def test_perm_to_matching_bijective():
         images = {perm_to_matching(u) for u in enumerate_321_avoiding(n)}
         assert len(images) == CATALAN[n]
         basis = tlalgebra._basis(n).matchings
+        listed = all_matchings(n)
         assert len(basis) == len(set(basis)) == CATALAN[n]
-        assert images == set(basis) == set(all_matchings(n))
+        assert len(listed) == len(set(listed)) == CATALAN[n]
+        assert images == set(basis) == set(listed)
         if n <= 5:
             points = [(side, k) for side in "LR" for k in range(1, n + 1)]
             found = set()
