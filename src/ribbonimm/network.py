@@ -18,7 +18,9 @@ source height, so a path records one entry per content it crosses.
 covers_by_type is weight first: the red and the blue families are grouped
 by weight vector, and only the groups whose summed weight is a partition
 are paired (symfunc.pair_by_weight), so only the covers the symmetric sum
-records are built and uncrossed.  Nothing is listed before it is counted:
+records are built and uncrossed.  Each family's vertex index is built
+once, before the pairing, and a cover switches paths at the vertices its
+red and blue indexes share.  Nothing is listed before it is counted:
 the red and the blue families are the SSYT of the odd and the even section
 shapes, and the paths P_i -> Q_j those of the ribbon section [a_j, b_i)
 (Gessel-Viennot), so symfunc.charge_budget refuses an over-budget
@@ -189,28 +191,49 @@ def uncross_type(family) -> NoncrossingMatching:
     end of a path j (at Q_j) or backward off its start (at P_j).
     Returns the interned matching.
     """
-    paths = {k: verts for k, verts, _ in family}
-    on = {}  # vertex -> the (path, position) pairs through it
-    for k, verts in paths.items():
-        for i, v in enumerate(verts):
-            on.setdefault(v, []).append((k, i))
-    crowded = [v for v, here in on.items() if len(here) > 2]
+    on = Counter(v for _, verts, _ in family for v in verts)
+    crowded = [v for v, n in on.items() if n > 2]
     if crowded:
         # an edge covered three times puts both its ends on three paths
-        edges = Counter(e for verts in paths.values()
+        edges = Counter(e for _, verts, _ in family
                         for e in zip(verts, verts[1:]))
         if max(edges.values()) > 2:
             raise StrandTraceError("an edge is covered more than twice")
         raise StrandTraceError(f"vertex {crowded[0]} lies on "
-                               f"{len(on[crowded[0]])} paths")
+                               f"{on[crowded[0]]} paths")
+    return _uncross(_indexed([p for p in family if p[0] % 2]),
+                    _indexed([p for p in family if not p[0] % 2]))
+
+
+def _indexed(family):
+    """(family, {vertex: (k, position)}) for the paths of one colour,
+    which are vertex disjoint."""
+    index = {}
+    for k, verts, _ in family:
+        for i, v in enumerate(verts):
+            if index.setdefault(v, (k, i)) != (k, i):
+                raise StrandTraceError(f"vertex {v} lies on two paths of "
+                                       "one colour")
+    return family, index
+
+
+def _uncross(red, blue) -> NoncrossingMatching:
+    """uncross_type of the cover of an indexed red and an indexed blue
+    family (see _indexed): a strand switches paths exactly at the vertices
+    both indexes hold."""
+    (red_family, red_on), (blue_family, blue_on) = red, blue
+    paths = {k: verts for k, verts, _ in (*red_family, *blue_family)}
+    switch = {}  # (path, position) -> the other colour's (path, position)
+    for v in red_on.keys() & blue_on.keys():
+        here, there = red_on[v], blue_on[v]
+        switch[here], switch[there] = there, here
     limit = sum(map(len, paths.values()))
 
     def walk(k, i, step):
         for _ in range(limit):
-            here = on[paths[k][i]]
-            if len(here) == 2:
-                k, i = here[1] if here[0] == (k, i) else here[0]
-                step = -step
+            other = switch.get((k, i))
+            if other is not None:
+                (k, i), step = other, -step
             i += step
             if i < 0:
                 return ("L", k)
@@ -226,7 +249,7 @@ def uncross_type(family) -> NoncrossingMatching:
                 other = walk(k, i, step)
                 done.update((end, other))
                 pairs.append((end, other))
-    return matching(len(family), pairs)
+    return matching(len(paths), pairs)
 
 
 def covers_by_type(dec: RibbonDecomposition, N: int):
@@ -243,7 +266,8 @@ def covers_by_type(dec: RibbonDecomposition, N: int):
     """
     n = min(N, dec.shape.size)
     reds, blues = _colour_families(build_network(dec, n))
-    pairs = pair_by_weight(reds, blues, lambda fam: _family_weight(fam, n))
-    return tally(((uncross_type(sorted(red + blue)), key, 1)
+    pairs = pair_by_weight(map(_indexed, reds), map(_indexed, blues),
+                           lambda item: _family_weight(item[0], n))
+    return tally(((_uncross(red, blue), key, 1)
                   for red, blue, key in pairs), N)
 

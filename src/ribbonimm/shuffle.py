@@ -20,7 +20,11 @@ built.  The red and blue SSYT are grouped by weight vector and a red group
 meets a blue group only when their summed weight is a partition
 (symfunc.pair_by_weight).  The part of the strand picture that no filling
 changes (blocks, sentinels, segments, node labels) is compiled once per
-diagram; a filling supplies only its i <= j comparisons.
+diagram; a filling supplies only its i <= j comparisons, so each diagram
+traces and checks one picture per distinct pattern of comparisons and
+looks the type of every other filling up.  The Yamanouchi test is one
+pass over the cells in reading order; only the crystal operators build
+reading words.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ class ShuffleDiagram:
     """
 
     __slots__ = ("decomposition", "red_shape", "blue_shape", "cells", "P",
-                 "Q", "row_off", "col_off", "_picture")
+                 "Q", "row_off", "col_off", "reading_order", "_picture",
+                 "_types")
 
     def __init__(self, dec: RibbonDecomposition):
         self.decomposition = dec
@@ -104,7 +109,13 @@ class ShuffleDiagram:
         self.blue_shape = SkewShape.from_cells(
             {(r // 2, c // 2) for (r, c), (k, _) in self.cells.items()
              if k % 2 == 0})
+        # (cell, cell above, cell below): rows bottom to top, each left to
+        # right; column neighbours are two lattice steps apart
+        self.reading_order = tuple(
+            ((r, c), (r - 2, c), (r + 2, c))
+            for r, c in sorted(self.cells, key=lambda p: (-p[0], p[1])))
         self._picture = None
+        self._types = {}  # choice pattern -> traced type, see tl_type
 
     @property
     def ell(self) -> int:
@@ -130,7 +141,7 @@ class ShuffleTableau:
         self.diagram = diagram
         self.entries = dict(entries)
         self.words = {}
-        if set(self.entries) != set(diagram.cells):
+        if self.entries.keys() != diagram.cells.keys():
             raise ValidityError("filling does not cover the diagram")
 
     def __eq__(self, other):
@@ -252,26 +263,31 @@ def _compile_picture(d: ShuffleDiagram):
     return tuple(fixed), tuple(compared), node_label
 
 
-def strand_segments(T: ShuffleTableau) -> list:
-    """Unit segments of the strand picture, as (cell, corner) pairs: the
-    diagram's fixed segments plus the ones its i <= j comparisons choose
-    on T."""
-    fixed, compared, _ = T.diagram.strand_picture()
-    entries = T.entries
-    segs = list(fixed)
-    for sw, ne, vertical, horizontal in compared:
-        segs += vertical if entries[sw] <= entries[ne] else horizontal
-    return segs
-
-
 def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
     """Noncrossing matching traced by the strand segments; P_k is the
     left point L_k, Q_k the right point R_k.  Closed loops are ignored.
-    The matching is the interned one."""
+    The matching is the interned one, traced once per distinct pattern of
+    i <= j comparisons of the diagram (see _trace_type)."""
     d = T.diagram
-    node_label = d.strand_picture()[2]
+    entries = T.entries
+    choice = tuple([entries[sw] <= entries[ne]
+                    for sw, ne, _, _ in d.strand_picture()[1]])
+    tau = d._types.get(choice)
+    if tau is None:
+        tau = d._types[choice] = _trace_type(d, choice)
+    return tau
+
+
+def _trace_type(d: ShuffleDiagram, choice) -> NoncrossingMatching:
+    """Type of the strand picture whose compared blocks lay the segments
+    choice picks (True: the vertical pair, False: the horizontal pair),
+    checked for degree and coverage before it is traced."""
+    fixed, compared, node_label = d.strand_picture()
+    segs = list(fixed)
+    for (_, _, vertical, horizontal), le in zip(compared, choice):
+        segs += vertical if le else horizontal
     adj = {}
-    for a, b in strand_segments(T):
+    for a, b in segs:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
 
@@ -380,10 +396,28 @@ def crystal_F(T: ShuffleTableau, i: int):
 
 def is_yamanouchi(T: ShuffleTableau) -> bool:
     """True iff no raising operator applies: every i+1 of every reading
-    word is bracketed by an i."""
-    top = max(T.entries.values(), default=1)
-    return not any(unmatched_positions(reading_word(T, i).word, i)[1]
-                   for i in range(1, top))
+    word is bracketed by an i.
+
+    One pass over the cells in reading order serves every index at once.
+    A cell of value v is the letter i+1 of the word of i = v-1 unless v-1
+    sits above it, and the letter i of the word of i = v unless v+1 sits
+    below it (those pairs are the column overlaps the words leave out).
+    An i+1 opens a bracket and a later i closes one; the filling is
+    Yamanouchi iff no bracket is left open."""
+    entries = T.entries
+    get = entries.get
+    # opened[i]: the open brackets of the word of i.  A missing cell reads
+    # 0, so a 1 opens nothing and opened[0] stays 0
+    opened = [0] * (max(entries.values(), default=1) + 1)
+    for pos, above, below in T.diagram.reading_order:
+        v = entries[pos]
+        up = get(above, 0)
+        assert up < v, f"column not strict above {pos}"
+        if up != v - 1:
+            opened[v - 1] += 1
+        if opened[v] and get(below) != v + 1:
+            opened[v] -= 1
+    return not any(opened)
 
 
 # -------------------------------------------------------- immanant pipeline

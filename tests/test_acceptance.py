@@ -216,8 +216,9 @@ def test_criterion_07_reading_word_and_type_pins():
 
 def test_criterion_08_crystal_properties(monkeypatch):
     failures = []
-    # E_i, F_i and the Yamanouchi test share one reading word per (T, i);
-    # keeping each T keeps its id from being reused
+    # E_i and F_i share one reading word per (T, i) (the Yamanouchi test
+    # reads none, in one pass); keeping each T keeps its id from being
+    # reused
     built = {}
     build = shuffle._build_reading_word
 

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import re
+from functools import reduce
 from pathlib import Path
 
 import ribbonimm
@@ -14,8 +16,10 @@ RECURSIVE = set()
 
 # Public names that nothing in the package, the benchmark workloads or
 # the README tour reads: the crystal operators are the laws is_yamanouchi
-# relies on, and criterion 8 tests them.
-UNCALLED = {"crystal_E", "crystal_F", "__version__"}
+# relies on, and criterion 8 tests them; uncross_type is the strand walk
+# of one cover, which covers_by_type runs on families it indexed once, and
+# the tests hold it against shuffle.tl_type.
+UNCALLED = {"crystal_E", "crystal_F", "uncross_type", "__version__"}
 
 # (module, name) imported and not used there: perfbench/workloads.py reads
 # tlalgebra.enumerate_321_avoiding.
@@ -132,3 +136,15 @@ def test_no_module_imports_a_name_it_does_not_use():
 def test_the_readme_library_tour_runs():
     # a tour that names a deleted function fails here
     exec(compile(_library_tour(), "README.md", "exec"), {})
+
+
+def test_every_perfbench_trace_target_resolves():
+    # a renamed layer function fails here rather than in run.py --trace 1
+    tree = ast.parse((ROOT / "perfbench/tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert targets
+    for modname, attr in targets:
+        module = importlib.import_module(f"ribbonimm.{modname}")
+        assert callable(reduce(getattr, attr.split("."), module)), attr

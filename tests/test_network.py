@@ -91,6 +91,15 @@ def test_uncross_type_rejects_a_vertex_on_three_paths():
         network.uncross_type(family)
 
 
+def test_uncross_type_rejects_two_paths_of_one_colour_meeting():
+    family = [(1, ((3, 1), (2, 1), (1, 1)), ()),
+              (2, ((3, 2), (2, 2), (1, 2)), ()),
+              (3, ((2, 0), (2, 1), (1, 0)), ())]
+    with pytest.raises(StrandTraceError,
+                       match=r"vertex \(2, 1\) lies on two paths of one"):
+        network.uncross_type(family)
+
+
 def test_covers_by_type_matches_direct_immanant():
     dec = row_sections_dec((0, -2), (2, 1))
     N = 3

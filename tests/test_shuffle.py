@@ -8,10 +8,10 @@ from oracles import (count_covers, diagram_mul, enumerate_covers,
                      tableau_from_cover)
 from test_acceptance import _nontrivial_nvars
 from ribbonimm import corpus, network, ribbonmat, shuffle, tlalgebra
-from ribbonimm.errors import BudgetExceeded, ValidityError
+from ribbonimm.errors import BudgetExceeded, StrandTraceError, ValidityError
 from ribbonimm.shapes import SkewShape, decompose
 from ribbonimm.symfunc import (SchurExpansion, SymPoly, expand_schur,
-                               partition_key, skew_schur)
+                               partition_key, skew_schur, tally)
 
 # fillings of the two half diagrams of the four-section fixture, row by row
 RED_ROWS = [[3, 4, 6, 6], [1, 3, 6], [2, 4, 5], [2, 3, 6, 6], [7]]
@@ -198,6 +198,71 @@ def test_crystal_operators():
                 assert shuffle.crystal_E(F, i) == T
                 moves += 1
     assert moves > 0
+
+
+def test_one_pass_yamanouchi_matches_the_raising_operators():
+    # is_yamanouchi reads no reading word; E_i reads the word of i
+    counts = []
+    for N in (3, 4):
+        fillings = sources = 0
+        for dec in corpus.sweep_corpus(8, 5, 4, per_bucket=2):
+            for T in enumerate_shuffle_tableaux(shuffle.ShuffleDiagram(dec), N):
+                top = max(T.entries.values())
+                source = all(shuffle.crystal_E(T, i) is None
+                             for i in range(1, top))
+                assert shuffle.is_yamanouchi(T) == source, T.entries
+                fillings += 1
+                sources += source
+        counts.append((fillings, sources))
+    assert counts == [(6858, 356), (43395, 416)]
+
+
+def test_types_are_traced_once_per_choice_pattern(monkeypatch):
+    traced = []
+    trace = shuffle._trace_type
+
+    def spy(d, choice):
+        traced.append((d.decomposition, choice))
+        return trace(d, choice)
+
+    monkeypatch.setattr(shuffle, "_trace_type", spy)
+    fillings = patterns = 0
+    for dec in corpus.sweep_corpus(8, 5, 4, per_bucket=2):
+        N = _nontrivial_nvars(dec, 4)
+        by_type = shuffle.tableaux_by_type(dec, N)
+        # every filling traced on its own, on a diagram whose memo is unused
+        d = shuffle.ShuffleDiagram(dec)
+        compared = d.strand_picture()[1]
+        choices, each = set(), []
+        for T, key in shuffle._fillings(d, N):
+            choice = tuple(T.entries[sw] <= T.entries[ne]
+                           for sw, ne, _, _ in compared)
+            choices.add(choice)
+            each.append((trace(d, choice), key, 1))
+        assert by_type == tally(each, N)
+        fillings += len(each)
+        patterns += len(choices)
+    assert (fillings, patterns) == (4340, 399)
+    assert len(traced) == len(set(traced)) == patterns
+
+
+def test_a_corrupted_picture_fails_on_the_first_filling(monkeypatch):
+    # every choice pattern is checked when it is first traced, so a
+    # segment missing from the fixed part fails the first filling typed
+    compile_picture = shuffle._compile_picture
+
+    def drop_one(d):
+        fixed, compared, node_label = compile_picture(d)
+        return fixed[1:], compared, node_label
+
+    typed = []
+    tl_type = shuffle.tl_type
+    monkeypatch.setattr(shuffle, "_compile_picture", drop_one)
+    monkeypatch.setattr(shuffle, "tl_type",
+                        lambda T: typed.append(T) or tl_type(T))
+    with pytest.raises(StrandTraceError, match="degree|no segment"):
+        shuffle.tableaux_by_type(row_sections_dec((0, -2, -4), (3, 2, 1)), 3)
+    assert len(typed) == 1
 
 
 def test_crystal_expansion_matches_schur_expansion(hook_dec):
