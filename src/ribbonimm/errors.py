@@ -74,21 +74,29 @@ class ValidityError(RibbonError):
     """A tableau operation produced an invalid filling (internal error)."""
 
 
-_TABLES = {}  # (function, args) -> the value kept for the process
+_TABLES = {}  # function -> {args: the value kept for the process}
 _built_under = [None]  # the RIL_BUDGET text the kept values were built under
 
 
+def kept_values(fn) -> dict:
+    """fn's kept values by argument tuple, for reading and recording.
+    They are dropped first if RIL_BUDGET no longer reads as when they
+    were built, so that a warm call is refused exactly as a cold one."""
+    text = os.environ.get("RIL_BUDGET")
+    if text != _built_under[0]:
+        budget()  # a malformed text is refused before any value goes
+        _TABLES.clear()
+        _built_under[0] = text
+    return _TABLES.setdefault(fn, {})
+
+
 def table(fn):
-    """Keep fn's value per argument tuple while RIL_BUDGET reads as when it
-    was built, so that a warm call is refused exactly as a cold one."""
+    """Keep fn's value per argument tuple, under the budget it was built
+    under (`kept_values`)."""
     @functools.wraps(fn)
     def kept(*args):
-        text = os.environ.get("RIL_BUDGET")
-        if text != _built_under[0]:
-            budget()  # a malformed text is refused before any value goes
-            _TABLES.clear()
-            _built_under[0] = text
-        if (fn, args) not in _TABLES:
-            _TABLES[fn, args] = fn(*args)
-        return _TABLES[fn, args]
+        values = kept_values(fn)
+        if args not in values:
+            values[args] = fn(*args)
+        return values[args]
     return kept

@@ -5,21 +5,22 @@ order, their lengths, the right action of each s_i as index lists, and
 each lower Bruhat interval [e, w] as an int bitmask, built by the lifting
 property [e, w] = [e, ws] u [e, ws]s for ws < w (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 2.2.7).  Bruhat order is a bit
-test on that table.
+test on that table, and the budget charges count its bits.
 
 P_{x,w}(q) is computed by the classical length recursion with mu
-coefficients tracked, on indices, visiting only the x in [e, w].  The
-table is one row per w: a dict from x to an id in a pool of interned
-coefficient tuples (lowest degree first), as in du Cloux, "Computing
-Kazhdan-Lusztig polynomials for arbitrary Coxeter groups" (2002).  For
-s the first right descent of w, only the x with xs < x go through the
-recursion; every other x copies P_{x,w} = P_{xs,w} (Bjorner-Brenti,
-Sec. 5.1).  The sums of the recursion are memoized on pool ids, so the
-q-arithmetic runs once per distinct combination: 155 polynomial
-additions for the 98,407 entries at n = 6.  A second, independent
-computation solves the bar-invariance condition in the Hecke algebra
-directly (triangular solve in the standard basis) and is used as an
-oracle in the tests.
+coefficients tracked, on indices.  The table is one row per w: a dict
+from x to an id in a pool of interned coefficient tuples (lowest degree
+first), x ascending, as in du Cloux, "Computing Kazhdan-Lusztig
+polynomials for arbitrary Coxeter groups" (2002).  For s the first right
+descent of w, the row of w grows from the row of v = ws by the same
+lifting property, without reading the masks: each y <= v with ys > y
+pairs with x = ys, which goes through the recursion, and y copies
+P_{y,w} = P_{x,w} (Bjorner-Brenti, Sec. 5.1).  The sums of the recursion
+are memoized on pool ids, so the q-arithmetic runs once per distinct
+combination: 155 polynomial additions for the 98,407 entries at n = 6.
+A second, independent computation solves the bar-invariance condition
+in the Hecke algebra directly (triangular solve in the standard basis)
+and is used as an oracle in the tests.
 
 The KL immanants read their weights straight off the rows, the column
 of w being the row of w0 w (Rhoades-Skandera, "Kazhdan-Lusztig
@@ -218,9 +219,6 @@ def kl_polynomials(n: int) -> KLTable:
     L = W.length
     pool = _Pool()
     pooled, one = pool.tuples, pool.id((1,))
-    # descends[i]: the x with x s_i < x, as a bitmask of positions
-    descends = [0] + [sum(1 << x for x, xs in enumerate(r) if L[xs] < L[x])
-                      for r in W.right[1:]]
     base, corrected = {}, {}  # memoized sums, keyed on pool ids
     sound = set()  # ids checked to start with 1 and have no negative term
     rows = [{0: one}]
@@ -229,25 +227,28 @@ def kl_polynomials(n: int) -> KLTable:
     # l(w) - l(z) = 2 deg + 1, and 0 otherwise.
     mus = [[]]
     for w in range(1, len(W.perms)):
-        i = W.descent[w]
-        s = W.right[i]
+        s = W.right[W.descent[w]]
         v = s[w]
         lw = L[w]
         Pv = rows[v]
-        # x with xs < x: P_{xs,v} + q P_{x,v} (xs <= v by the lifting
-        # property) ...
-        acc = {}
-        for x in _bits(W.below[w] & descends[i], W.positions):
-            key = (Pv[s[x]], Pv.get(x, 0))
-            pid = base.get(key)
-            if pid is None:
-                pid = base[key] = pool.id(_padd(pooled[key[0]],
-                                                _pshift(pooled[key[1]], 1)))
-            acc[x] = pid
+        # [e, w] is [e, v] u [e, v]s (the lifting property): each y <= v
+        # with ys > y (a later position, as positions run by length) pairs
+        # with x = ys, and P_{x,w} = P_{y,v} + q P_{x,v} ...
+        acc, pairs = {}, []
+        for y, yid in Pv.items():
+            x = s[y]
+            if x > y:
+                key = (yid, Pv.get(x, 0))
+                pid = base.get(key)
+                if pid is None:
+                    pid = base[key] = pool.id(
+                        _padd(pooled[yid], _pshift(pooled[key[1]], 1)))
+                acc[x] = pid
+                pairs += (y, x)
         # ... less mu(z, v) q^{(l(w)-l(z))/2} P_{x,z} over the z with
         # zs < z and mu(z, v) != 0
         for z, m in mus[v]:
-            if L[s[z]] > L[z]:
+            if s[z] > z:
                 continue
             shift = (lw - L[z]) // 2
             for x, qid in rows[z].items():  # exactly the x <= z
@@ -259,24 +260,28 @@ def kl_polynomials(n: int) -> KLTable:
                         term = _pscale(_pshift(pooled[qid], shift), -m)
                         pid = corrected[key] = pool.id(_padd(pooled[a], term))
                     acc[x] = pid
-        # every other x copies P_{x,w} = P_{xs,w}
-        row, mu_w = {}, []
-        for x in _bits(W.below[w], W.positions):
+        # x ascending, each y copying P_{y,w} = P_{ys,w}.  Where P_{x,w} = 1
+        # only a coatom x has mu(x, w) != 0, so only the coatoms and the
+        # entries that are not 1 are read for mu.
+        row, mu_w, top = {}, [], lw - 1
+        for x in sorted(pairs):
             pid = acc.get(x)
             if pid is None:
                 pid = acc[s[x]]
+            row[x] = pid
+            if pid == one:
+                if L[x] >= top and x != w:
+                    assert L[x] == top, (x, w)
+                    mu_w.append((x, 1))
+                continue
             p = pooled[pid]
             if pid not in sound:
                 assert p and p[0] == 1 and min(p) >= 0, (x, w, p)
                 sound.add(pid)
             gap = lw - L[x] - 2 * len(p) + 1  # l(w) - l(x) - 1 - 2 deg
-            if x == w:
-                assert pid == one, (x, w, p)
-            else:
-                assert gap >= 0, (x, w, p)
+            assert x != w and gap >= 0, (x, w, p)
             if gap == 0:
                 mu_w.append((x, p[-1]))
-            row[x] = pid
         rows.append(row)
         mus.append(mu_w)
     return KLTable(n, tuple(rows), tuple(pooled))

@@ -8,7 +8,9 @@ N is only a truncation: it drops the partitions with more than N parts
 and is never a loop bound of its own.  Skew Schur polynomials come from
 the horizontal-strip recursion for skew Kostka numbers (Macdonald,
 Symmetric Functions and Hall Polynomials, I.5), which visits only the
-partitions of the degree with at most N parts.
+partitions of the degree with at most N parts.  `SymPoly.from_schur`
+builds the Schur polynomials it needs together, one Kostka walk per
+degree, and keeps each under `skew_schur`'s own key.
 
 Schur expansions (`SchurExpansion`) hold the same kind of map in the
 Schur basis.  A matrix (`ShapeMatrix`) holds each entry as a skew shape.
@@ -27,7 +29,7 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import budget, charge, charge_determinant, table
+from .errors import budget, charge, charge_determinant, kept_values, table
 from .shapes import SkewShape, normalize_partition
 
 
@@ -108,9 +110,14 @@ class SymPoly(_Terms):
     @classmethod
     def from_schur(cls, nvars, coeffs=None):
         """The sum of c * s_lam over the (lam, c) in coeffs: a Schur
-        expansion in the monomial basis.  A zero c builds no s_lam."""
-        return weighted_sums(((None, c, schur_poly(lam, nvars))
-                              for lam, c in (coeffs or {}).items() if c),
+        expansion in the monomial basis.  A zero c, or a lam of more than
+        nvars parts, builds no s_lam, and the others take one Kostka walk
+        per degree (`_schur_polys`)."""
+        terms = [(normalize_partition(lam), c)
+                 for lam, c in (coeffs or {}).items() if c]
+        polys = _schur_polys([lam for lam, _ in terms], nvars)
+        return weighted_sums(((None, c, polys[lam]) for lam, c in terms
+                              if lam in polys),
                              nvars, cls).get(None, cls(nvars))
 
     def __add__(self, other):
@@ -235,63 +242,82 @@ def _horizontal_strips(nu, lam, size) -> list:
     """Every kappa with nu <= kappa <= lam such that kappa/nu is a
     horizontal strip of the given size; nu and kappa have len(lam) parts,
     listed in increasing lexicographic order."""
-    room = [(lam[i] if i == 0 else min(lam[i], nu[i - 1])) - nu[i]
-            for i in range(len(lam))]
-    rows = [i for i, r in enumerate(room) if r]  # only these can grow
-    below = list(itertools.accumulate(reversed(room[1:]), initial=0))[::-1]
+    # only row 0 and the rows where nu steps down can grow
+    rows, room = [], []
+    for i in itertools.compress(range(len(nu)), itertools.chain(
+            (True,), map(operator.gt, nu, nu[1:]))):
+        r = (lam[i] if i == 0 else min(lam[i], nu[i - 1])) - nu[i]
+        if r:
+            rows.append(i)
+            room.append(r)
+    # below[k]: the room of the rows after rows[k]
+    below = list(itertools.accumulate(reversed(room), initial=0))[-2::-1]
     out, stack = [], [((), size)] if size <= sum(room) else []
     while stack:
         adds, left = stack.pop()
-        if len(adds) + 1 >= len(rows):  # the last row takes what is left
+        k = len(adds)
+        if k + 1 >= len(rows):  # the last row takes what is left
             kappa = list(nu)
             for i, add in zip(rows, adds + (left,)):
                 kappa[i] += add
             out.append(tuple(kappa))
             continue
-        i = rows[len(adds)]  # at least what the rows below have no room for
-        for add in range(min(room[i], left), max(0, left - below[i]) - 1, -1):
+        # at least what the rows below have no room for
+        for add in range(min(room[k], left), max(0, left - below[k]) - 1, -1):
             stack.append((adds + (add,), left - add))
     return out
 
 
-# kept: check_determinant reads each s_lam again, through from_schur
-@table
-def skew_schur(shape: SkewShape, N: int) -> SymPoly:
-    """Weight generating function of the SSYT of shape, in N variables."""
-    # The coefficient of m_alpha counts the chains inner = nu^0 <= nu^1
-    # <= ... <= outer whose steps are horizontal strips of sizes alpha_1,
-    # alpha_2, ...  The partitions alpha are walked as a prefix tree,
-    # carrying the chain ends of the prefix with their counts.  Each node
-    # of the walk and each strip list is charged to the budget.
-    lam, mu = shape.outer, shape.inner
+def _kostka_walk(layer, inner, outers, N) -> dict:
+    """Map kappa -> {alpha: K} over the kappa in outers, where K, the skew
+    Kostka number of kappa/inner and alpha, counts the chains inner =
+    nu^0 <= nu^1 <= ... <= kappa whose steps are horizontal strips of
+    sizes alpha_1, alpha_2, ...  The outers contain inner, all have its
+    length (zeros padding) and all have the same size.  Only the alpha
+    with at most N parts and K != 0 are listed, and a kappa with none is
+    left out.
+
+    The partitions alpha are walked as a prefix tree, carrying the chain
+    ends of the prefix with their counts, kept only where they fit inside
+    some kappa.  Each node of the walk and each strip list is charged to
+    the budget, the refusal naming layer().
+    """
+    bound = tuple(map(max, *outers)) if len(outers) > 1 else outers[0]
     limit = budget()
-    strips = {}     # (nu, size) -> horizontal strips of that size on nu
-    coeffs = {}
+    strips = {}     # (nu, size) -> the strips of that size on nu that fit
+    fits = {}       # kappa -> whether it fits inside some outer
+    out = {}
 
     def extend(ends, size):
-        out = {}
+        nxt = {}
         for nu, count in ends.items():
             key = (nu, size)
             if key not in strips:
                 if len(strips) >= limit:
-                    charge(f"skew_schur of {shape} in {N} variables",
-                           len(strips) + 1, "Kostka states")
-                strips[key] = _horizontal_strips(nu, lam, size)
+                    charge(layer(), len(strips) + 1, "Kostka states")
+                found = _horizontal_strips(nu, bound, size)
+                if len(outers) > 1:
+                    for kappa in found:
+                        if kappa not in fits:
+                            fits[kappa] = any(all(map(operator.le, kappa, lam))
+                                              for lam in outers)
+                    found = [kappa for kappa in found if fits[kappa]]
+                strips[key] = found
             for kappa in strips[key]:
-                out[kappa] = out.get(kappa, 0) + count
-        return out
+                nxt[kappa] = nxt.get(kappa, 0) + count
+        return nxt
 
     # depth first over an explicit stack, largest next part first
-    stack = [((), shape.size, {mu: 1})]
+    stack = [((), sum(outers[0]) - sum(inner), {inner: 1})]
     nodes = 0
     while stack:
         alpha, left, ends = stack.pop()
         nodes += 1
         if nodes > limit:
-            charge(f"skew_schur of {shape} in {N} variables", nodes,
-                   "Kostka walk nodes")
-        if not left:
-            coeffs[alpha] = ends[lam]
+            charge(layer(), nodes, "Kostka walk nodes")
+        if not left:  # a chain end of full size is one of the outers
+            for kappa, count in ends.items():
+                out.setdefault(kappa, {})[alpha] = count
             continue
         if len(alpha) == N:
             continue
@@ -301,7 +327,51 @@ def skew_schur(shape: SkewShape, N: int) -> SymPoly:
             nxt = extend(ends, part)
             if nxt:
                 stack.append((alpha + (part,), left - part, nxt))
-    return SymPoly(N, coeffs)
+    return out
+
+
+# kept: check_determinant reads each s_lam again, through from_schur, and
+# expand_schur's peel reads what from_schur recorded
+@table
+def skew_schur(shape: SkewShape, N: int) -> SymPoly:
+    """Weight generating function of the SSYT of shape, in N variables:
+    the coefficient of m_alpha is the skew Kostka number."""
+    lam = shape.outer
+    return SymPoly(N, _kostka_walk(
+        lambda: f"skew_schur of {shape} in {N} variables", shape.inner,
+        [lam], N).get(lam, {}))
+
+
+# the unkept function, whose key _schur_polys records under; bound at
+# import, so a tracer that rebinds skew_schur leaves the key as it is
+_skew_schur = skew_schur.__wrapped__
+
+
+def _schur_polys(lams, N: int) -> dict:
+    """Map lam -> s_lam in N variables over the partitions lam in lams
+    with at most N parts.  The s_lam not yet kept by skew_schur are built
+    by one Kostka walk from the empty partition per degree and kept under
+    skew_schur's key.  That walk visits every node and strip list of each
+    single walk, so it records no value that skew_schur would refuse."""
+    kept = kept_values(_skew_schur)
+    out, missing = {}, {}  # missing: degree -> {lam: its key in kept}
+    for lam in lams:
+        if len(lam) <= N and lam not in out:
+            key = (SkewShape(lam), N)
+            value = kept.get(key)
+            if value is None:
+                missing.setdefault(sum(lam), {})[lam] = key
+            else:
+                out[lam] = value
+    for size, group in missing.items():
+        width = max(map(len, group))
+        padded = [lam + (0,) * (width - len(lam)) for lam in group]
+        counts = _kostka_walk(
+            lambda: f"from_schur of {len(group)} Schur terms of degree "
+                    f"{size} in {N} variables", (0,) * width, padded, N)
+        for (lam, key), kappa in zip(group.items(), padded):
+            out[lam] = kept[key] = SymPoly(N, counts.get(kappa, {}))
+    return out
 
 
 def schur_poly(lam, N: int) -> SymPoly:

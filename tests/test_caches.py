@@ -47,7 +47,10 @@ def test_process_wide_caches_are_listed():
     (lambda: symfunc.skew_schur(SkewShape((3, 2), (1,)), 3), "3",
      r"^skew_schur of SkewShape\(outer=\(3, 2\), inner=\(1, 0\)\) in 3 "
      r"variables: 4 Kostka states exceed RIL_BUDGET=3$"),
-], ids=["kl_polynomials", "_tl_table", "skew_schur"])
+    (lambda: symfunc.SymPoly.from_schur(3, {(2, 1): 1, (3,): 1}), "3",
+     r"^from_schur of 2 Schur terms of degree 3 in 3 variables: 4 Kostka "
+     r"states exceed RIL_BUDGET=3$"),
+], ids=["kl_polynomials", "_tl_table", "skew_schur", "from_schur"])
 def test_warm_table_is_refused_as_a_cold_one(call, limit, message,
                                              monkeypatch):
     # a table built under the default budget is not read under a lower

@@ -77,6 +77,19 @@ def test_budget_refusals_are_raised_in_errors_only():
     assert found == {"errors"}
 
 
+def test_only_errors_names_the_table_store():
+    # a value enters the store only through errors.table or
+    # errors.kept_values, which drop it once the budget reads otherwise
+    found = set()
+    for path in SOURCES + TESTS + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "_TABLES" in (getattr(node, "id", None),
+                             getattr(node, "attr", None),
+                             getattr(node, "name", None)):
+                found.add(path.stem)
+    assert found == {"errors"}
+
+
 def _reads(tree, attributes=True) -> set:
     """The names read in tree, and with attributes the attribute names
     read off any object."""

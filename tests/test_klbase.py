@@ -159,6 +159,17 @@ def kl_inverse_symmetry(table) -> bool:
     return True
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rows_are_the_interval_masks(n):
+    # each row grows from the row of w s without reading the masks; its
+    # keys are [e, w], ascending
+    W, table = klbase._weyl(n), klbase.kl_polynomials(n)
+    for w, row in enumerate(table.rows):
+        keys = list(row)
+        assert keys == sorted(keys)
+        assert sum(1 << x for x in keys) == W.below[w]
+
+
 def test_inverse_symmetry():
     for n in range(1, 7):
         assert kl_inverse_symmetry(klbase.kl_polynomials(n)), n

@@ -293,16 +293,74 @@ def test_expand_schur_roundtrip():
         assert expand_schur(exp.to_poly()) == exp
 
 
+def spy_walks(monkeypatch) -> list:
+    """The outers of every Kostka walk made from now on."""
+    targets = []
+    walk = symfunc._kostka_walk
+    monkeypatch.setattr(symfunc, "_kostka_walk",
+                        lambda layer, inner, outers, N:
+                        targets.append(outers) or walk(layer, inner,
+                                                       outers, N))
+    return targets
+
+
 def test_from_schur_builds_no_cancelled_term(monkeypatch):
     # a determinant's Schur terms cancel in its sums, and tally keeps the
-    # cancelled keys at 0: none of them may cost a Kostka walk
-    built = []
-    orig = symfunc.schur_poly
-    monkeypatch.setattr(symfunc, "schur_poly",
-                        lambda lam, N: built.append(lam) or orig(lam, N))
+    # cancelled keys at 0: none of them may cost a Kostka walk.  A budget
+    # text read for the first time drops every kept value.
+    monkeypatch.setenv("RIL_BUDGET", "2000001")
+    targets = spy_walks(monkeypatch)
     assert SymPoly.from_schur(3, {(2, 1): 0, (1,): 2}) == SymPoly(
         3, {(1,): 2})
-    assert built == [(1,)]
+    assert targets == [[(1,)]]
+
+
+def test_from_schur_is_the_sum_of_single_walks(monkeypatch):
+    # mixed degrees, zero coefficients and terms of more than N parts,
+    # each expansion converted from nothing kept
+    rng = random.Random(30)
+    for trial in range(40):
+        monkeypatch.setenv("RIL_BUDGET", str(2000000 + trial))
+        N = rng.randint(1, 4)
+        coeffs = {}
+        for _ in range(rng.randint(0, 8)):
+            lam = tuple(sorted((rng.randint(1, 3)
+                                for _ in range(rng.randint(0, 5))),
+                               reverse=True))
+            coeffs[lam] = rng.randint(-2, 2)
+        want = SymPoly.zero(N)
+        for lam, c in coeffs.items():
+            if c and len(lam) <= N:
+                single = skew_schur.__wrapped__(SkewShape(lam), N)
+                want += SymPoly(N, {k: c * v
+                                    for k, v in single.coeffs.items()})
+        assert SymPoly.from_schur(N, coeffs) == want, (N, coeffs)
+
+
+def test_from_schur_walk_is_budgeted(monkeypatch):
+    monkeypatch.setenv("RIL_BUDGET", "5")
+    with pytest.raises(BudgetExceeded, match=r"^from_schur of 2 Schur "
+                       r"terms of degree 4 in 3 variables: 6 Kostka states "
+                       r"exceed RIL_BUDGET=5$"):
+        SymPoly.from_schur(3, {(2, 2): 1, (3, 1): -1, (1,): 1})
+
+
+def test_expand_schur_reads_the_batch_under_its_budget(monkeypatch):
+    # the batch records each s_lam as skew_schur keeps it, so the peel and
+    # a second conversion walk nothing; another budget drops what the
+    # batch recorded
+    coeffs = {(3, 1): 2, (2, 2): -1, (2, 1, 1): 1, (2,): 3}
+    monkeypatch.setenv("RIL_BUDGET", "2000001")
+    targets = spy_walks(monkeypatch)
+    p = SymPoly.from_schur(3, coeffs)
+    assert targets == [[(3, 1, 0), (2, 2, 0), (2, 1, 1)], [(2,)]]
+    del targets[:]
+    assert expand_schur(p) == SchurExpansion(3, coeffs)
+    assert SymPoly.from_schur(3, coeffs) == p
+    assert targets == []
+    monkeypatch.setenv("RIL_BUDGET", "2000002")
+    assert expand_schur(p) == SchurExpansion(3, coeffs)
+    assert sorted(targets) == [[(2,)], [(2, 1, 1)], [(2, 2)], [(3, 1)]]
 
 
 def test_expand_schur_of_schur_is_delta():
