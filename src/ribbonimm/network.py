@@ -15,12 +15,14 @@ at content i run upward in the diagonal case and downward in the
 horizontal case.  Weighted (crossing) edges carry the variable of their
 source height, so a path records one entry per content it crosses.
 
-covers_by_type is weight first: the red and the blue families are grouped
-by weight vector, and only the groups whose summed weight is a partition
-are paired (symfunc.pair_by_weight), so only the covers the symmetric sum
-records are built and uncrossed.  Each family's vertex index is built
-once, before the pairing, and a cover switches paths at the vertices its
-red and blue indexes share.  Nothing is listed before it is counted:
+covers_by_type is weight first: each red and each blue family is
+compiled once, before the pairing, into its summed weight, its paths by
+index and its vertex index; the families are grouped by weight, and only
+the groups whose summed weight is a partition are paired
+(symfunc.pair_by_weight), so only the covers the symmetric sum records
+are uncrossed.  A cover builds nothing of its own but the strand pairs:
+a strand switches paths where the other colour's index holds its vertex.
+Nothing is listed before it is counted:
 the red and the blue families are the SSYT of the odd and the even section
 shapes, and the paths P_i -> Q_j those of the ribbon section [a_j, b_i)
 (Gessel-Viennot), so symfunc.charge_budget refuses an over-budget
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import StrandTraceError
 from .shapes import (BELOW, LEFT, InfiniteRibbon, RibbonDecomposition,
@@ -162,11 +165,6 @@ def _disjoint_families(net: RibbonNetwork, indices):
             stack.append((iter(options[len(stack)]), used.union(verts)))
 
 
-def _family_weight(fam, N: int) -> tuple:
-    """Summed weight exponents of the paths of a family."""
-    return tuple(map(sum, zip([0] * N, *(w for _, _, w in fam))))
-
-
 def _colour_families(net: RibbonNetwork):
     """The red (odd k) and the blue (even k) vertex-disjoint families,
     counted as the SSYT of the odd and the even section shapes and charged
@@ -201,73 +199,82 @@ def uncross_type(family) -> NoncrossingMatching:
             raise StrandTraceError("an edge is covered more than twice")
         raise StrandTraceError(f"vertex {crowded[0]} lies on "
                                f"{on[crowded[0]]} paths")
-    return _uncross(_indexed([p for p in family if p[0] % 2]),
-                    _indexed([p for p in family if not p[0] % 2]))
+    n = len(family[0][2]) if family else 0
+    return _uncross(_compiled([p for p in family if p[0] % 2], n),
+                    _compiled([p for p in family if not p[0] % 2], n))
 
 
-def _indexed(family):
-    """(family, {vertex: (k, position)}) for the paths of one colour,
-    which are vertex disjoint."""
-    index = {}
-    for k, verts, _ in family:
-        for i, v in enumerate(verts):
-            if index.setdefault(v, (k, i)) != (k, i):
-                raise StrandTraceError(f"vertex {v} lies on two paths of "
-                                       "one colour")
-    return family, index
+def _compiled(family, N: int):
+    """(weight, paths, index) of the vertex-disjoint paths of one colour:
+    their summed weight exponents in N variables, {k: vertex tuple} and
+    {vertex: (k, position)}."""
+    weight = tuple(map(sum, zip([0] * N, *(w for _, _, w in family))))
+    paths = {k: verts for k, verts, _ in family}
+    index = {v: (k, i) for k, verts in paths.items()
+             for i, v in enumerate(verts)}
+    if len(index) < sum(map(len, paths.values())):
+        on = Counter(v for verts in paths.values() for v in verts)
+        raise StrandTraceError(f"vertex {on.most_common(1)[0][0]} lies on "
+                               "two paths of one colour")
+    return weight, paths, index
 
 
 def _uncross(red, blue) -> NoncrossingMatching:
-    """uncross_type of the cover of an indexed red and an indexed blue
-    family (see _indexed): a strand switches paths exactly at the vertices
-    both indexes hold."""
-    (red_family, red_on), (blue_family, blue_on) = red, blue
-    paths = {k: verts for k, verts, _ in (*red_family, *blue_family)}
-    switch = {}  # (path, position) -> the other colour's (path, position)
-    for v in red_on.keys() & blue_on.keys():
-        here, there = red_on[v], blue_on[v]
-        switch[here], switch[there] = there, here
-    limit = sum(map(len, paths.values()))
-
-    def walk(k, i, step):
-        for _ in range(limit):
-            other = switch.get((k, i))
-            if other is not None:
-                (k, i), step = other, -step
-            i += step
-            if i < 0:
-                return ("L", k)
-            if i == len(paths[k]):
-                return ("R", k)
-        raise StrandTraceError(f"a strand walk is longer than the {limit} "
-                               "path vertices")
-
+    """uncross_type of the cover of a compiled red and a compiled blue
+    family (see _compiled): a strand switches paths exactly at the
+    vertices the other colour's index holds."""
+    _, red_paths, red_on = red
+    _, blue_paths, blue_on = blue
+    # by k % 2: the paths of k's colour and the other colour's index
+    colours = ((blue_paths, red_on), (red_paths, blue_on))
+    limit = len(red_on) + len(blue_on)
     pairs, done = [], set()
-    for k, verts in paths.items():
-        for end, i, step in ((("L", k), 0, 1), (("R", k), len(verts) - 1, -1)):
-            if end not in done:
-                other = walk(k, i, step)
-                done.update((end, other))
-                pairs.append((end, other))
-    return matching(len(paths), pairs)
+    for start in (*red_paths.items(), *blue_paths.items()):
+        for end, i, step in ((("L", start[0]), 0, 1),
+                             (("R", start[0]), len(start[1]) - 1, -1)):
+            if end in done:
+                continue
+            k, verts = start
+            paths, other_on = colours[k % 2]
+            for _ in range(limit):
+                other = other_on.get(verts[i])
+                if other is not None:
+                    (k, i), step = other, -step
+                    paths, other_on = colours[k % 2]
+                    verts = paths[k]
+                i += step
+                if i < 0:
+                    other = ("L", k)
+                    break
+                if i == len(verts):
+                    other = ("R", k)
+                    break
+            else:
+                raise StrandTraceError(f"a strand walk is longer than the "
+                                       f"{limit} path vertices")
+            done.add(other)
+            pairs.append((end, other))
+    return matching(len(red_paths) + len(blue_paths), pairs)
 
 
 def covers_by_type(dec: RibbonDecomposition, N: int):
     """Map from Temperley-Lieb type to the summed cover weights.
 
-    Weight first: the red and the blue families are grouped by weight
-    vector and only the groups whose summed weight is a partition are
-    paired, so only the covers the symmetric sum records are built and
-    uncrossed.  The red and blue families, and each section's paths, are
-    counted and charged to the enumeration budget before any is built.
+    Weight first: the red and the blue families are compiled once each
+    (_compiled), grouped by weight vector, and only the groups whose
+    summed weight is a partition are paired, so only the covers the
+    symmetric sum records are uncrossed.  The red and blue families, and
+    each section's paths, are counted and charged to the enumeration
+    budget before any is built.
     A partition weight has no more parts than the shape has cells, so no
     such cover has a higher source: the network is built min(N, cells)
     levels high.
     """
     n = min(N, dec.shape.size)
     reds, blues = _colour_families(build_network(dec, n))
-    pairs = pair_by_weight(map(_indexed, reds), map(_indexed, blues),
-                           lambda item: _family_weight(item[0], n))
+    pairs = pair_by_weight((_compiled(red, n) for red in reds),
+                           (_compiled(blue, n) for blue in blues),
+                           itemgetter(0))
     return tally(((_uncross(red, blue), key, 1)
                   for red, blue, key in pairs), N)
 

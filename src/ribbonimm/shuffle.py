@@ -16,14 +16,23 @@ that type.
 
 The immanant pipeline is weight first: the polynomials are symmetric, so
 only fillings with a partition weight are recorded, and only those are
-built.  The red and blue SSYT are grouped by weight vector and a red group
-meets a blue group only when their summed weight is a partition
-(symfunc.pair_by_weight).  The part of the strand picture that no filling
-changes (blocks, sentinels, segments, node labels) is compiled once per
-diagram; a filling supplies only its i <= j comparisons, so each diagram
-traces and checks one picture per distinct pattern of comparisons and
-looks the type of every other filling up.  The Yamanouchi test is one
-pass over the cells in reading order; only the crystal operators build
+built.  The red and blue SSYT are listed as value tuples, grouped by
+weight vector, and a red group meets a blue group only when their summed
+weight is a partition (symfunc.pair_by_weight); a filling is the tuple
+red + blue.  The part of the strand picture that no filling changes
+(blocks, sentinels, segments, node labels) is compiled once per diagram;
+a filling supplies only its i <= j comparisons, read through the two
+value slots of each compared block, so each diagram traces and checks
+one picture per distinct pattern of comparisons and looks the type of
+every other filling up.
+
+The crystal expansion does not list the fillings to filter them: it
+searches for the sources, filling the diagram one cell at a time in
+reverse reading order and placing a letter i+1 only while the word of i
+keeps at least as many i's as (i+1)'s (the ballot pruning of
+Stembridge's proof of the Littlewood-Richardson rule).  Each filling the
+search completes is built as a ShuffleTableau, confirmed by the one-pass
+Yamanouchi test and typed by tl_type.  Only the crystal operators build
 reading words.
 """
 
@@ -176,22 +185,33 @@ def _weight(entries, N: int) -> tuple:
     """How many of the entries equal 1, 2, ..., N."""
     alpha = [0] * N
     for v in entries:
+        if not 1 <= v <= N:
+            raise ValueError(f"entry {v} is outside 1..{N}")
         alpha[v - 1] += 1
     return tuple(alpha)
 
 
-def _halves(d: ShuffleDiagram, N: int):
-    """The red and the blue SSYT streams, re-keyed to diagram coordinates.
+def _charge(d: ShuffleDiagram, N: int) -> bool:
+    """Count the fillings in N variables, the product of the red and the
+    blue SSYT counts, and charge them to the budget (charge_budget)."""
+    return charge_budget("fillings", N, {"red": d.red_shape,
+                                         "blue": d.blue_shape})
 
-    Both are counted and charged to the budget before either is listed."""
-    if not charge_budget("fillings", N, {"red": d.red_shape,
-                                         "blue": d.blue_shape}):
-        return iter(()), iter(())
-    reds = ({(2 * i - 1, 2 * j - 1): v for (i, j), v in t.items()}
-            for t in enumerate_ssyt(d.red_shape, N))
-    blues = ({(2 * i, 2 * j): v for (i, j), v in t.items()}
-             for t in enumerate_ssyt(d.blue_shape, N))
-    return reds, blues
+
+def _halves(d: ShuffleDiagram, N: int):
+    """(cells, reds, blues): the red and the blue SSYT as value tuples,
+    and the diagram cells that the values of red + blue fill (the red
+    cells, then the blue ones, each half in enumerate_ssyt's order).
+
+    Both halves are counted and charged to the budget before either is
+    listed."""
+    cells = ([(2 * i - 1, 2 * j - 1) for i, j, _ in d.red_shape.cells()]
+             + [(2 * i, 2 * j) for i, j, _ in d.blue_shape.cells()])
+    if not _charge(d, N):
+        return cells, iter(()), iter(())
+    reds = (tuple(t.values()) for t in enumerate_ssyt(d.red_shape, N))
+    blues = (tuple(t.values()) for t in enumerate_ssyt(d.blue_shape, N))
+    return cells, reds, blues
 
 
 # -------------------------------------------------------------- type reading
@@ -270,8 +290,13 @@ def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
     i <= j comparisons of the diagram (see _trace_type)."""
     d = T.diagram
     entries = T.entries
-    choice = tuple([entries[sw] <= entries[ne]
-                    for sw, ne, _, _ in d.strand_picture()[1]])
+    return _type_of(d, tuple([entries[sw] <= entries[ne]
+                              for sw, ne, _, _ in d.strand_picture()[1]]))
+
+
+def _type_of(d: ShuffleDiagram, choice) -> NoncrossingMatching:
+    """The type of the picture of this choice pattern, traced on its
+    first lookup and kept on the diagram."""
     tau = d._types.get(choice)
     if tau is None:
         tau = d._types[choice] = _trace_type(d, choice)
@@ -422,30 +447,91 @@ def is_yamanouchi(T: ShuffleTableau) -> bool:
 
 # -------------------------------------------------------- immanant pipeline
 
-def _fillings(d: ShuffleDiagram, N: int):
-    """The fillings with a partition weight, each with that partition.
-
-    Weight first: the red and the blue SSYT are grouped by weight vector
-    and only the groups whose summed weight is a partition are paired, so
-    no other filling is built.  A partition weight has no more parts than
-    the diagram has cells, so no such filling has a larger entry: the
-    halves are listed in min(N, cells) variables.  _halves refuses an
-    over-budget filling count before anything is enumerated.
-    """
-    n = min(N, len(d.cells))
-    reds, blues = _halves(d, n)
-    for red, blue, key in pair_by_weight(
-            reds, blues, lambda half: _weight(half.values(), n)):
-        yield ShuffleTableau(d, {**red, **blue}), key
-
-
 def tableaux_by_type(dec: RibbonDecomposition, N: int):
     """Map from type to the summed weights of its fillings.
 
     Only partition (sorted) weights are recorded, the polynomials being
-    symmetric, and only those fillings are enumerated and typed."""
-    return tally(((tl_type(T), key, 1)
-                  for T, key in _fillings(ShuffleDiagram(dec), N)), N)
+    symmetric, and only those fillings are enumerated and typed.  Weight
+    first: the red and the blue SSYT are grouped by weight vector and only
+    the groups whose summed weight is a partition are paired, so no other
+    filling is built.  A partition weight has no more parts than the
+    diagram has cells, so no such filling has a larger entry: the halves
+    are listed in min(N, cells) variables, as value tuples.  A filling is
+    the tuple red + blue, and its i <= j pattern is read through the slots
+    of each compared block, found once per diagram.
+    """
+    d = ShuffleDiagram(dec)
+    n = min(N, len(d.cells))
+    cells, reds, blues = _halves(d, n)
+    slot = {pos: s for s, pos in enumerate(cells)}
+    pairs = [(slot[sw], slot[ne]) for sw, ne, _, _ in d.strand_picture()[1]]
+
+    def typed():
+        for red, blue, key in pair_by_weight(reds, blues,
+                                             lambda half: _weight(half, n)):
+            vals = red + blue
+            yield _type_of(d, tuple([vals[sw] <= vals[ne]
+                                     for sw, ne in pairs])), key, 1
+
+    return tally(typed(), N)
+
+
+def _sources(d: ShuffleDiagram, N: int):
+    """The fillings in N variables that pass the ballot counts below, each
+    with its weight (a partition): every source, and a few others.
+
+    The cells are filled one at a time in reverse reading order (rows top
+    to bottom, each right to left), so a cell's right and upper neighbours
+    are filled before it; its entry lies above the upper one, at most the
+    right one and at most its colour's SSYT cap (N less the cells below it
+    in its column), so every partial filling completes to an SSYT pair.
+    Read backwards, the word of i is Yamanouchi iff each of its prefixes
+    has at least as many i's as (i+1)'s.  An entry v takes one from that
+    surplus in the word of v-1: as its letter i+1, or, if v-1 sits above
+    it, by uncounting that column overlap's upper cell, counted as an i
+    when it was placed.  It adds one in the word of v, to be uncounted in
+    turn if v+1 is placed below it.  So the surplus of the word of i reads
+    (i's placed) - ((i+1)'s placed) and v is placed only while the word of
+    v-1 keeps a surplus.  The counts are optimistic (a pending overlap is
+    still counted), so the caller confirms each filling with is_yamanouchi.
+    """
+    if not _charge(d, N):
+        return
+    order = sorted(d.cells, key=lambda pos: (pos[0], -pos[1]))
+    m = len(order)
+    slot = {pos: k for k, pos in enumerate(order)}
+    bottom = {}  # column -> its lowest row; a column has one colour
+    for r, c in order:
+        bottom[c] = r
+    cap = [N - (bottom[c] - r) // 2 for r, c in order]
+    # a missing right neighbour reads slot m (N), a missing upper one
+    # slot m + 1 (0)
+    right = [slot.get((r, c + 2), m) for r, c in order]
+    above = [slot.get((r - 2, c), m + 1) for r, c in order]
+    vals = [0] * m + [N, 0]
+    # count[v]: the v's placed; count[0] never runs out, so a 1 always fits
+    count = [m + 1] + [0] * N
+    k, v = 0, 1
+    while True:
+        hi = min(vals[right[k]], cap[k])
+        while v <= hi and count[v - 1] <= count[v]:
+            v += 1
+        if v <= hi:
+            vals[k] = v
+            count[v] += 1
+            if k + 1 < m:
+                k += 1
+                v = vals[above[k]] + 1
+                continue
+            yield (ShuffleTableau(d, zip(order, vals)),
+                   tuple(filter(None, count[1:])))
+        else:  # no entry left here: take the next one in the cell before
+            k -= 1
+            if k < 0:
+                return
+            v = vals[k]
+        count[v] -= 1
+        v += 1
 
 
 def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):
@@ -454,9 +540,12 @@ def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):
     Each filling on which no raising operator acts contributes 1 to the
     coefficient of its weight, under its type.  A source's weight is a
     partition (each i+1 of a reading word is bracketed by an i, so there
-    are at least as many i as i+1), so only the partition-weight fillings
-    are visited.  Coefficients are nonnegative by construction.
+    are at least as many i as i+1), with no more parts than the diagram
+    has cells: the sources are searched for in min(N, cells) variables
+    (_sources), and only the fillings the search reaches are built and
+    confirmed.  Coefficients are nonnegative by construction.
     """
+    d = ShuffleDiagram(dec)
     return tally(((tl_type(T), key, 1)
-                  for T, key in _fillings(ShuffleDiagram(dec), N)
+                  for T, key in _sources(d, min(N, len(d.cells)))
                   if is_yamanouchi(T)), N, SchurExpansion)

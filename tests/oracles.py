@@ -4,9 +4,11 @@ src calls it.
 The brute-force enumerators list every shuffle filling and every colored
 cover, whatever its weight, through the library's budget-charged halves
 (shuffle._halves, network._colour_families), so an over-budget instance
-is refused before anything is listed.  The cover-to-filling bijection,
-the noncrossing matchings listed by their first strand, the general
-product of Temperley-Lieb diagrams, the evaluation of a symmetric
+is refused before anything is listed.  The crystal listing keeps the
+Yamanouchi fillings among every partition-weight one, the sources that
+the library's search (shuffle._sources) must reach.  The cover-to-filling
+bijection, the noncrossing matchings listed by their first strand, the
+general product of Temperley-Lieb diagrams, the evaluation of a symmetric
 polynomial over its explicit monomials and the permutation and shape
 helpers check the library's own shortcuts.
 """
@@ -16,6 +18,7 @@ import itertools
 from ribbonimm import network, shuffle
 from ribbonimm.errors import ValidityError
 from ribbonimm.perms import perm_length
+from ribbonimm.symfunc import SchurExpansion, pair_by_weight, tally
 from ribbonimm.tlalgebra import NoncrossingMatching, matching, trace_strands
 
 
@@ -24,11 +27,31 @@ from ribbonimm.tlalgebra import NoncrossingMatching, matching, trace_strands
 def enumerate_shuffle_tableaux(d: shuffle.ShuffleDiagram, N: int):
     """All fillings with entries in [1, N]: the product of the two SSYT
     streams."""
-    reds, blues = shuffle._halves(d, N)
+    cells, reds, blues = shuffle._halves(d, N)
     blues = list(blues)
     for red in reds:
         for blue in blues:
-            yield shuffle.ShuffleTableau(d, {**red, **blue})
+            yield shuffle.ShuffleTableau(d, zip(cells, red + blue))
+
+
+def partition_weight_fillings(d: shuffle.ShuffleDiagram, N: int):
+    """The fillings with a partition weight, each with that partition, in
+    min(N, cells) variables: the two halves paired by weight
+    (pair_by_weight), each pair built as a ShuffleTableau."""
+    n = min(N, len(d.cells))
+    cells, reds, blues = shuffle._halves(d, n)
+    for red, blue, key in pair_by_weight(
+            reds, blues, lambda half: shuffle._weight(half, n)):
+        yield shuffle.ShuffleTableau(d, zip(cells, red + blue)), key
+
+
+def crystal_by_listing(dec, N: int) -> dict:
+    """shuffle.schur_expand_by_crystal by listing every partition-weight
+    filling and keeping the Yamanouchi ones."""
+    d = shuffle.ShuffleDiagram(dec)
+    return tally(((shuffle.tl_type(T), key, 1)
+                  for T, key in partition_weight_fillings(d, N)
+                  if shuffle.is_yamanouchi(T)), N, SchurExpansion)
 
 
 def enumerate_covers(net: network.RibbonNetwork):
@@ -39,7 +62,8 @@ def enumerate_covers(net: network.RibbonNetwork):
     for red in reds:
         for blue in blues:
             fam = sorted(red + blue)
-            yield fam, network._family_weight(fam, net.N)
+            yield fam, tuple(map(sum, zip([0] * net.N,
+                                          *(w for _, _, w in fam))))
 
 
 def count_covers(net: network.RibbonNetwork) -> int:

@@ -11,6 +11,8 @@ coverage against runtime.
 import itertools
 import random
 
+import pytest
+
 from conftest import (compatible_types, imm_det_check, random_shape_matrix,
                       row_sections_dec)
 from oracles import (all_matchings, count_covers, diagram_mul,
@@ -18,6 +20,7 @@ from oracles import (all_matchings, count_covers, diagram_mul,
                      tableau_from_cover)
 from ribbonimm import corpus as corpus_mod
 from ribbonimm import klbase, network, ribbonmat, shuffle, tlalgebra
+from ribbonimm.errors import BudgetExceeded
 from ribbonimm.shapes import (InfiniteRibbon, decompose, shape_from_tuples)
 from ribbonimm.symfunc import SymPoly, expand_schur, schur_poly, ssyt_count
 
@@ -150,6 +153,31 @@ def test_criterion_05_schur_positivity_and_crystal_expansion():
             failures.append(("crystal", dec.abar, dec.bbar))
     _report(5, "Schur positive immanants, source-counting expansion",
             failures)
+
+
+def test_crystal_expansion_at_faithful_nvars(monkeypatch):
+    # at N = cells the sources give every TL immanant's whole Schur
+    # expansion; the three instances whose fillings exceed the default
+    # budget are refused by the up-front count
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
+    refusal = (r"^{} red times {} blue in 8 variables: 2150400 fillings "
+               r"exceed RIL_BUDGET=2000000$")
+    refused = {((2, 0, -1, -2), (3, 5, 0, -1)): (64, 33600),
+               ((5, 0, -1, -2), (6, 5, 0, -1)): (64, 33600),
+               ((5, 4, -1, -2), (6, 5, 4, -1)): (33600, 64)}
+    decs = corpus_mod.sweep_corpus()
+    assert len(decs) == 416
+    for dec in decs:
+        N = dec.shape.size
+        counts = refused.get((dec.abar, dec.bbar))
+        if counts:
+            with pytest.raises(BudgetExceeded,
+                               match=refusal.format(*counts)):
+                shuffle.schur_expand_by_crystal(dec, N)
+            continue
+        by_tl = tlalgebra.imm_tl_all(ribbonmat.section_matrix(dec, N))
+        assert shuffle.schur_expand_by_crystal(dec, N) == {
+            tau: e for tau, e in by_tl.items() if not e.is_zero()}, dec
 
 
 def test_criterion_06_negative_controls():

@@ -3,8 +3,9 @@ from collections import Counter
 import pytest
 
 from conftest import row_interval, row_sections_dec
-from oracles import (count_covers, diagram_mul, enumerate_covers,
-                     enumerate_shuffle_tableaux, evaluate, generator,
+from oracles import (count_covers, crystal_by_listing, diagram_mul,
+                     enumerate_covers, enumerate_shuffle_tableaux, evaluate,
+                     generator, partition_weight_fillings,
                      tableau_from_cover)
 from test_acceptance import _nontrivial_nvars
 from ribbonimm import corpus, network, ribbonmat, shuffle, tlalgebra
@@ -234,7 +235,7 @@ def test_types_are_traced_once_per_choice_pattern(monkeypatch):
         d = shuffle.ShuffleDiagram(dec)
         compared = d.strand_picture()[1]
         choices, each = set(), []
-        for T, key in shuffle._fillings(d, N):
+        for T, key in partition_weight_fillings(d, N):
             choice = tuple(T.entries[sw] <= T.entries[ne]
                            for sw, ne, _, _ in compared)
             choices.add(choice)
@@ -255,14 +256,18 @@ def test_a_corrupted_picture_fails_on_the_first_filling(monkeypatch):
         fixed, compared, node_label = compile_picture(d)
         return fixed[1:], compared, node_label
 
-    typed = []
-    tl_type = shuffle.tl_type
+    traced = []
+    trace = shuffle._trace_type
     monkeypatch.setattr(shuffle, "_compile_picture", drop_one)
-    monkeypatch.setattr(shuffle, "tl_type",
-                        lambda T: typed.append(T) or tl_type(T))
-    with pytest.raises(StrandTraceError, match="degree|no segment"):
-        shuffle.tableaux_by_type(row_sections_dec((0, -2, -4), (3, 2, 1)), 3)
-    assert len(typed) == 1
+    monkeypatch.setattr(shuffle, "_trace_type",
+                        lambda d, choice: traced.append(choice)
+                        or trace(d, choice))
+    dec = row_sections_dec((0, -2, -4), (3, 2, 1))
+    for model in (shuffle.tableaux_by_type, shuffle.schur_expand_by_crystal):
+        with pytest.raises(StrandTraceError, match="degree|no segment"):
+            model(dec, 3)
+        assert len(traced) == 1
+        traced.clear()
 
 
 def test_crystal_expansion_matches_schur_expansion(hook_dec):
@@ -272,6 +277,45 @@ def test_crystal_expansion_matches_schur_expansion(hook_dec):
         by_exp = {tau: expand_schur(p)
                   for tau, p in shuffle.tableaux_by_type(tdec, N).items()}
         assert by_crystal == by_exp
+
+
+def test_source_search_matches_the_listing():
+    # the search keeps what the listing of every partition-weight filling,
+    # filtered by is_yamanouchi, keeps: at N = 1..4, and at N = cells up
+    # to 6 cells
+    cases = [(dec, N) for dec in corpus.sweep_corpus()
+             for N in range(1, 7) if N <= 4 or N == dec.shape.size]
+    assert len(cases) == 1792
+    for dec, N in cases:
+        assert shuffle.schur_expand_by_crystal(dec, N) == crystal_by_listing(
+            dec, N), (dec, N)
+
+
+def test_source_search_prunes(monkeypatch):
+    # every filling the search completes is confirmed; the ballot counts
+    # let through 2 that are not sources, of the 4,340 partition-weight
+    # fillings
+    reached = []
+    confirm = shuffle.is_yamanouchi
+    monkeypatch.setattr(shuffle, "is_yamanouchi",
+                        lambda T: reached.append(T) or confirm(T))
+    sources = 0
+    for dec in corpus.sweep_corpus(8, 5, 4, per_bucket=2):
+        by_crystal = shuffle.schur_expand_by_crystal(
+            dec, _nontrivial_nvars(dec, 4))
+        sources += sum(sum(e.coeffs.values()) for e in by_crystal.values())
+    assert (len(reached), sources) == (418, 416)
+
+
+def test_weight_counts_entries_in_range(hook_dec):
+    d = shuffle.ShuffleDiagram(hook_dec)
+    assert len(d.cells) == 27
+    T = shuffle.ShuffleTableau(d, dict.fromkeys(d.cells, 3))
+    assert T.weight(3) == (0, 0, 27)
+    for v in (0, 4):
+        T = shuffle.ShuffleTableau(d, dict.fromkeys(d.cells, v))
+        with pytest.raises(ValueError, match=f"^entry {v} is outside 1..3$"):
+            T.weight(3)
 
 
 def test_invalid_filling_rejected(hook_dec):
