@@ -27,13 +27,15 @@ one picture per distinct pattern of comparisons and looks the type of
 every other filling up.
 
 The crystal expansion does not list the fillings to filter them: it
-searches for the sources, filling the diagram one cell at a time in
-reverse reading order and placing a letter i+1 only while the word of i
-keeps at least as many i's as (i+1)'s (the ballot pruning of
-Stembridge's proof of the Littlewood-Richardson rule).  Each filling the
-search completes is built as a ShuffleTableau, confirmed by the one-pass
-Yamanouchi test and typed by tl_type.  Only the crystal operators build
-reading words.
+searches for the sources with symfunc's Littlewood-Richardson search
+(LRProducts.search on the diagram's reading_layout, lattice step 2),
+filling the diagram one cell at a time in reverse reading order and
+placing a letter i+1 only while the word of i keeps at least as many i's
+as (i+1)'s (the ballot pruning of Stembridge's proof of the LR rule).
+The search counts the partial fillings it visits and charges them to the
+budget.  Each filling it completes is built as a ShuffleTableau,
+confirmed by the one-pass Yamanouchi test and typed by tl_type.  Only
+the crystal operators build reading words.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 
 from .errors import StrandTraceError, ValidityError
 from .shapes import BELOW, RibbonDecomposition, SkewShape
-from .symfunc import (SchurExpansion, charge_budget, enumerate_ssyt,
-                      pair_by_weight, tally)
+from .symfunc import (LRProducts, SchurExpansion, charge_budget,
+                      enumerate_ssyt, pair_by_weight, reading_layout, tally)
 from .tlalgebra import NoncrossingMatching, matching, trace_strands
 
 NEG = float("-inf")
@@ -480,58 +482,27 @@ def _sources(d: ShuffleDiagram, N: int):
     """The fillings in N variables that pass the ballot counts below, each
     with its weight (a partition): every source, and a few others.
 
-    The cells are filled one at a time in reverse reading order (rows top
-    to bottom, each right to left), so a cell's right and upper neighbours
-    are filled before it; its entry lies above the upper one, at most the
-    right one and at most its colour's SSYT cap (N less the cells below it
-    in its column), so every partial filling completes to an SSYT pair.
-    Read backwards, the word of i is Yamanouchi iff each of its prefixes
-    has at least as many i's as (i+1)'s.  An entry v takes one from that
-    surplus in the word of v-1: as its letter i+1, or, if v-1 sits above
-    it, by uncounting that column overlap's upper cell, counted as an i
-    when it was placed.  It adds one in the word of v, to be uncounted in
-    turn if v+1 is placed below it.  So the surplus of the word of i reads
-    (i's placed) - ((i+1)'s placed) and v is placed only while the word of
-    v-1 keeps a surplus.  The counts are optimistic (a pending overlap is
-    still counted), so the caller confirms each filling with is_yamanouchi.
+    They are the LR fillings on s_() (LRProducts.search) of the diagram's
+    cells in reverse reading order, row and column neighbours two lattice
+    steps apart: an entry v is placed only while the v-1's placed
+    outnumber the v's.  That is the ballot count of the words.  Read
+    backwards, the word of i is Yamanouchi iff each of its prefixes has at
+    least as many i's as (i+1)'s.  An entry v takes one from that surplus
+    in the word of v-1, as its letter i+1 or, if v-1 sits above it, by
+    uncounting that column overlap's upper cell, counted as an i when it
+    was placed; it adds one in the word of v.  The counts are optimistic
+    (a pending overlap is still counted), so the caller confirms each
+    filling with is_yamanouchi.  The fillings are charged to the budget
+    before the search, and the partial fillings it visits as it runs.
     """
     if not _charge(d, N):
         return
     order = sorted(d.cells, key=lambda pos: (pos[0], -pos[1]))
-    m = len(order)
-    slot = {pos: k for k, pos in enumerate(order)}
-    bottom = {}  # column -> its lowest row; a column has one colour
-    for r, c in order:
-        bottom[c] = r
-    cap = [N - (bottom[c] - r) // 2 for r, c in order]
-    # a missing right neighbour reads slot m (N), a missing upper one
-    # slot m + 1 (0)
-    right = [slot.get((r, c + 2), m) for r, c in order]
-    above = [slot.get((r - 2, c), m + 1) for r, c in order]
-    vals = [0] * m + [N, 0]
-    # count[v]: the v's placed; count[0] never runs out, so a 1 always fits
-    count = [m + 1] + [0] * N
-    k, v = 0, 1
-    while True:
-        hi = min(vals[right[k]], cap[k])
-        while v <= hi and count[v - 1] <= count[v]:
-            v += 1
-        if v <= hi:
-            vals[k] = v
-            count[v] += 1
-            if k + 1 < m:
-                k += 1
-                v = vals[above[k]] + 1
-                continue
-            yield (ShuffleTableau(d, zip(order, vals)),
-                   tuple(filter(None, count[1:])))
-        else:  # no entry left here: take the next one in the cell before
-            k -= 1
-            if k < 0:
-                return
-            v = vals[k]
-        count[v] -= 1
-        v += 1
+    for vals, key in LRProducts(N).search(
+            (), reading_layout(order, 2),
+            lambda: f"crystal sources of {d.decomposition.shape} in {N} "
+                    f"variables"):
+        yield ShuffleTableau(d, zip(order, vals)), key
 
 
 def schur_expand_by_crystal(dec: RibbonDecomposition, N: int):

@@ -18,7 +18,9 @@ Every product of entries, in a determinant, a minor or an immanant, and
 every product of two Schur expansions goes through Littlewood-Richardson
 fillings (`LRProducts`).  `SymPoly *` is that product too, through the
 Schur basis.  A matrix reports its results in its ring: the Schur basis,
-or the monomial basis through `SymPoly.from_schur`.
+or the monomial basis through `SymPoly.from_schur`.  The filling search
+(`LRProducts.search`) runs over any diagram's `reading_layout`, so the
+crystal model of `shuffle` finds its sources with it too.
 """
 
 from __future__ import annotations
@@ -511,6 +513,20 @@ def expand_schur(p: SymPoly) -> SchurExpansion:
     return SchurExpansion(p.nvars, out)
 
 
+def reading_layout(cells, step: int) -> tuple:
+    """A diagram's cells, listed in reverse reading order (rows top to
+    bottom, each right to left) with row and column neighbours step
+    apart, as the slot of each cell's right neighbour (read just before
+    it) and of the cell above it, n and n + 1 when missing, and the number
+    of cells below it in its column."""
+    n = len(cells)
+    index = {cell: k for k, cell in enumerate(cells)}
+    bottom = {j: i for i, j in cells}
+    return ([index.get((i, j + step), n) for i, j in cells],
+            [index.get((i - step, j), n + 1) for i, j in cells],
+            [(bottom[j] - i) // step for i, j in cells])
+
+
 class LRProducts:
     """Products s_lam * s_theta in nvars variables, theta a skew shape, by
     the Littlewood-Richardson rule in Stembridge's form ("A concise proof
@@ -523,7 +539,9 @@ class LRProducts:
 
     The fillings are memoized on (lam, theta) for the life of the object,
     and every partial filling the search visits is charged to RIL_BUDGET,
-    counted over all searches of the object.
+    counted over all searches of the object.  `search` runs on any
+    reading_layout: the crystal sources of shuffle are its fillings on
+    s_() of a shuffle diagram's layout, lattice step 2.
     """
 
     def __init__(self, nvars: int):
@@ -537,33 +555,34 @@ class LRProducts:
         lam + wt(T) = nu; the caller must not modify the returned map."""
         key = (lam, theta)
         if key not in self._memo:
-            self._memo[key] = self._search(lam, theta)
+            if theta not in self._layouts:
+                self._layouts[theta] = reading_layout(
+                    [(i, j) for i, (hi, lo) in enumerate(
+                        zip(theta.outer, theta.inner))
+                     for j in range(hi, lo, -1)], 1)
+            out = {}
+            for _, nu in self.search(
+                    lam, self._layouts[theta],
+                    lambda: f"LRProducts of {theta} on s{list(lam)} in "
+                            f"{self.nvars} variables"):
+                out[nu] = out.get(nu, 0) + 1
+            self._memo[key] = out
         return self._memo[key]
 
-    def _layout(self, theta) -> tuple:
-        """theta's cells in reverse reading order, as the slot of each
-        cell's right neighbour (read just before it) and of the cell above
-        it, n and n + 1 when missing, and the number of cells below it in
-        its column."""
-        if theta not in self._layouts:
-            cells = [(i, j) for i, (hi, lo) in enumerate(
-                     zip(theta.outer, theta.inner)) for j in range(hi, lo, -1)]
-            n = len(cells)
-            index = {cell: k for k, cell in enumerate(cells)}
-            bottom = {j: i for i, j in cells}
-            self._layouts[theta] = (
-                [index.get((i, j + 1), n) for i, j in cells],
-                [index.get((i - 1, j), n + 1) for i, j in cells],
-                [bottom[j] - i for i, j in cells])
-        return self._layouts[theta]
-
-    def _search(self, lam, theta) -> dict:
+    def search(self, lam, layout, layer):
+        """Yield (vals, nu) for each LR filling of the cells of layout (a
+        reading_layout) on s_lam: vals[k] is the entry of cell k and nu is
+        lam + the filling's weight.  vals is one list, refilled in place,
+        so read it before the next filling.  Every partial filling visited
+        is counted in visited; past the budget, layer() names the search
+        in the refusal (a function: most searches never format it)."""
         if len(lam) > self.nvars:  # s_lam is 0 in nvars variables
-            return {}
-        right, above, below = self._layout(theta)
+            return
+        right, above, below = layout
         n = len(right)
         if not n:
-            return {lam: 1}
+            yield [], lam
+            return
         # each letter lengthens lam + content by at most one part
         width = min(self.nvars, len(lam) + n)
         # a value is at most its right neighbour's (width if none) and
@@ -572,7 +591,6 @@ class LRProducts:
         cap = [width - b for b in below]
         vals = [0] * n + [width, 0]
         part = list(lam) + [0] * (width - len(lam))
-        out = {}
         visited, limit = self.visited, self.limit
         # depth first over an explicit stack of values: vals[:k] is the
         # partial filling and v the next value to try at cell k
@@ -594,20 +612,18 @@ class LRProducts:
                 continue
             visited += 1
             if visited > limit:
-                charge(f"LRProducts of {theta} on s{list(lam)} in "
-                       f"{self.nvars} variables", visited, "partial fillings")
+                self.visited = visited
+                charge(layer(), visited, "partial fillings")
             vals[k] = v
             part[v - 1] += 1
             if k + 1 < n:
                 k += 1
                 v = vals[above[k]] + 1
             else:
-                nu = tuple(part[:width - part.count(0)])
-                out[nu] = out.get(nu, 0) + 1
+                yield vals, tuple(part[:width - part.count(0)])
                 part[v - 1] -= 1
                 v += 1
         self.visited = visited
-        return out
 
     def times(self, p: SchurExpansion, theta: SkewShape) -> SchurExpansion:
         """p * s_theta in the Schur basis."""

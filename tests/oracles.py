@@ -6,7 +6,8 @@ cover, whatever its weight, through the library's budget-charged halves
 (shuffle._halves, network._colour_families), so an over-budget instance
 is refused before anything is listed.  The crystal listing keeps the
 Yamanouchi fillings among every partition-weight one, the sources that
-the library's search (shuffle._sources) must reach.  The cover-to-filling
+the library's search must reach (shuffle._sources, the LR search of
+symfunc.LRProducts on the diagram's reading layout).  The cover-to-filling
 bijection, the noncrossing matchings listed by their first strand, the
 general product of Temperley-Lieb diagrams, the evaluation of a symmetric
 polynomial over its explicit monomials and the permutation and shape

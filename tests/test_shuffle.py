@@ -307,6 +307,37 @@ def test_source_search_prunes(monkeypatch):
     assert (len(reached), sources) == (418, 416)
 
 
+def test_source_search_counts_partial_fillings(monkeypatch):
+    # the sources come from the LR search, which counts every partial
+    # filling it visits: one search per expansion
+    visited = []
+
+    class Counted(shuffle.LRProducts):
+        def search(self, *args):
+            yield from super().search(*args)
+            visited.append(self.visited)
+
+    monkeypatch.setattr(shuffle, "LRProducts", Counted)
+    for dec in corpus.sweep_corpus(8, 5, 4, per_bucket=2):
+        shuffle.schur_expand_by_crystal(dec, _nontrivial_nvars(dec, 4))
+    assert (len(visited), sum(visited)) == (52, 902)
+
+
+def test_source_search_is_budgeted(monkeypatch):
+    # the domino's one filling passes the up-front count at a budget of 1,
+    # and the search refuses it at its second partial filling, in the
+    # one-line form, raised while handling no other error
+    dec = next(dec for dec in corpus.sweep_corpus()
+               if dec.shape == SkewShape((2, 2), (1, 1)) and dec.ell == 1)
+    monkeypatch.setenv("RIL_BUDGET", "1")
+    with pytest.raises(BudgetExceeded) as refused:
+        shuffle.schur_expand_by_crystal(dec, 2)
+    assert str(refused.value) == (
+        "crystal sources of SkewShape(outer=(2, 2), inner=(1, 1)) in 2 "
+        "variables: 2 partial fillings exceed RIL_BUDGET=1")
+    assert refused.value.__context__ is None
+
+
 def test_weight_counts_entries_in_range(hook_dec):
     d = shuffle.ShuffleDiagram(hook_dec)
     assert len(d.cells) == 27
