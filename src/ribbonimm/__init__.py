@@ -23,8 +23,8 @@ from .network import build_network, covers_by_type, uncross_type
 from .shuffle import (ShuffleDiagram, ShuffleTableau, crystal_E, crystal_F,
                       is_yamanouchi, reading_word, schur_expand_by_crystal,
                       tableaux_by_type, tl_type)
-from .klbase import (KLTable, bruhat_leq, conjecture12_harness, imm_kl,
-                     kl_polynomials, kl_polynomials_hecke)
+from .klbase import (KLTable, conjecture12_harness, imm_kl, kl_polynomials,
+                     kl_polynomials_hecke)
 from .corpus import sweep_corpus
 
 __version__ = "0.1.0"
@@ -44,8 +44,8 @@ __all__ = [
     "ShuffleDiagram", "ShuffleTableau", "crystal_E", "crystal_F",
     "is_yamanouchi", "reading_word", "schur_expand_by_crystal",
     "tableaux_by_type", "tl_type",
-    "KLTable", "bruhat_leq", "conjecture12_harness", "imm_kl",
-    "kl_polynomials", "kl_polynomials_hecke",
+    "KLTable", "conjecture12_harness", "imm_kl", "kl_polynomials",
+    "kl_polynomials_hecke",
     "sweep_corpus",
     "__version__",
 ]

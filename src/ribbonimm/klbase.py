@@ -1,26 +1,26 @@
 """Kazhdan-Lusztig polynomials on S_n and the immanants built from them.
 
 S_n is indexed once per n (`_weyl`): the permutations in (length, lex)
-order, their lengths, the right action of each s_i as index lists, and
-each lower Bruhat interval [e, w] as an int bitmask, built by the lifting
-property [e, w] = [e, ws] u [e, ws]s for ws < w (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, Prop. 2.2.7).  Bruhat order is a bit
-test on that table, and the budget charges count its bits.
+order, their lengths, and the right action of each s_i as index lists.
 
 P_{x,w}(q) is computed by the classical length recursion with mu
 coefficients tracked, on indices.  The table is one row per w: a dict
 from x to an id in a pool of interned coefficient tuples (lowest degree
 first), x ascending, as in du Cloux, "Computing Kazhdan-Lusztig
-polynomials for arbitrary Coxeter groups" (2002).  For s the first right
-descent of w, the row of w grows from the row of v = ws by the same
-lifting property, without reading the masks: each y <= v with ys > y
-pairs with x = ys, which goes through the recursion, and y copies
-P_{y,w} = P_{x,w} (Bjorner-Brenti, Sec. 5.1).  The sums of the recursion
-are memoized on pool ids, so the q-arithmetic runs once per distinct
-combination: 155 polynomial additions for the 98,407 entries at n = 6.
-A second, independent computation solves the bar-invariance condition
-in the Hecke algebra directly (triangular solve in the standard basis)
-and is used as an oracle in the tests.
+polynomials for arbitrary Coxeter groups" (2002).  The keys of the row
+of w are the Bruhat interval [e, w]: for s the first right descent of w,
+the row grows from the row of v = ws by the lifting property
+[e, w] = [e, v] u [e, v]s (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, Prop. 2.2.7).  Each y <= v with ys > y pairs with x = ys, which
+goes through the recursion, and y copies P_{y,w} = P_{x,w}
+(Bjorner-Brenti, Sec. 5.1).  The sums of the recursion are memoized on
+pool ids, so the q-arithmetic runs once per distinct combination: 155
+polynomial additions for the 98,407 entries at n = 6.  The table is
+charged to the budget by the entries it stores.  A second, independent
+computation solves the bar-invariance condition in the Hecke algebra
+directly (triangular solve in the standard basis), taking Bruhat order
+from the support of each bar image, and is used as an oracle in the
+tests.
 
 The KL immanants read their weights straight off the rows, the column
 of w being the row of w0 w (Rhoades-Skandera, "Kazhdan-Lusztig
@@ -92,56 +92,26 @@ class _Weyl:
     length: tuple
     right: tuple    # right[i][k]: position of perms[k] s_i (right[0] unused)
     descent: tuple  # first right descent, 0 at the identity
-    below: tuple    # the interval [e, perms[k]] as a bitmask of positions
-    # range(n!) as one int object per position, shared by every row of
-    # the KL table (about a third of its memory at n = 7)
-    positions: tuple
 
 
-_BIT = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(mask: int, positions: tuple) -> list:
-    """positions[k] for each set bit k of mask, k ascending."""
-    flags = bin(mask)[:1:-1].encode().translate(_BIT)  # bit k at byte k
-    return list(itertools.compress(positions, flags))
-
-
-# kept: kl_polynomials and _kl_sums read it again per instance
+# kept: kl_polynomials, the KLTable views and _kl_sums read it again per
+# table and per instance
 @table
 def _weyl(n: int) -> _Weyl:
-    """S_n indexed; charged n! * n entries first, then its Bruhat pairs."""
-    layer = f"_weyl(n={n})"
-    charge_permutations(layer, n, n, "permutations and right actions")
+    """S_n indexed; charged its n! * n permutations and right actions."""
+    charge_permutations(f"_weyl(n={n})", n, n,
+                        "permutations and right actions")
     ranked = sorted((perm_length(u), u)
                     for u in itertools.permutations(range(1, n + 1)))
     perms = tuple(u for _, u in ranked)
-    positions = tuple(range(len(perms)))
-    index = dict(zip(perms, positions))
+    # one int object per position, shared by every row of the KL table
+    # through `right`
+    index = {u: k for k, u in enumerate(perms)}
     right = ((),) + tuple(tuple(index[apply_s(u, i)] for u in perms)
                           for i in range(1, n))
     descent = tuple(first_right_descent(u) or 0 for u in perms)
-    below, limit, pairs = [1], budget(), 1
-    for k in range(1, len(perms)):
-        s = right[descent[k]]
-        lower = below[s[k]]  # [e, ws] with ws < w comes earlier
-        mask = lower
-        for x in _bits(lower, positions):
-            mask |= 1 << s[x]
-        below.append(mask)
-        pairs += mask.bit_count()
-        if pairs > limit:
-            charge(layer, pairs, "Bruhat pairs")
     return _Weyl(perms, index, tuple(lw for lw, _ in ranked), right,
-                 descent, tuple(below), positions)
-
-
-def bruhat_leq(x: tuple, w: tuple) -> bool:
-    """x <= w in Bruhat order: a bit test on [e, w]."""
-    if len(x) != len(w):
-        raise ValueError("size mismatch")
-    W = _weyl(len(w))
-    return bool(W.below[W.index[w]] >> W.index[x] & 1)
+                 descent)
 
 
 # ---------------------------------------------------------------- KL tables
@@ -212,10 +182,10 @@ class _Pool:
 # kept: _kl_sums reads it again for every instance of a conj1.2 sweep
 @table
 def kl_polynomials(n: int) -> KLTable:
-    """All P_{x,w} by the classical recursion, one entry per Bruhat pair."""
+    """All P_{x,w} by the classical recursion, one entry per Bruhat pair,
+    charged the pairs it has stored as each row is stored."""
     W = _weyl(n)
-    charge(f"kl_polynomials(n={n})", sum(m.bit_count() for m in W.below),
-           "Bruhat pairs")
+    layer, limit, stored = f"kl_polynomials(n={n})", budget(), 1
     L = W.length
     pool = _Pool()
     pooled, one = pool.tuples, pool.id((1,))
@@ -284,6 +254,9 @@ def kl_polynomials(n: int) -> KLTable:
                 mu_w.append((x, p[-1]))
         rows.append(row)
         mus.append(mu_w)
+        stored += len(row)
+        if stored > limit:
+            charge(layer, stored, "Bruhat pairs")
     return KLTable(n, tuple(rows), tuple(pooled))
 
 
@@ -351,13 +324,14 @@ def kl_polynomials_hecke(n: int) -> KLTable:
         for x, c in prev.items():    # ... plus (v - v^-1) H_x
             out[x] = _ladd(out.get(x, {}), _lmul(c, {1: 1, -1: -1}))
         bars[w] = {x: c for x, c in out.items() if c}
-    perms = sorted(W.perms, key=lambda p: (-perm_length(p), p))
     pool = _Pool()
     rows = []
     for w in W.perms:
         coeffs = {w: {0: 1}}
-        for x in perms:
-            if x == w or not bruhat_leq(x, w):
+        # R_{x,w} != 0 exactly for x <= w, so the support of bar(H_w) is
+        # [e, w]: the x are taken from it, longest first
+        for x in sorted(bars[w], key=lambda p: (-perm_length(p), p)):
+            if x == w:
                 continue
             # defect at x of the current bar image
             gamma = {}

@@ -497,7 +497,7 @@ def _sources(d: ShuffleDiagram, N: int):
     """
     if not _charge(d, N):
         return
-    order = sorted(d.cells, key=lambda pos: (pos[0], -pos[1]))
+    order = [pos for pos, _, _ in reversed(d.reading_order)]
     for vals, key in LRProducts(N).search(
             (), reading_layout(order, 2),
             lambda: f"crystal sources of {d.decomposition.shape} in {N} "

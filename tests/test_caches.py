@@ -41,7 +41,7 @@ def test_process_wide_caches_are_listed():
 
 @pytest.mark.parametrize("call, limit, message", [
     (lambda: klbase.kl_polynomials(4), "212",
-     r"^_weyl\(n=4\): 213 Bruhat pairs exceed RIL_BUDGET=212$"),
+     r"^kl_polynomials\(n=4\): 213 Bruhat pairs exceed RIL_BUDGET=212$"),
     (lambda: tlalgebra._tl_table(4), "173",
      r"^_tl_table\(n=4\): 174 entries exceed RIL_BUDGET=173$"),
     (lambda: symfunc.skew_schur(SkewShape((3, 2), (1,)), 3), "3",

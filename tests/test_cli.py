@@ -481,7 +481,7 @@ def test_imm_takes_seven_sections(column_files, monkeypatch, capsys):
 # the S_8 TL table would first store two million entries at the default
 # budget, so its rows are pinned at a lowered one
 TL8 = "_tl_table(n=8): 100014 entries exceed RIL_BUDGET=100000"
-KL7 = "_weyl(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000"
+KL7 = "kl_polynomials(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -501,7 +501,7 @@ KL7 = "_weyl(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000"
      "determinant(n=1000000000): 2^1000000000 column subsets exceed "
      "RIL_BUDGET=2000000"),
     (["kl-table", "8"],
-     "_weyl(n=8): 400065 Bruhat pairs exceed RIL_BUDGET=400000"),
+     "kl_polynomials(n=8): 400065 Bruhat pairs exceed RIL_BUDGET=400000"),
     (["kl-table", "9"], "_weyl(n=9): 3265920 permutations and right actions "
      "exceed RIL_BUDGET=2000000"),
     (["sweep", "--theorem", "conj1.2", "--max-ell", "1000000000"],

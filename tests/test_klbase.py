@@ -28,11 +28,11 @@ def ehresmann_leq(x, w):
 
 @pytest.fixture(scope="module")
 def kl7():
-    """Build kl_polynomials(7) at the raised budget (3,550,919 Bruhat
-    pairs) that the tests of this module reading S_7 set; they run one
-    after another, so they share it.  The table and the index of S_7 are
-    dropped at the next table read under another budget: its rows hold
-    about 155 MB."""
+    """Build kl_polynomials(7) at the raised budget (its rows store
+    3,550,919 Bruhat pairs) that the tests of this module reading S_7
+    set; they run one after another, so they share it.  The table and the
+    index of S_7 are dropped at the next table read under another budget:
+    built alone, they take a process to 153 MB peak RSS."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("RIL_BUDGET", "4000000")
         klbase.kl_polynomials(7)
@@ -61,10 +61,12 @@ def perm_matrix(v) -> ShapeMatrix:
 def test_bruhat_matches_prefix_criterion():
     for n in (2, 3, 4, 5):
         perms = list(itertools.permutations(range(1, n + 1)))
-        table = klbase.kl_polynomials(n)
+        W, table = klbase._weyl(n), klbase.kl_polynomials(n)
         for w in perms:
+            # x is a key of the row of w iff x <= w
+            keys = {W.perms[x] for x in table.rows[W.index[w]]}
             for x in perms:
-                assert klbase.bruhat_leq(x, w) == ehresmann_leq(x, w), (x, w)
+                assert (x in keys) == ehresmann_leq(x, w), (x, w)
             # the immanant weights: every v >= w, with
             # (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1)
             w0w = tuple(n + 1 - k for k in w)
@@ -112,29 +114,29 @@ def test_kl_table_s6_pinned():
 
 
 def test_kl_table_budget_guard(monkeypatch):
-    # the index of S_4 holds 4! * 4 = 96 permutations and right actions,
-    # then counts its 213 Bruhat pairs as it builds them
+    # the index of S_4 holds 4! * 4 = 96 permutations and right actions;
+    # the table then counts its 213 Bruhat pairs as it stores its rows
     monkeypatch.setenv("RIL_BUDGET", "95")
     with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=4\): 96 permutations "
                        r"and right actions exceed RIL_BUDGET=95$"):
         klbase.kl_polynomials(4)
     monkeypatch.setenv("RIL_BUDGET", "100")
-    with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=4\): 109 Bruhat "
-                       r"pairs exceed RIL_BUDGET=100$"):
+    with pytest.raises(BudgetExceeded, match=r"^kl_polynomials\(n=4\): 109 "
+                       r"Bruhat pairs exceed RIL_BUDGET=100$"):
         klbase.kl_polynomials(4)
-    # an index built under a larger budget is not read under a smaller one:
-    # the index of S_4 is built again, and refused as a cold call is
+    # a table built under a larger budget is not read under a smaller one:
+    # the table of S_4 is built again, and refused as a cold call is
     monkeypatch.setenv("RIL_BUDGET", "213")
-    klbase._weyl(4)
+    klbase.kl_polynomials(4)
     monkeypatch.setenv("RIL_BUDGET", "212")
-    with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=4\): 213 Bruhat "
-                       r"pairs exceed RIL_BUDGET=212$"):
+    with pytest.raises(BudgetExceeded, match=r"^kl_polynomials\(n=4\): 213 "
+                       r"Bruhat pairs exceed RIL_BUDGET=212$"):
         klbase.kl_polynomials(4)
-    # the default budget refuses S_7 while its Bruhat pairs are counted,
+    # the default budget refuses S_7 while its Bruhat pairs are stored,
     # and S_9 from its permutations alone
     monkeypatch.delenv("RIL_BUDGET")
-    with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=7\): 2000277 Bruhat "
-                       r"pairs exceed RIL_BUDGET=2000000$"):
+    with pytest.raises(BudgetExceeded, match=r"^kl_polynomials\(n=7\): "
+                       r"2000277 Bruhat pairs exceed RIL_BUDGET=2000000$"):
         klbase.kl_polynomials(7)
     with pytest.raises(BudgetExceeded, match=r"^_weyl\(n=9\): 3265920 "
                        r"permutations and right actions exceed "
@@ -145,7 +147,7 @@ def test_kl_table_budget_guard(monkeypatch):
 def test_table_only_on_bruhat_pairs():
     table = klbase.kl_polynomials(4)
     for (x, w), p in table.polys.items():
-        assert klbase.bruhat_leq(x, w)
+        assert ehresmann_leq(x, w)
         assert p[0] == 1 and all(c >= 0 for c in p)
         if x != w:
             assert 2 * (len(p) - 1) <= perm_length(w) - perm_length(x) - 1
@@ -161,13 +163,13 @@ def kl_inverse_symmetry(table) -> bool:
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_rows_are_the_interval_masks(n):
-    # each row grows from the row of w s without reading the masks; its
-    # keys are [e, w], ascending
+    # each row grows from the row of w s; its keys are [e, w], ascending
     W, table = klbase._weyl(n), klbase.kl_polynomials(n)
     for w, row in enumerate(table.rows):
         keys = list(row)
         assert keys == sorted(keys)
-        assert sum(1 << x for x in keys) == W.below[w]
+        assert keys == [x for x, u in enumerate(W.perms)
+                        if ehresmann_leq(u, W.perms[w])]
 
 
 def test_inverse_symmetry():
@@ -306,7 +308,8 @@ def test_tl_is_kl_at_321_avoiding(kl7, monkeypatch):
     # Theorem 1.1 is the 321-avoiding case of Conjecture 1.2: the KL
     # weight of v at a 321-avoiding w is the TL coefficient of v at the
     # matching of w^-1 (Rhoades-Skandera, "Temperley-Lieb immanants").
-    # n = 7 needs a raised budget for the KL table: 3,550,919 Bruhat pairs.
+    # n = 7 needs a raised budget for the KL table: it stores 3,550,919
+    # Bruhat pairs.
     monkeypatch.setenv("RIL_BUDGET", "4000000")
     for n in range(1, 8):
         tl = tlalgebra._tl_table.__wrapped__(n)
