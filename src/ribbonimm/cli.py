@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from multiprocessing import Pool
 
 from . import klbase, network, ribbonmat, shuffle, tlalgebra
@@ -90,14 +92,19 @@ def _emit(obj, args, text_lines=None) -> None:
         payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     else:
         payload = "\n".join(text_lines) + "\n"
+    _write(args, [payload])
+
+
+def _write(args, chunks) -> None:
+    """Write the strings of chunks, as they come, to --out or stdout."""
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(payload)
+                fh.writelines(chunks)
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
 
 
 # ------------------------------------------------------------------ commands
@@ -279,11 +286,19 @@ def cmd_remarks(args) -> int:
 
 
 def cmd_kl_table(args) -> int:
-    n = args.n
-    table = klbase.kl_polynomials(n)
-    lines = table.dump()
-    obj = {"n": n, "table": lines}
-    _emit(obj, args, lines)
+    """Stream the dump a line at a time: the text lines, or the elements
+    of the "table" array of {"n": n, "table": lines}, quoted and laid out
+    as json.dumps(..., sort_keys=True, indent=2) does (a table has at
+    least one line)."""
+    lines = klbase.kl_polynomials(args.n).dump()
+    if args.json:
+        quoted = map(encode_basestring_ascii, lines)
+        chunks = itertools.chain(
+            [f'{{\n  "n": {args.n},\n  "table": [\n    {next(quoted)}'],
+            (f",\n    {q}" for q in quoted), ["\n  ]\n}\n"])
+    else:
+        chunks = (line + "\n" for line in lines)
+    _write(args, chunks)
     return 0
 
 

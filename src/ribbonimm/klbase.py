@@ -158,11 +158,12 @@ class KLTable:
         return _Polys(self)
 
     def dump(self):
-        """Lines `x w : polynomial`, in (length, lex) order."""
+        """Yield the lines `x w : polynomial`, in (length, lex) order."""
         names = ["".join(map(str, u)) for u in _weyl(self.n).perms]
         text = [poly_str(p) for p in self.pool]
-        return [f"{names[x]} {names[w]} : {text[pid]}"
-                for w, row in enumerate(self.rows) for x, pid in row.items()]
+        for w, row in enumerate(self.rows):
+            for x, pid in row.items():
+                yield f"{names[x]} {names[w]} : {text[pid]}"
 
 
 class _Pool:

@@ -1,5 +1,5 @@
 """Permutations of 1..n in one-line notation (tuples with values 1..n):
-inverses, inversions, descents, reduced words and 321-avoidance."""
+inverses, inversions, first right descents and 321-avoidance."""
 
 from __future__ import annotations
 
@@ -33,26 +33,6 @@ def first_right_descent(u: tuple):
         if u[i - 1] > u[i]:
             return i
     return None
-
-
-def reduced_word(u: tuple) -> tuple:
-    """Lexicographically smallest reduced word of u.
-
-    Greedy: the smallest left descent i (value i + 1 stands before value
-    i) comes first, then the word of s_i u, made by swapping the
-    positions of the two values.  Only the descent at i - 1 can be new
-    after the swap, so the search resumes there.
-    """
-    pos = list(perm_inverse(u))  # pos[v - 1]: the position of value v
-    word, i = [], 1
-    while i < len(pos):
-        if pos[i] < pos[i - 1]:
-            word.append(i)
-            pos[i - 1], pos[i] = pos[i], pos[i - 1]
-            i = max(i - 1, 1)
-        else:
-            i += 1
-    return tuple(word)
 
 
 def is_321_avoiding(u: tuple) -> bool:

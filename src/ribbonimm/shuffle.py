@@ -201,9 +201,9 @@ def _charge(d: ShuffleDiagram, N: int) -> bool:
 
 
 def _halves(d: ShuffleDiagram, N: int):
-    """(cells, reds, blues): the red and the blue SSYT as value tuples,
-    and the diagram cells that the values of red + blue fill (the red
-    cells, then the blue ones, each half in enumerate_ssyt's order).
+    """(cells, reds, blues): the red and the blue SSYT as enumerate_ssyt's
+    value tuples, and the diagram cells that the values of red + blue fill
+    (the red cells, then the blue ones, each half in its cells() order).
 
     Both halves are counted and charged to the budget before either is
     listed."""
@@ -211,9 +211,8 @@ def _halves(d: ShuffleDiagram, N: int):
              + [(2 * i, 2 * j) for i, j, _ in d.blue_shape.cells()])
     if not _charge(d, N):
         return cells, iter(()), iter(())
-    reds = (tuple(t.values()) for t in enumerate_ssyt(d.red_shape, N))
-    blues = (tuple(t.values()) for t in enumerate_ssyt(d.blue_shape, N))
-    return cells, reds, blues
+    return (cells, enumerate_ssyt(d.red_shape, N),
+            enumerate_ssyt(d.blue_shape, N))
 
 
 # -------------------------------------------------------------- type reading

@@ -146,8 +146,8 @@ class SymPoly(_Terms):
 
 def enumerate_ssyt(shape: SkewShape, N: int):
     """All fillings with weakly increasing rows and strictly increasing
-    columns, entries in [1, N], as cell -> entry maps in row-major
-    lexicographic order."""
+    columns, entries in [1, N], in row-major lexicographic order: each a
+    tuple of the entries of shape.cells(), in that order."""
     cells = [(i, j) for i, j, _ in shape.cells()]
     # an entry is capped at N minus the cells below it in its column; the
     # column of a cell's left neighbour reaches at least as far down, so
@@ -168,7 +168,7 @@ def enumerate_ssyt(shape: SkewShape, N: int):
         # order: the last entry below its cap goes up by one
         for r in range(k, n):
             vals[r] = max(vals[left[r]], vals[above[r]] + 1)
-        yield dict(zip(cells, vals))
+        yield tuple(vals[:n])
         k = n - 1
         while k >= 0 and vals[k] == cap[k]:
             k -= 1

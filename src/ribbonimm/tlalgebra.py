@@ -9,30 +9,29 @@ those canonical pairs, validated the first time they are seen.  A
 generator acts by `cap`: t_i m (side "L") or m t_i (side "R") joins two
 adjacent boundary points of m, in O(n), with no strand tracing
 (Rhoades-Skandera, "Temperley-Lieb immanants", 2005, for the matching
-model).  The basis of TL_n (`_basis`) is the Catalan(n) matchings, as
-the closure of the identity under the generators, and the table of the
-left actions m -> (t_i m, loops); `_tl_table` builds it once per n.
-`perm_to_matching` folds the right action over a reduced word.  The
-tests check both actions against the general product, which traces the
-strands of the glued diagram.
+model).  `perm_to_matching` peels first right descents off a 321-avoiding
+permutation and folds the right action over the word they spell; every
+reduced word of such a permutation gives the same product (Stembridge,
+1996: they are all commutation-equivalent).  The tests check both
+actions against the general product, which traces the strands of the
+glued diagram.
 
 The definitional immanants read one coefficient table over S_n: the
 algebra map theta sending s_i to t_i - 1, taken at w^-1 and expanded in
 the basis diagrams.  It is built once per n by a one-generator recursion
-along right descents, in length order, reading the left action.
+along right descents, in length order, reading the left action, which
+it computes for each (t_i, matching) the first time a row reaches it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import (StrandTraceError, budget, charge, charge_permutations,
                      table)
 from .perms import (apply_s, enumerate_321_avoiding,  # noqa: F401
-                    first_right_descent, is_321_avoiding, perm_length,
-                    reduced_word)
+                    first_right_descent, is_321_avoiding, perm_length)
 from .symfunc import ShapeMatrix, determinant, diagonal_products, weighted_sums
 
 
@@ -145,7 +144,7 @@ def trace_strands(adj, ends):
     return pairs, loops
 
 
-# ------------------------------------------------------------------ the basis
+# ------------------------------------------------------ the generators' action
 
 def cap(m: NoncrossingMatching, side: str, i: int):
     """Join the boundary points (side, i) and (side, i + 1) of m by a cap
@@ -163,38 +162,12 @@ def cap(m: NoncrossingMatching, side: str, i: int):
     return matching(m.n, pairs + [(p, q), (partner[p], partner[q])]), 0
 
 
-@dataclass(frozen=True)
-class _Basis:
-    """The basis diagrams of TL_n and the left action of each generator."""
-
-    matchings: tuple  # closure order from the identity
-    left: tuple       # left[i][m] = (t_i m, loops); left[0] unused
-
-
-def _basis(n: int) -> _Basis:
-    """The Catalan(n) matchings, as the closure of the identity under the
-    generators, with t_i m for each.  Built anew on each call; _tl_table,
-    kept, builds it once per n.  Not charged to the budget: _tl_table
-    first charges n! >= Catalan(n) permutations."""
-    matchings = [identity_matching(n)]
-    seen = set(matchings)
-    left = [{} for _ in range(n)]
-    for m in matchings:  # grows as new products are found
-        for i in range(1, n):
-            prod, loops = cap(m, "L", i)
-            left[i][m] = prod, loops
-            if prod not in seen:
-                seen.add(prod)
-                matchings.append(prod)
-    assert len(matchings) == math.comb(2 * n, n) // (n + 1), n
-    return _Basis(tuple(matchings), tuple(left))
-
-
 # kept: theorem1_harness reads each type again for every instance
 @table
 def perm_to_matching(u: tuple) -> NoncrossingMatching:
-    """Basis matching of the product of generators over a reduced word,
-    folded one right action m -> m t_i at a time.
+    """Basis matching of u as a product of generators: the first right
+    descents peeled off u down to the identity (u -> u s_i) spell a reduced
+    word, and the right action m -> m t_i is folded over it in reverse.
 
     The KL immanant at a 321-avoiding w is the TL immanant of
     perm_to_matching(perm_inverse(w)), the matching of the inverse (for
@@ -202,8 +175,13 @@ def perm_to_matching(u: tuple) -> NoncrossingMatching:
     """
     if not is_321_avoiding(u):
         raise ValueError(f"{u} contains the pattern 321")
+    word, i = [], first_right_descent(u)
+    while i is not None:
+        word.append(i)
+        u = apply_s(u, i)
+        i = first_right_descent(u)
     m = identity_matching(len(u))
-    for i in reduced_word(u):
+    for i in reversed(word):
         m, loops = cap(m, "R", i)
         assert loops == 0
     return m
@@ -215,20 +193,25 @@ def _tl_table(n: int) -> dict:
     """Map w -> {matching: coefficient} of theta(w^-1) over S_n.
 
     Built in length order by one generator at a time: for a right descent
-    i of w, theta(w^-1) = (t_i - 1) theta((w s_i)^-1), with t_i read from
-    the basis's left action.  Charged its n! permutations before any is
-    listed, then its nonzero entries as each row is stored.
+    i of w, theta(w^-1) = (t_i - 1) theta((w s_i)^-1), with t_i m = cap(m,
+    "L", i) computed the first time a row reaches (i, m) and then read
+    from left[i].  Charged its n! permutations before any is listed, then
+    its nonzero entries as each row is stored (not the actions, at most
+    (n - 1) Catalan(n)).
     """
     layer = f"_tl_table(n={n})"
     charge_permutations(layer, n, 1, "permutations")
-    left = _basis(n).left
+    left = [{} for _ in range(n)]
     perms = sorted(itertools.permutations(range(1, n + 1)), key=perm_length)
     table, limit, stored = {perms[0]: {identity_matching(n): 1}}, budget(), 1
     for w in perms[1:]:
         i = first_right_descent(w)
         action, out = left[i], {}
         for m, c in table[apply_s(w, i)].items():
-            prod, loops = action[m]
+            acted = action.get(m)
+            if acted is None:
+                acted = action[m] = cap(m, "L", i)
+            prod, loops = acted
             out[prod] = out.get(prod, 0) + c * 2 ** loops
             out[m] = out.get(m, 0) - c
         table[w] = row = {m: c for m, c in out.items() if c}

@@ -10,7 +10,8 @@ the library's search must reach (shuffle._sources, the LR search of
 symfunc.LRProducts on the diagram's reading layout).  The cover-to-filling
 bijection, the noncrossing matchings listed by their first strand, the
 general product of Temperley-Lieb diagrams, the evaluation of a symmetric
-polynomial over its explicit monomials and the permutation and shape
+polynomial over its explicit monomials, a reduced word read off left
+descents (the library peels right ones) and the permutation and shape
 helpers check the library's own shortcuts.
 """
 
@@ -18,7 +19,7 @@ import itertools
 
 from ribbonimm import network, shuffle
 from ribbonimm.errors import ValidityError
-from ribbonimm.perms import perm_length
+from ribbonimm.perms import perm_inverse, perm_length
 from ribbonimm.symfunc import SchurExpansion, pair_by_weight, tally
 from ribbonimm.tlalgebra import NoncrossingMatching, matching, trace_strands
 
@@ -185,6 +186,26 @@ def perm_mul(u: tuple, v: tuple) -> tuple:
 
 def perm_sign(u: tuple) -> int:
     return -1 if perm_length(u) % 2 else 1
+
+
+def reduced_word(u: tuple) -> tuple:
+    """Lexicographically smallest reduced word of u.
+
+    Greedy: the smallest left descent i (value i + 1 stands before value
+    i) comes first, then the word of s_i u, made by swapping the
+    positions of the two values.  Only the descent at i - 1 can be new
+    after the swap, so the search resumes there.
+    """
+    pos = list(perm_inverse(u))  # pos[v - 1]: the position of value v
+    word, i = [], 1
+    while i < len(pos):
+        if pos[i] < pos[i - 1]:
+            word.append(i)
+            pos[i - 1], pos[i] = pos[i], pos[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(word)
 
 
 def is_connected(shape) -> bool:

@@ -312,6 +312,27 @@ def test_kl_table(capsys):
     assert cli.main(["kl-table", "9"]) == 2
 
 
+def test_kl_table_streams_the_whole_payload(tmp_path, capsys):
+    # the streamed dump is byte for byte the whole payload: the joined
+    # text lines, or json.dumps of {"n", "table"}
+    out = tmp_path / "table"
+    for n in range(1, 7):
+        lines = list(klbase.kl_polynomials(n).dump())
+        payloads = {
+            (): "\n".join(lines) + "\n",
+            ("--json",): json.dumps({"n": n, "table": lines}, sort_keys=True,
+                                    indent=2) + "\n"}
+        for flags, payload in payloads.items():
+            assert cli.main([*flags, "kl-table", str(n)]) == 0
+            assert capsys.readouterr().out == payload
+            assert cli.main([*flags, "--out", str(out), "kl-table",
+                             str(n)]) == 0
+            assert out.read_bytes() == payload.encode()
+    assert cli.main(["--out", str(tmp_path), "kl-table", "2"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {tmp_path}: ")
+
+
 def test_out_file_byte_determinism(tmp_path, small_files):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):

@@ -215,7 +215,7 @@ def test_polys_is_a_read_only_view():
 
 
 def test_dump_format():
-    lines = klbase.kl_polynomials(2).dump()
+    lines = list(klbase.kl_polynomials(2).dump())
     assert lines == ["12 12 : 1", "12 21 : 1", "21 21 : 1"]
 
 

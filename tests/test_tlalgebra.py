@@ -6,11 +6,11 @@ import pytest
 
 from conftest import compatible, compatible_types, random_shape_matrix
 from oracles import (all_matchings, diagram_mul, generator, identity_perm,
-                     perm_mul, perm_sign)
+                     perm_mul, perm_sign, reduced_word)
 from ribbonimm import tlalgebra
 from ribbonimm.errors import BudgetExceeded
 from ribbonimm.perms import (apply_s, enumerate_321_avoiding, is_321_avoiding,
-                             perm_inverse, perm_length, reduced_word)
+                             perm_inverse, perm_length)
 from ribbonimm.symfunc import SymPoly, determinant
 from ribbonimm.tlalgebra import (NoncrossingMatching, cap, identity_matching,
                                  imm_tl, matching, minor, perm_to_matching)
@@ -55,6 +55,24 @@ def test_long_permutation_has_a_reduced_word():
     assert perm_to_matching(u).n == 66
 
 
+def test_perm_to_matching_folds_any_reduced_word():
+    # the first right descents that perm_to_matching peels spell one
+    # reduced word; the oracle's word, read off left descents, is another,
+    # and folds to the same matching
+    def fold(u):
+        m = identity_matching(len(u))
+        for i in reduced_word(u):
+            m, loops = cap(m, "R", i)
+            assert loops == 0
+        return m
+
+    long_perm = tuple(range(34, 67)) + tuple(range(1, 34))
+    for n in range(1, 8):
+        for u in enumerate_321_avoiding(n):
+            assert perm_to_matching(u) == fold(u), u
+    assert perm_to_matching(long_perm) == fold(long_perm)
+
+
 def test_321_avoiding_catalan():
     for n in range(1, 7):
         count = sum(1 for _ in enumerate_321_avoiding(n))
@@ -68,10 +86,9 @@ def test_is_321_avoiding():
 
 
 def test_perm_to_matching_bijective():
-    # the basis (the closure of the identity under the generators) against
-    # the 321-avoiding bijection, the matchings listed by their first
-    # strand and, for n <= 5, every perfect matching of the 2n points that
-    # the constructor accepts
+    # the 321-avoiding bijection against the matchings listed by their
+    # first strand and, for n <= 5, every perfect matching of the 2n points
+    # that the constructor accepts
     def perfect_matchings(points):
         if not points:
             yield []
@@ -84,11 +101,9 @@ def test_perm_to_matching_bijective():
     for n in range(1, 8):
         images = {perm_to_matching(u) for u in enumerate_321_avoiding(n)}
         assert len(images) == CATALAN[n]
-        basis = tlalgebra._basis(n).matchings
         listed = all_matchings(n)
-        assert len(basis) == len(set(basis)) == CATALAN[n]
         assert len(listed) == len(set(listed)) == CATALAN[n]
-        assert images == set(basis) == set(listed)
+        assert images == set(listed)
         if n <= 5:
             points = [(side, k) for side in "LR" for k in range(1, n + 1)]
             found = set()
@@ -136,15 +151,13 @@ def test_matchings_are_interned():
 
 
 def test_actions_match_diagram_products():
-    # every entry of the left-action table, and the right action that
-    # perm_to_matching folds, against the traced product
+    # the left action that _tl_table reads, and the right action that
+    # perm_to_matching folds, against the traced product on every matching
     for n in range(1, 7):
-        B = tlalgebra._basis(n)
         for i in range(1, n):
             g = generator(n, i)
-            assert len(B.left[i]) == CATALAN[n]
-            for m in B.matchings:
-                assert B.left[i][m] == cap(m, "L", i) == diagram_mul(g, m)
+            for m in all_matchings(n):
+                assert cap(m, "L", i) == diagram_mul(g, m)
                 assert cap(m, "R", i) == diagram_mul(m, g)
 
 
@@ -262,22 +275,27 @@ def test_tl_table_charges_its_slots(monkeypatch):
         tlalgebra._tl_table.__wrapped__(4)
     monkeypatch.setenv("RIL_BUDGET", "174")
     assert tlalgebra._tl_table.__wrapped__(4) == tlalgebra._tl_table(4)
-    # 8! permutations pass a budget of 40,319 before the basis is built
+    # 8! permutations pass a budget of 40,319 before any generator acts
     monkeypatch.setenv("RIL_BUDGET", "40319")
 
     def refuse(*args):
-        raise AssertionError("built before the budget check")
+        raise AssertionError("acted before the budget check")
 
     with monkeypatch.context() as mp:
-        mp.setattr(tlalgebra, "_basis", refuse)
+        mp.setattr(tlalgebra, "cap", refuse)
         with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=8\): 40320 "
                            r"permutations exceed RIL_BUDGET=40319$"):
             tlalgebra._tl_table(8)
     # the default budget takes S_6 and S_7 by the entries they store, and
-    # refuses S_8 once its entries pass it
+    # refuses S_8 once its entries pass it; the rows of S_n use exactly
+    # the Catalan(n) basis matchings
     monkeypatch.delenv("RIL_BUDGET")
-    assert [sum(map(len, tlalgebra._tl_table.__wrapped__(n).values()))
-            for n in (6, 7)] == [42600, 943584]
+    stored = []
+    for n in range(1, 8):
+        rows = tlalgebra._tl_table.__wrapped__(n).values()
+        assert len(set().union(*rows)) == CATALAN[n], n
+        stored.append(sum(map(len, rows)))
+    assert stored[5:] == [42600, 943584]
     with pytest.raises(BudgetExceeded, match=r"^_tl_table\(n=8\): 2000074 "
                        r"entries exceed RIL_BUDGET=2000000$"):
         tlalgebra._tl_table(8)
