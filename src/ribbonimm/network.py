@@ -60,10 +60,6 @@ class RibbonNetwork:
     def ell(self):
         return len(self.starts)
 
-    @property
-    def top(self):
-        return self.N + 1
-
     def vertical_up(self, content) -> bool:
         return self.ribbon.step(content) == BELOW
 
@@ -187,18 +183,10 @@ def uncross_type(family) -> NoncrossingMatching:
     that path and reverses direction, so two strands that meet bounce off
     each other instead of crossing.  It ends when it runs forward off the
     end of a path j (at Q_j) or backward off its start (at P_j).
-    Returns the interned matching.
+    Returns the interned matching.  _compiled refuses a malformed cover
+    with StrandTraceError: a vertex on three paths (and so an edge covered
+    three times) puts two paths of one colour on it.
     """
-    on = Counter(v for _, verts, _ in family for v in verts)
-    crowded = [v for v, n in on.items() if n > 2]
-    if crowded:
-        # an edge covered three times puts both its ends on three paths
-        edges = Counter(e for _, verts, _ in family
-                        for e in zip(verts, verts[1:]))
-        if max(edges.values()) > 2:
-            raise StrandTraceError("an edge is covered more than twice")
-        raise StrandTraceError(f"vertex {crowded[0]} lies on "
-                               f"{on[crowded[0]]} paths")
     n = len(family[0][2]) if family else 0
     return _uncross(_compiled([p for p in family if p[0] % 2], n),
                     _compiled([p for p in family if not p[0] % 2], n))

@@ -209,10 +209,6 @@ class InfiniteRibbon:
              + (self.tail_hi == BELOW) * max(hi - max(lo, whi), 0))
         return (-b, i - b) if i >= 0 else (b, i + b)
 
-    def shift(self, t: int) -> "InfiniteRibbon":
-        """Ribbon with step map shifted: new step(i) = old step(i - t)."""
-        return InfiniteRibbon(self.window_lo + t, self.steps, self.tail_lo, self.tail_hi)
-
     def to_json(self):
         return {
             "window_lo": self.window_lo,

@@ -59,57 +59,42 @@ class ShuffleDiagram:
     red_shape/blue_shape are the halved representatives, so the red cell
     for (i, j) of red_shape is (2i-1, 2j-1) and the blue cell for (i, j)
     of blue_shape is (2i, 2j).  P and Q list the node positions, one pair
-    per section.
+    per section.  strand_picture is the part of the strand picture that
+    no filling changes, compiled by the constructor (_compile_picture).
     """
 
     __slots__ = ("decomposition", "red_shape", "blue_shape", "cells", "P",
-                 "Q", "row_off", "col_off", "reading_order", "_picture",
-                 "_types")
+                 "Q", "row_off", "col_off", "reading_order",
+                 "strand_picture", "_types")
 
     def __init__(self, dec: RibbonDecomposition):
         self.decomposition = dec
         R = dec.ribbon
-        m1 = dec.copies[0]
-        # offsets chosen so odd sections land on the odd sublattice
-        row_off = col_off = (1 + m1) % 2
-
-        def embed(k, c):
-            m = dec.copies[k - 1]
-            r, q = R.box(c)
-            return (2 * (r + m) - m + row_off, 2 * (q + m) - m + col_off)
-
-        def nodes(k):
-            a, b = dec.abar[k - 1], dec.bbar[k - 1]
-            i, j = embed(k, a)
-            qk = (i + 1, j) if R.step(a) == BELOW else (i, j - 1)
-            i, j = embed(k, b - 1)
-            pk = (i - 1, j) if R.step(b) == BELOW else (i, j + 1)
-            return pk, qk
-
-        coords = []
-        for k in range(1, dec.ell + 1):
-            for c in range(dec.abar[k - 1], dec.bbar[k - 1]):
-                coords.append(embed(k, c))
-        coords += [v for k in range(1, dec.ell + 1) for v in nodes(k)]
+        # offsets chosen so odd sections land on the odd sublattice; the
+        # shift into rows and columns >= 1 found below is even
+        off = (1 + dec.copies[0]) % 2
+        cells, P, Q = [], [], []
+        for k, (m, a, b) in enumerate(dec.sections, start=1):
+            section = [(2 * r + m + off, 2 * q + m + off)
+                       for r, q in map(R.box, range(a, b))]
+            cells += [(pos, (k, c)) for pos, c in zip(section, range(a, b))]
+            (i, j), (i2, j2) = section[0], section[-1]
+            Q.append((i + 1, j) if R.step(a) == BELOW else (i, j - 1))
+            P.append((i2 - 1, j2) if R.step(b) == BELOW else (i2, j2 + 1))
+        coords = [pos for pos, _ in cells] + P + Q
         dr = max(0, 1 - min(r for r, _ in coords))
         dc = max(0, 1 - min(c for _, c in coords))
-        row_off += dr + dr % 2
-        col_off += dc + dc % 2
-        self.row_off, self.col_off = row_off, col_off
+        dr, dc = dr + dr % 2, dc + dc % 2
+        self.row_off, self.col_off = off + dr, off + dc
 
         self.cells = {}
-        for k in range(1, dec.ell + 1):
-            for c in range(dec.abar[k - 1], dec.bbar[k - 1]):
-                pos = embed(k, c)
-                assert pos not in self.cells
-                assert pos[0] % 2 == pos[1] % 2 == k % 2
-                self.cells[pos] = (k, c)
-        self.P, self.Q = [], []
-        for k in range(1, dec.ell + 1):
-            pk, qk = nodes(k)
-            self.P.append(pk)
-            self.Q.append(qk)
-        self.P, self.Q = tuple(self.P), tuple(self.Q)
+        for (r, c), (k, content) in cells:
+            pos = (r + dr, c + dc)
+            assert pos not in self.cells
+            assert pos[0] % 2 == pos[1] % 2 == k % 2
+            self.cells[pos] = (k, content)
+        self.P = tuple((r + dr, c + dc) for r, c in P)
+        self.Q = tuple((r + dr, c + dc) for r, c in Q)
         pts = set(self.P) | set(self.Q)
         if len(pts) != 2 * dec.ell or pts & set(self.cells):
             raise StrandTraceError("node positions collide")
@@ -125,19 +110,8 @@ class ShuffleDiagram:
         self.reading_order = tuple(
             ((r, c), (r - 2, c), (r + 2, c))
             for r, c in sorted(self.cells, key=lambda p: (-p[0], p[1])))
-        self._picture = None
+        self.strand_picture = _compile_picture(self)
         self._types = {}  # choice pattern -> traced type, see tl_type
-
-    @property
-    def ell(self) -> int:
-        return self.decomposition.ell
-
-    def strand_picture(self):
-        """The filling-independent part of the strand picture, compiled on
-        first use (see _compile_picture)."""
-        if self._picture is None:
-            self._picture = _compile_picture(self)
-        return self._picture
 
 
 class ShuffleTableau:
@@ -248,7 +222,8 @@ def _virtual_entry(d: ShuffleDiagram, pos) -> float:
 
 
 def _compile_picture(d: ShuffleDiagram):
-    """The parts of the strand picture that no filling changes.
+    """The parts of the strand picture that no filling changes, compiled
+    once per diagram by its constructor (ShuffleDiagram.strand_picture).
 
     Every lattice corner has the diagram entry (or sentinel) i to its
     south-west and j to its north-east; i <= j lays the two vertical
@@ -292,7 +267,7 @@ def tl_type(T: ShuffleTableau) -> NoncrossingMatching:
     d = T.diagram
     entries = T.entries
     return _type_of(d, tuple([entries[sw] <= entries[ne]
-                              for sw, ne, _, _ in d.strand_picture()[1]]))
+                              for sw, ne, _, _ in d.strand_picture[1]]))
 
 
 def _type_of(d: ShuffleDiagram, choice) -> NoncrossingMatching:
@@ -308,7 +283,7 @@ def _trace_type(d: ShuffleDiagram, choice) -> NoncrossingMatching:
     """Type of the strand picture whose compared blocks lay the segments
     choice picks (True: the vertical pair, False: the horizontal pair),
     checked for degree and coverage before it is traced."""
-    fixed, compared, node_label = d.strand_picture()
+    fixed, compared, node_label = d.strand_picture
     segs = list(fixed)
     for (_, _, vertical, horizontal), le in zip(compared, choice):
         segs += vertical if le else horizontal
@@ -335,7 +310,7 @@ def _trace_type(d: ShuffleDiagram, choice) -> NoncrossingMatching:
         raise StrandTraceError(f"cell {pos} received no segment")
 
     pairs, _ = trace_strands(adj, node_label)
-    return matching(d.ell, pairs)
+    return matching(len(d.P), pairs)
 
 
 # ------------------------------------------------------ reading word, crystal
@@ -465,7 +440,7 @@ def tableaux_by_type(dec: RibbonDecomposition, N: int):
     n = min(N, len(d.cells))
     cells, reds, blues = _halves(d, n)
     slot = {pos: s for s, pos in enumerate(cells)}
-    pairs = [(slot[sw], slot[ne]) for sw, ne, _, _ in d.strand_picture()[1]]
+    pairs = [(slot[sw], slot[ne]) for sw, ne, _, _ in d.strand_picture[1]]
 
     def typed():
         for red, blue, key in pair_by_weight(reds, blues,

@@ -661,12 +661,17 @@ class ShapeMatrix:
         self.products = LRProducts(self.nvars)
 
     def __getitem__(self, ij):
-        """Entry ij in the matrix's ring."""
+        """Entry ij (1-based) in the matrix's ring."""
+        if not all(1 <= i <= self.n for i in ij):
+            raise IndexError(f"entry {ij} is outside 1..{self.n}")
         return self.ring(self.nvars, self.times(self.one(), *ij).coeffs)
 
     def submatrix(self, rows, cols) -> "ShapeMatrix":
         rows, cols = sorted(rows), sorted(cols)
-        assert len(rows) == len(cols)
+        if len(rows) != len(cols) or not all(
+                1 <= i <= self.n for i in rows + cols):
+            raise ValueError(f"rows {rows} and columns {cols} do not index "
+                             f"a square submatrix of 1..{self.n}")
         return ShapeMatrix(len(rows), self.nvars, [
             [self.shapes[i - 1][j - 1] for j in cols] for i in rows],
             self.ring)

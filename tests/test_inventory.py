@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -20,6 +21,11 @@ RECURSIVE = set()
 # of one cover, which covers_by_type runs on families it indexed once, and
 # the tests hold it against shuffle.tl_type.
 UNCALLED = {"crystal_E", "crystal_F", "uncross_type", "__version__"}
+
+# Public methods and properties of the classes in __all__ that nothing in
+# the package, the benchmark workloads or the README tour reads:
+# criterion 8 reads each crystal step's weight.
+UNREAD_MEMBERS = {"ShuffleTableau.weight"}
 
 # (module, name) imported and not used there: perfbench/workloads.py reads
 # tlalgebra.enumerate_321_avoiding.
@@ -125,6 +131,31 @@ def test_every_public_name_has_a_caller():
     read |= _reads(ast.parse((ROOT / "perfbench/workloads.py").read_text()))
     read |= _reads(ast.parse(_library_tour()))
     assert set(ribbonimm.__all__) - read == UNCALLED
+
+
+def test_every_public_member_has_a_reader():
+    # a member is read when its name is read off any object; a read
+    # inside the member's own definition is not a reader
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    members = {f"{cls.name}.{node.name}": node
+               for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef)
+               and cls.name in ribbonimm.__all__
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    trees += [ast.parse((ROOT / "perfbench/workloads.py").read_text()),
+              ast.parse(_library_tour())]
+
+    def attribute_reads(*trees):
+        return Counter(node.attr for tree in trees for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Load))
+
+    read = attribute_reads(*trees)
+    unread = {name for name, node in members.items()
+              if read[node.name] == attribute_reads(node)[node.name]}
+    assert unread == UNREAD_MEMBERS
 
 
 def test_no_module_imports_a_name_it_does_not_use():

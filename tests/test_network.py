@@ -24,7 +24,7 @@ def test_endpoints(hook_dec):
     assert net.ell == 4
     assert len(net.starts) == len(net.ends) == 4
     for _, h in net.starts + net.ends:
-        assert h in (1, net.top)
+        assert h in (1, net.N + 1)
 
 
 def test_path_weight_sum_is_matrix_entry(hook_dec):
@@ -79,7 +79,9 @@ def test_uncross_type_rejects_an_edge_covered_three_times():
     family = [(1, ((3, 1), (2, 1), (1, 1)), ()),
               (2, ((3, 2), (2, 1), (1, 1), (0, 1)), ()),
               (3, ((2, 3), (2, 2), (2, 1), (1, 1), (1, 0)), ())]
-    with pytest.raises(StrandTraceError, match="covered more than twice"):
+    # the three paths share (2, 1) and (1, 1), two of them red
+    with pytest.raises(StrandTraceError,
+                       match=r"vertex \(2, 1\) lies on two paths of one"):
         network.uncross_type(family)
 
 
@@ -87,7 +89,8 @@ def test_uncross_type_rejects_a_vertex_on_three_paths():
     family = [(1, ((3, 1), (2, 2), (1, 1)), ()),
               (2, ((3, 2), (2, 2), (1, 2)), ()),
               (3, ((3, 3), (2, 2), (1, 3)), ())]
-    with pytest.raises(StrandTraceError, match=r"vertex \(2, 2\) lies on 3"):
+    with pytest.raises(StrandTraceError,
+                       match=r"vertex \(2, 2\) lies on two paths of one"):
         network.uncross_type(family)
 
 

@@ -120,7 +120,11 @@ def test_ribbon_box_counts_the_walk(hook_ribbon):
     assert len(ribbons) == 67
     for ribbon in ribbons:
         for t in (-7, 0, 4):
-            R = ribbon.shift(t)
+            # the ribbon shifted by t: step(i) of R is step(i - t) of ribbon
+            R = InfiniteRibbon(ribbon.window_lo + t, ribbon.steps,
+                               ribbon.tail_lo, ribbon.tail_hi)
+            assert [R.step(i) for i in range(-30, 31)] == [
+                ribbon.step(i - t) for i in range(-30, 31)], R
             assert [R.box(i) for i in range(-30, 31)] == [
                 _walked_box(R, i) for i in range(-30, 31)], R
 
@@ -132,11 +136,6 @@ def test_ribbon_box_far_from_the_window(hook_ribbon):
     # the BELOW tail below -2, and one more BELOW in the window at -2..0
     assert hook_ribbon.box(-10 ** 6) == (10 ** 6 - 2, -2)
     assert hook_ribbon.box(500) == _walked_box(hook_ribbon, 500)
-
-
-def test_ribbon_shift():
-    r = InfiniteRibbon(0, (BELOW,), tail_lo=LEFT, tail_hi=LEFT)
-    assert r.shift(3).step(4) == r.step(1)
 
 
 def test_section_shape():

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -60,6 +61,17 @@ def test_nodes_are_corners(hook_dec):
     for pos in d.P + d.Q:
         assert sum(pos) % 2 == 1
         assert pos not in d.cells
+
+
+def test_diagram_layout_is_pinned(hook_dec):
+    # every cell with its (section, content), node and offset of the
+    # diagrams of a corpus and the hook, so no layout edit moves one unseen
+    decs = [*corpus.sweep_corpus(8, 5, 5, per_bucket=4), hook_dec]
+    assert len(decs) == 121
+    layout = [(sorted(d.cells.items()), d.P, d.Q, d.row_off, d.col_off)
+              for d in map(shuffle.ShuffleDiagram, decs)]
+    assert hashlib.sha256(repr(layout).encode()).hexdigest() == (
+        "afd30adc9a03d8291944d9b01514cd193b9a2de3fa9b456e0f5e5bce39e23acb")
 
 
 def test_pinned_type(pinned_tableau):
@@ -233,7 +245,7 @@ def test_types_are_traced_once_per_choice_pattern(monkeypatch):
         by_type = shuffle.tableaux_by_type(dec, N)
         # every filling traced on its own, on a diagram whose memo is unused
         d = shuffle.ShuffleDiagram(dec)
-        compared = d.strand_picture()[1]
+        compared = d.strand_picture[1]
         choices, each = set(), []
         for T, key in partition_weight_fillings(d, N):
             choice = tuple(T.entries[sw] <= T.entries[ne]

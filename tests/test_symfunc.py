@@ -527,6 +527,13 @@ def test_shape_matrix_indexing():
     sub = M.submatrix((2,), (1,))
     assert sub.n == 1 and sub.ring == M.ring
     assert sub[1, 1] == skew_schur(theta, 2)
+    # indices are 1..n: 0 would wrap to the last row or column
+    for ij in ((0, 1), (1, 0), (3, 1), (1, 3)):
+        with pytest.raises(IndexError, match="outside 1..2"):
+            M[ij]
+    for rows, cols in (((0,), (0,)), ((1, 3), (1, 2)), ((1, 2), (1,))):
+        with pytest.raises(ValueError, match="square submatrix of 1..2"):
+            minor(M, rows, cols)
     # the default ring is the Schur basis
     assert ShapeMatrix(2, 2, M.shapes)[2, 1] == SchurExpansion(
         2, {(2,): 1, (1, 1): 1})
