@@ -71,7 +71,7 @@ def charge_determinant(n: int) -> None:
 
 
 class ValidityError(RibbonError):
-    """A tableau operation produced an invalid filling (internal error)."""
+    """A filling does not cover its diagram semistandardly."""
 
 
 _TABLES = {}  # function -> {args: the value kept for the process}

@@ -33,9 +33,10 @@ filling the diagram one cell at a time in reverse reading order and
 placing a letter i+1 only while the word of i keeps at least as many i's
 as (i+1)'s (the ballot pruning of Stembridge's proof of the LR rule).
 The search counts the partial fillings it visits and charges them to the
-budget.  Each filling it completes is built as a ShuffleTableau,
-confirmed by the one-pass Yamanouchi test and typed by tl_type.  Only
-the crystal operators build reading words.
+budget.  Each filling it completes is built as a ShuffleTableau (whose
+constructor checks that it is semistandard), confirmed by the one-pass
+Yamanouchi test and typed by tl_type.  Only the crystal operators build
+reading words.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class ShuffleDiagram:
 
 
 class ShuffleTableau:
-    """Filling of an interleaved diagram, entries positive integers.
+    """Filling of an interleaved diagram, entries positive integers;
+    ValidityError if it does not cover the diagram semistandardly.
 
     Nothing mutates the entries after construction, so the reading word of
     each index is built once and kept in words."""
@@ -128,6 +130,14 @@ class ShuffleTableau:
         self.words = {}
         if self.entries.keys() != diagram.cells.keys():
             raise ValidityError("filling does not cover the diagram")
+        # rows weakly increase, columns strictly increase; consecutive
+        # cells of a diagram row or column are two lattice steps apart
+        # (the gap position belongs to the other sublattice)
+        for (r, c), v in self.entries.items():
+            if not (isinstance(v, int) and v >= 1
+                    and self.entries.get((r, c + 2), v) >= v
+                    and self.entries.get((r + 2, c), v + 1) > v):
+                raise ValidityError("filling is not semistandard")
 
     def __eq__(self, other):
         return (isinstance(other, ShuffleTableau)
@@ -136,22 +146,6 @@ class ShuffleTableau:
 
     def __hash__(self):
         return hash(frozenset(self.entries.items()))
-
-    def is_valid(self) -> bool:
-        """Rows weakly increase, columns strictly increase.
-
-        Consecutive cells of a diagram row or column are two lattice steps
-        apart (the gap position belongs to the other sublattice)."""
-        for (r, c), v in self.entries.items():
-            if not (isinstance(v, int) and v >= 1):
-                return False
-            right = self.entries.get((r, c + 2))
-            if right is not None and right < v:
-                return False
-            below = self.entries.get((r + 2, c))
-            if below is not None and below <= v:
-                return False
-        return True
 
     def weight(self, N: int) -> tuple:
         return _weight(self.entries.values(), N)
@@ -371,10 +365,7 @@ def unmatched_positions(word, i):
 def _flip(T: ShuffleTableau, pos, new_value) -> ShuffleTableau:
     entries = dict(T.entries)
     entries[pos] = new_value
-    out = ShuffleTableau(T.diagram, entries)
-    if not out.is_valid():
-        raise ValidityError(f"flip at {pos} broke the filling")
-    return out
+    return ShuffleTableau(T.diagram, entries)
 
 
 def crystal_E(T: ShuffleTableau, i: int):
@@ -412,9 +403,7 @@ def is_yamanouchi(T: ShuffleTableau) -> bool:
     opened = [0] * (max(entries.values(), default=1) + 1)
     for pos, above, below in T.diagram.reading_order:
         v = entries[pos]
-        up = get(above, 0)
-        assert up < v, f"column not strict above {pos}"
-        if up != v - 1:
+        if get(above, 0) != v - 1:
             opened[v - 1] += 1
         if opened[v] and get(below) != v + 1:
             opened[v] -= 1

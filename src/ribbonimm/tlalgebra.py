@@ -240,7 +240,7 @@ def imm_tl(tau: NoncrossingMatching, A):
               for w, row in _tl_table(tau.n).items() if tau in row}
     terms = ((tau, column[w], p)
              for w, p in diagonal_products(A, column).items())
-    return weighted_sums(terms, A.nvars, A.ring).get(tau, A.ring(A.nvars))
+    return weighted_sums(terms, A.nvars, A.ring).get(tau) or A.ring(A.nvars)
 
 
 def imm_tl_all(A) -> dict:

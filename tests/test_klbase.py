@@ -38,6 +38,13 @@ def kl7():
         klbase.kl_polynomials(7)
 
 
+@pytest.fixture(scope="module")
+def hecke():
+    """The Hecke oracle's tables of S_1..S_5, which it does not keep: they
+    use neither symmetry of P, so they test the twin rows."""
+    return {n: klbase.kl_polynomials_hecke(n) for n in range(1, 6)}
+
+
 def kl_weights(table, w) -> dict:
     """v -> (-1)^{l(v)-l(w)} P_{w0 v, w0 w}(1), the weight of v in the KL
     immanant at w, read off the row of w0 w in table.rows."""
@@ -99,10 +106,9 @@ def test_first_nontrivial_polynomial():
     assert table.polys.get(((2, 1, 4, 3), (4, 2, 3, 1)), ()) == (1, 1)
 
 
-def test_recursion_matches_bar_involution_solve():
+def test_recursion_matches_bar_involution_solve(hecke):
     for n in (2, 3, 4, 5):
-        assert klbase.kl_polynomials(n).polys == \
-            klbase.kl_polynomials_hecke(n).polys
+        assert klbase.kl_polynomials(n).polys == hecke[n].polys
 
 
 def test_kl_table_s6_pinned():
@@ -153,12 +159,18 @@ def test_table_only_on_bruhat_pairs():
             assert 2 * (len(p) - 1) <= perm_length(w) - perm_length(x) - 1
 
 
-def kl_inverse_symmetry(table) -> bool:
-    """P_{x,w} == P_{x^-1,w^-1} over the whole table."""
+def kl_symmetry(table, f) -> bool:
+    """P_{x,w} == P_{f(x),f(w)} over the whole table."""
     for (x, w), p in table.polys.items():
-        if table.polys.get((perm_inverse(x), perm_inverse(w))) != p:
+        if table.polys.get((f(x), f(w))) != p:
             return False
     return True
+
+
+def w0_conjugate(u) -> tuple:
+    """w0 u w0: u(i) -> n + 1 - u(n + 1 - i)."""
+    n = len(u)
+    return tuple(n + 1 - a for a in reversed(u))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -172,9 +184,29 @@ def test_rows_are_the_interval_masks(n):
                         if ehresmann_leq(u, W.perms[w])]
 
 
-def test_inverse_symmetry():
-    for n in range(1, 7):
-        assert kl_inverse_symmetry(klbase.kl_polynomials(n)), n
+def test_inverse_symmetry(hecke):
+    # on the oracle: the recursion copies the rows of twins, so its own
+    # table would be compared with itself
+    for n, table in hecke.items():
+        assert kl_symmetry(table, perm_inverse), n
+
+
+def test_w0_conjugation_symmetry(hecke):
+    for n, table in hecke.items():
+        assert kl_symmetry(table, w0_conjugate), n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_twins_are_length_preserving_involutions(n):
+    W = klbase._weyl(n)
+    inv, flip, both = klbase._twins(n)
+    assert [W.perms[k] for k in inv] == list(map(perm_inverse, W.perms))
+    assert [W.perms[k] for k in flip] == list(map(w0_conjugate, W.perms))
+    assert [W.perms[k] for k in both] == [w0_conjugate(perm_inverse(u))
+                                          for u in W.perms]
+    for twin in (inv, flip, both):
+        assert [twin[k] for k in twin] == list(range(len(W.perms)))
+        assert [W.length[k] for k in twin] == list(W.length)
 
 
 def left_s(u, i):

@@ -75,7 +75,6 @@ def test_diagram_layout_is_pinned(hook_dec):
 
 
 def test_pinned_type(pinned_tableau):
-    assert pinned_tableau.is_valid()
     tau = shuffle.tl_type(pinned_tableau)
     assert str(tau) == "(L1-R1)(L2-R4)(L3-L4)(R2-R3)"
 
@@ -134,7 +133,6 @@ def test_reading_word_pins():
         assert len(cols) == len(vals)
         entries.update(dict(zip(((r, c) for c in cols), vals)))
     T = shuffle.ShuffleTableau(d, entries)
-    assert T.is_valid()
     assert shuffle.reading_word(T, 1).word == (2, 2, 2, 1, 2)
     assert shuffle.reading_word(T, 2).word == (
         2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 2)
@@ -350,15 +348,32 @@ def test_source_search_is_budgeted(monkeypatch):
     assert refused.value.__context__ is None
 
 
-def test_weight_counts_entries_in_range(hook_dec):
+def test_weight_counts_entries_in_range(pinned_tableau):
+    # the pinned filling's 27 entries, counted from RED_ROWS and BLUE_ROWS
+    assert pinned_tableau.weight(7) == (1, 4, 3, 3, 6, 7, 3)
+    assert pinned_tableau.weight(8) == (1, 4, 3, 3, 6, 7, 3, 0)
+    with pytest.raises(ValueError, match="^entry 7 is outside 1..6$"):
+        pinned_tableau.weight(6)
+    # no tableau holds a 0 (the constructor refuses it), so the helper
+    # that counts the entries is read directly
+    with pytest.raises(ValueError, match="^entry 0 is outside 1..3$"):
+        shuffle._weight((1, 0), 3)
+
+
+def test_a_filling_that_is_not_semistandard_is_refused(hook_dec):
+    # all 1s, 3s or 0s covers the hook's diagram, but not one of its
+    # columns is strict; a row read right to left keeps the columns strict
+    # and lets the rows fall.  The constructor refuses each, so neither
+    # is_yamanouchi nor tl_type can be handed such a filling.
     d = shuffle.ShuffleDiagram(hook_dec)
-    assert len(d.cells) == 27
-    T = shuffle.ShuffleTableau(d, dict.fromkeys(d.cells, 3))
-    assert T.weight(3) == (0, 0, 27)
-    for v in (0, 4):
-        T = shuffle.ShuffleTableau(d, dict.fromkeys(d.cells, v))
-        with pytest.raises(ValueError, match=f"^entry {v} is outside 1..3$"):
-            T.weight(3)
+    for entries in (*(dict.fromkeys(d.cells, v) for v in (1, 3, 0)),
+                    {(r, c): 100 * r - c for r, c in d.cells}):
+        with pytest.raises(ValidityError,
+                           match="^filling is not semistandard$"):
+            shuffle.ShuffleTableau(d, entries)
+    # the same lattice rows filled by their row index are semistandard
+    T = shuffle.ShuffleTableau(d, {(r, c): r for r, c in d.cells})
+    assert isinstance(shuffle.tl_type(T), tlalgebra.NoncrossingMatching)
 
 
 def test_invalid_filling_rejected(hook_dec):
