@@ -20,8 +20,7 @@ from multiprocessing import Pool
 
 from . import klbase, network, ribbonmat, shuffle, tlalgebra
 from .corpus import sweep_corpus
-from .errors import (BudgetExceeded, RibbonError, budget, charge_determinant,
-                     charge_permutations)
+from .errors import BudgetExceeded, RibbonError, budget, charge_determinant
 from .shapes import InfiniteRibbon, SkewShape, decompose, odd_even_shapes
 from .symfunc import (SchurExpansion, ShapeMatrix, SymPoly, determinant,
                       expand_schur, weighted_sums)
@@ -96,15 +95,19 @@ def _emit(obj, args, text_lines=None) -> None:
 
 
 def _write(args, chunks) -> None:
-    """Write the strings of chunks, as they come, to --out or stdout."""
+    """Write the strings of chunks, none empty, to --out or stdout, joined
+    4096 at a time: an unbuffered stream takes one write call per block,
+    and a long dump is never held whole."""
+    chunks = iter(chunks)
+    blocks = iter(lambda: "".join(itertools.islice(chunks, 4096)), "")
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.writelines(chunks)
+                fh.writelines(blocks)
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(blocks)
 
 
 # ------------------------------------------------------------------ commands
@@ -120,7 +123,7 @@ def cmd_decompose(args) -> int:
 def cmd_matrix(args) -> int:
     dec = _decomposition(args)
     N = _resolve_nvars(args.nvars, dec)
-    rm = ribbonmat.RibbonMatrix(dec, N, ribbonmat.section_matrix(dec, N))
+    rm = ribbonmat.RibbonMatrix(dec, ribbonmat.section_matrix(dec, N))
     if args.minor:
         try:
             I = sorted({int(x) for x in args.minor.split(",")})
@@ -193,7 +196,7 @@ def _sweep_one(packed):
     try:
         if theorem == "det":
             item["ok"] = ribbonmat.check_determinant(ribbonmat.RibbonMatrix(
-                dec, N, ribbonmat.section_matrix(dec, N)))
+                dec, ribbonmat.section_matrix(dec, N)))
         elif theorem == "1.1":
             report = ribbonmat.theorem1_harness(dec, N)
             item["ok"] = report["overall_positive"]
@@ -221,19 +224,15 @@ def _sweep_one(packed):
 
 
 def cmd_sweep(args) -> int:
-    # refused by the size of the --max-ell table before the corpus is
-    # built; the table itself is built, and shared by forked workers, for
-    # the most sections an instance of at most --max-cells cells has
+    # the table for the most sections an instance of at most --max-cells
+    # cells has is built, or refused by its own builder, before the
+    # corpus, and shared by forked workers
     ell = min(args.max_ell, args.max_cells)
     if args.theorem == "det":
-        charge_determinant(args.max_ell)
+        charge_determinant(ell)
     elif args.theorem == "conj1.2":
-        charge_permutations(f"_weyl(n={args.max_ell})", args.max_ell,
-                            args.max_ell, "permutations and right actions")
         klbase.kl_polynomials(ell)
     else:
-        charge_permutations(f"_tl_table(n={args.max_ell})", args.max_ell, 1,
-                            "permutations")
         tlalgebra._tl_table(ell)
     decs = sweep_corpus(args.max_cells, args.max_window,
                         args.max_ell, args.per_bucket)

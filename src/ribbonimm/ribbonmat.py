@@ -29,26 +29,25 @@ from . import tlalgebra
 @dataclass(frozen=True)
 class RibbonMatrix:
     decomposition: RibbonDecomposition
-    nvars: int
     matrix: ShapeMatrix
 
 
-def section_matrix(dec: RibbonDecomposition, N: int,
-                   ring=SchurExpansion) -> ShapeMatrix:
+def section_matrix(dec: RibbonDecomposition, N: int) -> ShapeMatrix:
     """The matrix with entry (i, j) the shape of the section [a_j, b_i):
     the empty shape (the entry 1) when a_j = b_i, None (the entry 0) when
-    a_j > b_i.  It reports in ring (see ShapeMatrix)."""
+    a_j > b_i.  It reports in the Schur basis."""
     a, b = dec.abar, dec.bbar
     empty = SkewShape(())
     return ShapeMatrix(dec.ell, N, [
         [ribbon_section_shape(dec.ribbon, aj, bi) if aj < bi else
-         empty if aj == bi else None for aj in a] for bi in b], ring)
+         empty if aj == bi else None for aj in a] for bi in b])
 
 
 def build(dec: RibbonDecomposition, N: int) -> RibbonMatrix:
     """The section matrix reporting in the monomial basis, in N
     variables."""
-    return RibbonMatrix(dec, N, section_matrix(dec, N, SymPoly.from_schur))
+    return RibbonMatrix(dec, ShapeMatrix(
+        dec.ell, N, section_matrix(dec, N).shapes, SymPoly.from_schur))
 
 
 def check_determinant(rm: RibbonMatrix, det=None) -> bool:
@@ -59,13 +58,13 @@ def check_determinant(rm: RibbonMatrix, det=None) -> bool:
         det = determinant(rm.matrix)
     if isinstance(det, SchurExpansion):
         det = det.to_poly()
-    return det == skew_schur(rm.decomposition.shape, rm.nvars)
+    return det == skew_schur(rm.decomposition.shape, rm.matrix.nvars)
 
 
 def principal_minor(rm: RibbonMatrix, I) -> RibbonMatrix:
-    """Matrix of the shape whose tuples are the I-indexed subtuples, in
-    rm's ring; its section shapes are those of rm's principal submatrix
-    on I."""
+    """rm's principal submatrix on I, in rm's ring, as the matrix of the
+    shape whose tuples are the I-indexed subtuples: its section shapes
+    are that shape's."""
     I = sorted(I)
     dec = rm.decomposition
     if not I or any(k < 1 or k > dec.ell for k in I):
@@ -73,9 +72,9 @@ def principal_minor(rm: RibbonMatrix, I) -> RibbonMatrix:
     a = [dec.abar[k - 1] for k in I]
     b = [dec.bbar[k - 1] for k in I]
     sub_dec = decompose(shape_from_tuples(dec.ribbon, a, b), dec.ribbon)
-    sub = section_matrix(sub_dec, rm.nvars, rm.matrix.ring)
-    assert sub.shapes == rm.matrix.submatrix(I, I).shapes, I
-    return RibbonMatrix(sub_dec, rm.nvars, sub)
+    sub = rm.matrix.submatrix(I, I)
+    assert section_matrix(sub_dec, sub.nvars).shapes == sub.shapes, I
+    return RibbonMatrix(sub_dec, sub)
 
 
 def odd_even_product(dec: RibbonDecomposition, N: int) -> SymPoly:

@@ -311,8 +311,7 @@ def _trace_type(d: ShuffleDiagram, choice) -> NoncrossingMatching:
 
 @dataclass(frozen=True)
 class ReadingWord:
-    index: int
-    word: tuple       # letters, each index or index + 1
+    word: tuple       # letters, each i or i + 1 for the word at i
     positions: tuple  # diagram coordinates, parallel to word
 
 
@@ -345,7 +344,7 @@ def _build_reading_word(T: ShuffleTableau, i: int) -> ReadingWord:
             removed.add((hi[0], c))
     rest = sorted((pos for pos in squares if pos not in removed),
                   key=lambda pos: (-pos[0], pos[1]))
-    return ReadingWord(i, tuple(squares[pos] for pos in rest), tuple(rest))
+    return ReadingWord(tuple(squares[pos] for pos in rest), tuple(rest))
 
 
 def unmatched_positions(word, i):

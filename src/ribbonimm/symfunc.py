@@ -400,7 +400,7 @@ def determinant(M: ShapeMatrix):
                  for j in range(1, M.n + 1) if not cols >> j - 1 & 1)
         sums = weighted_sums(terms, M.nvars,
                              M.ring if row == M.n else SchurExpansion)
-    return sums.get((1 << M.n) - 1, M.ring(M.nvars))
+    return sums.get((1 << M.n) - 1) or M.ring(M.nvars)
 
 
 def diagonal_products(M: ShapeMatrix, perms) -> dict:
@@ -463,7 +463,7 @@ class SchurExpansion(_Terms):
         return weighted_sums(
             ((None, c, products.times(self, SkewShape(mu)))
              for mu, c in other.coeffs.items()),
-            self.nvars, SchurExpansion).get(None, SchurExpansion(self.nvars))
+            self.nvars, SchurExpansion).get(None) or SchurExpansion(self.nvars)
 
     def to_poly(self) -> SymPoly:
         return SymPoly.from_schur(self.nvars, self.coeffs)

@@ -6,15 +6,15 @@ Permutations are tuples in one-line notation with values 1..n.
 
 Matchings are interned: `matching(n, pairs)` returns the one object with
 those canonical pairs, validated the first time they are seen.  A
-generator acts by `cap`: t_i m (side "L") or m t_i (side "R") joins two
-adjacent boundary points of m, in O(n), with no strand tracing
-(Rhoades-Skandera, "Temperley-Lieb immanants", 2005, for the matching
-model).  `perm_to_matching` peels first right descents off a 321-avoiding
-permutation and folds the right action over the word they spell; every
+generator acts from the left by `cap`: t_i m joins the row points L_i
+and L_(i+1) of m, in O(n), with no strand tracing (Rhoades-Skandera,
+"Temperley-Lieb immanants", 2005, for the matching model).
+`perm_to_matching` peels first right descents off a 321-avoiding
+permutation and applies t_i for each descent i as it is peeled; every
 reduced word of such a permutation gives the same product (Stembridge,
-1996: they are all commutation-equivalent).  The tests check both
-actions against the general product, which traces the strands of the
-glued diagram.
+1996: they are all commutation-equivalent).  The tests check the action
+against the general product, which traces the strands of the glued
+diagram.
 
 The definitional immanants read one coefficient table over S_n: the
 algebra map theta sending s_i to t_i - 1, taken at w^-1 and expanded in
@@ -146,13 +146,12 @@ def trace_strands(adj, ends):
 
 # ------------------------------------------------------ the generators' action
 
-def cap(m: NoncrossingMatching, side: str, i: int):
-    """Join the boundary points (side, i) and (side, i + 1) of m by a cap
-    from outside, in O(n): returns (matching, loops).  On side "L" this
-    is t_i m, on side "R" it is m t_i.  The two strands at the points
-    join (a closed loop if they were one strand) and the two points are
-    paired."""
-    p, q = (side, i), (side, i + 1)
+def cap(m: NoncrossingMatching, i: int):
+    """t_i m, in O(n): returns (matching, loops).  The row points L_i and
+    L_(i+1) of m are joined by a cap from outside: the two strands at
+    them join (a closed loop if they were one strand) and the two points
+    are paired."""
+    p, q = ("L", i), ("L", i + 1)
     partner = {}
     for a, b in m.pairs:
         partner[a], partner[b] = b, a
@@ -165,9 +164,9 @@ def cap(m: NoncrossingMatching, side: str, i: int):
 # kept: theorem1_harness reads each type again for every instance
 @table
 def perm_to_matching(u: tuple) -> NoncrossingMatching:
-    """Basis matching of u as a product of generators: the first right
-    descents peeled off u down to the identity (u -> u s_i) spell a reduced
-    word, and the right action m -> m t_i is folded over it in reverse.
+    """Basis matching of u as a product of generators: each first right
+    descent i peeled off u (u -> u s_i) down to the identity acts by t_i
+    from the left, so u = s_ik ... s_i1 gives t_ik ... t_i1.
 
     The KL immanant at a 321-avoiding w is the TL immanant of
     perm_to_matching(perm_inverse(w)), the matching of the inverse (for
@@ -175,15 +174,12 @@ def perm_to_matching(u: tuple) -> NoncrossingMatching:
     """
     if not is_321_avoiding(u):
         raise ValueError(f"{u} contains the pattern 321")
-    word, i = [], first_right_descent(u)
+    m, i = identity_matching(len(u)), first_right_descent(u)
     while i is not None:
-        word.append(i)
+        m, loops = cap(m, i)
+        assert loops == 0
         u = apply_s(u, i)
         i = first_right_descent(u)
-    m = identity_matching(len(u))
-    for i in reversed(word):
-        m, loops = cap(m, "R", i)
-        assert loops == 0
     return m
 
 
@@ -194,8 +190,8 @@ def _tl_table(n: int) -> dict:
 
     Built in length order by one generator at a time: for a right descent
     i of w, theta(w^-1) = (t_i - 1) theta((w s_i)^-1), with t_i m = cap(m,
-    "L", i) computed the first time a row reaches (i, m) and then read
-    from left[i].  Charged its n! permutations before any is listed, then
+    i) computed the first time a row reaches (i, m) and then read from
+    left[i].  Charged its n! permutations before any is listed, then
     its nonzero entries as each row is stored (not the actions, at most
     (n - 1) Catalan(n)).
     """
@@ -210,7 +206,7 @@ def _tl_table(n: int) -> dict:
         for m, c in table[apply_s(w, i)].items():
             acted = action.get(m)
             if acted is None:
-                acted = action[m] = cap(m, "L", i)
+                acted = action[m] = cap(m, i)
             prod, loops = acted
             out[prod] = out.get(prod, 0) + c * 2 ** loops
             out[m] = out.get(m, 0) - c

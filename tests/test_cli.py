@@ -513,19 +513,22 @@ KL7 = "kl_polynomials(n=7): 2000277 Bruhat pairs exceed RIL_BUDGET=2000000"
     (["sweep", "--theorem", "1.1", "--max-ell", "8"], TL8),
     (["sweep", "--theorem", "cor3.5", "--max-ell", "8"], TL8),
     (["sweep", "--theorem", "conj1.2", "--max-ell", "7"], KL7),
-    (["sweep", "--theorem", "1.1", "--max-ell", "1000000000"],
+    (["sweep", "--theorem", "1.1", "--max-ell", "1000000000", "--max-cells",
+      "1000000000"],
      "_tl_table(n=1000000000): more than 2^999999999 permutations exceed "
      "RIL_BUDGET=2000000"),
-    (["sweep", "--theorem", "det", "--max-ell", "21"],
+    (["sweep", "--theorem", "det", "--max-ell", "21", "--max-cells", "21"],
      "determinant(n=21): 2^21 column subsets exceed RIL_BUDGET=2000000"),
-    (["sweep", "--theorem", "det", "--max-ell", "1000000000"],
+    (["sweep", "--theorem", "det", "--max-ell", "1000000000", "--max-cells",
+      "1000000000"],
      "determinant(n=1000000000): 2^1000000000 column subsets exceed "
      "RIL_BUDGET=2000000"),
     (["kl-table", "8"],
      "kl_polynomials(n=8): 400065 Bruhat pairs exceed RIL_BUDGET=400000"),
     (["kl-table", "9"], "_weyl(n=9): 3265920 permutations and right actions "
      "exceed RIL_BUDGET=2000000"),
-    (["sweep", "--theorem", "conj1.2", "--max-ell", "1000000000"],
+    (["sweep", "--theorem", "conj1.2", "--max-ell", "1000000000",
+      "--max-cells", "1000000000"],
      "_weyl(n=1000000000): more than 2^999999999 permutations exceed "
      "RIL_BUDGET=2000000"),
 ], ids=[
@@ -568,14 +571,28 @@ def test_seven_sections_refused_by_table_size(argv, message, column_files,
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("theorem, module, table", [
-    ("1.1", tlalgebra, "_tl_table"), ("cor3.5", tlalgebra, "_tl_table"),
-    ("conj1.2", klbase, "_weyl")])
+@pytest.mark.parametrize("theorem, module, table, max_ell, cells", [
+    ("1.1", tlalgebra, "_tl_table", 7, 3),
+    ("cor3.5", tlalgebra, "_tl_table", 7, 3),
+    ("conj1.2", klbase, "_weyl", 7, 3),
+    ("1.1", tlalgebra, "_tl_table", 10, 6),
+    ("det", cli, "charge_determinant", 21, 3),
+    ("conj1.2", klbase, "_weyl", 9, 5),
+], ids=[
+    # the first three keep the names they had before max_ell and cells
+    # were parameters
+    "1.1-ribbonimm.tlalgebra-_tl_table",
+    "cor3.5-ribbonimm.tlalgebra-_tl_table",
+    "conj1.2-ribbonimm.klbase-_weyl",
+    "1.1-ell10-cells6", "det-ell21-cells3", "conj1.2-ell9-cells5",
+])
 def test_sweep_builds_tables_for_the_sections_cells_allow(
-        theorem, module, table, monkeypatch, capsys):
-    # an instance of at most three cells has at most three sections, so
-    # --max-ell 7 builds no table over S_7 (the S_7 permutations are still
-    # charged first)
+        theorem, module, table, max_ell, cells, monkeypatch, capsys):
+    # an instance of at most `cells` cells has at most that many sections,
+    # so a larger --max-ell neither builds nor charges a table over more:
+    # S_10, S_9 and a 21 x 21 determinant would each exceed the default
+    # budget
+    monkeypatch.delenv("RIL_BUDGET", raising=False)
     built = []
     orig = getattr(module, table)
 
@@ -585,13 +602,15 @@ def test_sweep_builds_tables_for_the_sections_cells_allow(
 
     monkeypatch.setattr(module, table, record)
     code = cli.main(["--json", "sweep", "--theorem", theorem, "--max-ell",
-                     "7", "--max-cells", "3", "--full-report"])
+                     str(max_ell), "--max-cells", str(cells),
+                     "--full-report"])
     out = capsys.readouterr().out
     assert code == 0
-    assert max(built) == 3
-    # the same report as the one --max-ell 3 gives
+    assert max(built) == cells
+    # the same report as the one --max-ell equal to --max-cells gives
     assert cli.main(["--json", "sweep", "--theorem", theorem, "--max-ell",
-                     "3", "--max-cells", "3", "--full-report"]) == 0
+                     str(cells), "--max-cells", str(cells),
+                     "--full-report"]) == 0
     assert capsys.readouterr().out == out
 
 

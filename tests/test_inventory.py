@@ -83,6 +83,29 @@ def test_budget_refusals_are_raised_in_errors_only():
     assert found == {"errors"}
 
 
+# The f-string prefix that names each S_n table's layer in its refusal,
+# and the one module that formats it: the table's own builder, or errors
+# for the determinant's column subsets.
+REFUSAL_LAYERS = {"_weyl(n=": "klbase", "kl_polynomials(n=": "klbase",
+                  "_tl_table(n=": "tlalgebra", "determinant(n=": "errors"}
+
+
+def test_each_table_refusal_is_formatted_in_one_module():
+    # a second module that formats a layer would charge the table on a
+    # path of its own, which can disagree with the builder
+    found = {prefix: set() for prefix in REFUSAL_LAYERS}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                for part in node.values:
+                    for prefix in REFUSAL_LAYERS:
+                        if (isinstance(part, ast.Constant)
+                                and part.value.startswith(prefix)):
+                            found[prefix].add(path.stem)
+    assert found == {prefix: {module}
+                     for prefix, module in REFUSAL_LAYERS.items()}
+
+
 def test_only_errors_names_the_table_store():
     # a value enters the store only through errors.table or
     # errors.kept_values, which drop it once the budget reads otherwise

@@ -4,9 +4,8 @@ from conftest import degree, is_homogeneous, row_sections_dec
 from ribbonimm import ribbonmat
 from ribbonimm.shapes import (SkewShape, decompose, odd_even_shapes,
                               ribbon_section_shape, shape_from_tuples)
-from ribbonimm.symfunc import (SchurExpansion, ShapeMatrix, SymPoly,
-                               determinant, expand_schur, schur_poly,
-                               skew_schur)
+from ribbonimm.symfunc import (ShapeMatrix, SymPoly, determinant,
+                               expand_schur, schur_poly, skew_schur)
 from ribbonimm.tlalgebra import imm_tl, minor, perm_to_matching
 
 CATALAN = {3: 5, 4: 14, 5: 42}
@@ -57,16 +56,16 @@ def test_check_determinant_in_either_basis(corpus_decs):
     # polynomial at N = cells is not
     for dec in corpus_decs:
         N = dec.shape.size
-        for ring in (SchurExpansion, SymPoly.from_schur):
-            A = ribbonmat.section_matrix(dec, N, ring)
-            rm = ribbonmat.RibbonMatrix(dec, N, A)
-            assert ribbonmat.check_determinant(rm), (dec.abar, ring)
+        for A in (ribbonmat.section_matrix(dec, N),
+                  ribbonmat.build(dec, N).matrix):
+            rm = ribbonmat.RibbonMatrix(dec, A)
+            assert ribbonmat.check_determinant(rm), (dec.abar, A.ring)
             assert ribbonmat.check_determinant(rm, determinant(A))
-            wrong = ShapeMatrix(A.n, N, [A.shapes[1], *A.shapes[1:]], ring)
+            wrong = ShapeMatrix(A.n, N, [A.shapes[1], *A.shapes[1:]], A.ring)
             assert determinant(wrong).is_zero()
             assert not skew_schur(dec.shape, N).is_zero()
             assert not ribbonmat.check_determinant(
-                ribbonmat.RibbonMatrix(dec, N, wrong)), (dec.abar, ring)
+                ribbonmat.RibbonMatrix(dec, wrong)), (dec.abar, A.ring)
 
 
 def test_principal_minor_roundtrip(hook_dec):

@@ -57,12 +57,13 @@ def test_long_permutation_has_a_reduced_word():
 
 def test_perm_to_matching_folds_any_reduced_word():
     # the first right descents that perm_to_matching peels spell one
-    # reduced word; the oracle's word, read off left descents, is another,
-    # and folds to the same matching
+    # reduced word; the oracle's word s_i1 ... s_ik, read off left
+    # descents, is another, and t_i1 ... t_ik, acted from the left in
+    # reverse, is the same matching
     def fold(u):
         m = identity_matching(len(u))
-        for i in reduced_word(u):
-            m, loops = cap(m, "R", i)
+        for i in reversed(reduced_word(u)):
+            m, loops = cap(m, i)
             assert loops == 0
         return m
 
@@ -151,14 +152,13 @@ def test_matchings_are_interned():
 
 
 def test_actions_match_diagram_products():
-    # the left action that _tl_table reads, and the right action that
-    # perm_to_matching folds, against the traced product on every matching
+    # the left action that _tl_table and perm_to_matching read, against
+    # the traced product on every matching
     for n in range(1, 7):
         for i in range(1, n):
             g = generator(n, i)
             for m in all_matchings(n):
-                assert cap(m, "L", i) == diagram_mul(g, m)
-                assert cap(m, "R", i) == diagram_mul(m, g)
+                assert cap(m, i) == diagram_mul(g, m)
 
 
 def test_generator_relations():
